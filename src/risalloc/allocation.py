@@ -8,33 +8,27 @@ from .channel import ChannelSet
 from .metrics import Allocation, Beamformers
 
 
-def _simplex_project(v: np.ndarray):
-    """Euclidean projection of one column onto {z >= 0, sum z = 1}."""
-    srt = np.sort(v)[::-1]
-    css = np.cumsum(srt) - 1.0
-    ks = np.arange(1, v.size + 1)
-    rho = np.nonzero(srt - css / ks > 0)[0][-1]
-    tau = css[rho] / (rho + 1.0)
-    z = np.maximum(v - tau, 0.0)
-    return z, z > 0
-
-
 def _project_columns(x: np.ndarray):
-    """Column-wise projection onto {z in [0,1]^K : sum z <= 1}.
+    """Projection of every column (axis -2) onto {z in [0,1]^K : sum z <= 1}.
 
-    Because the entries are non-negative and each column sums to at most 1,
-    the box bound is implied, so the set is the solid unit simplex. Returns
-    (projection, per-column simplex flag, active-entry mask); the last two
-    feed the vector-Jacobian product used during training.
+    The box bound is implied, so the set is the solid unit simplex: columns
+    whose clipped entries sum to at most 1 are only clipped, the rest all
+    go to the face at once by the sort-based threshold (Duchi et al., ICML
+    2008; Condat, Math. Prog. 2016). Returns (projection, per-column simplex
+    flag, active-entry mask); the last two feed the training pullback.
     """
     x = np.asarray(x, dtype=float)
-    clipped = np.clip(x, 0.0, None)
-    out = clipped.copy()
-    active = x > 0.0
-    on_simplex = clipped.sum(axis=0) > 1.0
-    for c in np.nonzero(on_simplex)[0]:
-        out[:, c], active[:, c] = _simplex_project(x[:, c])
-    return out, on_simplex, active
+    K = x.shape[-2]
+    clipped = np.maximum(x, 0.0)
+    on_simplex = clipped.sum(axis=-2) > 1.0
+    srt = np.sort(x, axis=-2)[..., ::-1, :]
+    css = srt.cumsum(axis=-2) - 1.0
+    meets = srt - css / np.arange(1, K + 1)[:, None] > 0
+    rho = K - 1 - meets[..., ::-1, :].argmax(axis=-2, keepdims=True)  # last index meeting it
+    tau = np.take_along_axis(css, rho, axis=-2) / (rho + 1.0)
+    z = np.maximum(x - tau, 0.0)
+    face = on_simplex[..., None, :]
+    return np.where(face, z, clipped), on_simplex, np.where(face, z > 0, x > 0.0)
 
 
 def project_feasible(xi_raw) -> Allocation:
@@ -49,22 +43,21 @@ def project_feasible(xi_raw) -> Allocation:
 def project_feasible_with_vjp(xi_raw: np.ndarray):
     """Projection plus a pullback for gradients.
 
-    Returns (projected array, vjp) where vjp maps an upstream gradient at
-    the projected point to a gradient at the raw input: identity on active
-    entries for untouched columns, and mean-subtraction over the active set
-    for columns that landed on the simplex face.
+    Takes one (K, L) allocation or a (Q, K, L) stack. Returns (projected
+    array, vjp) where vjp maps an upstream gradient at the projected point
+    to a gradient at the raw input: identity on active entries for
+    untouched columns, and mean-subtraction over the active set for columns
+    that landed on the simplex face.
     """
     x = np.asarray(xi_raw, dtype=float)
     proj, on_simplex, active = _project_columns(x)
+    face = on_simplex[..., None, :]
+    counts = np.maximum(active.sum(axis=-2, keepdims=True), 1)
 
     def vjp(upstream: np.ndarray) -> np.ndarray:
         g = np.where(active, np.asarray(upstream, dtype=float), 0.0)
-        cols = np.nonzero(on_simplex)[0]
-        if cols.size:
-            counts = active[:, cols].sum(axis=0)
-            means = g[:, cols].sum(axis=0) / counts
-            g[:, cols] = np.where(active[:, cols], g[:, cols] - means[None, :], 0.0)
-        return g
+        means = g.sum(axis=-2, keepdims=True) / counts
+        return np.where(face, np.where(active, g - means, 0.0), g)
 
     return proj, vjp
 

@@ -3,7 +3,10 @@
 Each outer iteration sweeps the phase block, then the share block (unless a
 fixed allocation was supplied), taking a handful of gradient steps per block
 with a halving line search that never accepts a decrease, so the objective
-trace is monotone up to float noise.
+trace is monotone up to float noise. Every evaluation goes through the
+objective kernel in ``metrics``: each gradient step through its gradient
+path (``objective_value_and_gradients``), each line-search trial through
+its value-only path.
 """
 
 from __future__ import annotations
@@ -16,10 +19,7 @@ import numpy as np
 
 from .allocation import _project_columns
 from .channel import ChannelSet
-from .metrics import (RATE_FLOOR, Allocation, PhaseConfig, _beam_matrix,
-                      _element_mask, _theta_vector, alpha_utility)
-
-_LN2 = float(np.log(2.0))
+from .metrics import Allocation, PhaseConfig, _beam_matrix, _objective, _single, expand_columns
 
 
 @dataclass
@@ -54,58 +54,12 @@ class BcdTrace:
                 writer.writerow([i, repr(float(obj)), repr(float(sec))])
 
 
-def _objective_terms(ch, theta_vec, mask, w_mat, alpha, noise_linear):
-    """Shared forward pass: effective rows, beam couplings, SINR pieces."""
-    phase = np.exp(1j * theta_vec)
-    E = (ch.g_ris * (mask * phase[None, :])) @ ch.h_rb + ch.h_direct
-    S = E @ w_mat.T
-    P = np.abs(S) ** 2
-    num = np.diagonal(P).copy()
-    den = P.sum(axis=1) - num + noise_linear
-    sig = num / den
-    rates = np.log2(1.0 + sig) / ch.num_users
-    return phase, S, num, den, sig, rates
-
-
 def objective_value_and_gradients(ch: ChannelSet, theta, xi, w, alpha: float,
                                   noise_linear: float):
-    """Objective plus exact gradients wrt phases and shares.
-
-    The rate floor is a constant region: users pinned at the floor
-    contribute zero gradient. An all-zero allocation therefore zeroes the
-    phase gradient exactly.
-    """
-    if noise_linear <= 0:
-        raise ValueError("gradients need a strictly positive noise power")
-    theta_vec = _theta_vector(theta)
-    alloc = xi if isinstance(xi, Allocation) else Allocation(np.asarray(xi, dtype=float))
-    mask = _element_mask(alloc)
-    w_mat = _beam_matrix(w)
-    K = ch.num_users
-
-    phase, S, num, den, sig, rates = _objective_terms(ch, theta_vec, mask, w_mat, alpha, noise_linear)
-    value = float(np.sum(alpha_utility(rates, alpha)))
-
-    floored = np.maximum(rates, RATE_FLOOR)
-    du_drate = np.where(rates > RATE_FLOOR, floored ** (-alpha), 0.0)
-    drate_dsinr = 1.0 / (K * _LN2 * (1.0 + sig))
-    q = du_drate * drate_dsinr / den
-
-    # dU/d|S_ki|^2: q_k on the diagonal, -q_k * SINR_k off it
-    G = -q[:, None] * sig[:, None] * np.ones((K, K))
-    np.fill_diagonal(G, q)
-
-    A = G * np.conj(S)
-    B = w_mat @ ch.h_rb.T                      # B[i, l] = (h_rb w_i)_l
-    C = ch.g_ris * phase[None, :] * (A @ B)    # (K, L2)
-
-    dtheta = -2.0 * np.imag((mask * C).sum(axis=0))
-    if alloc.granularity == "element":
-        dxi = 2.0 * np.real(C)
-    else:
-        Kx, L = alloc.xi.shape
-        dxi = 2.0 * np.real(C).reshape(Kx, L, L).sum(axis=2)
-    return value, dtheta, dxi
+    """Objective plus exact gradients wrt phases and column shares; users
+    pinned at the rate floor contribute zero gradient."""
+    value, dtheta, dxi = _objective(*_single(ch, w, theta, xi), noise_linear, alpha, grads=True)
+    return float(value), dtheta, dxi
 
 
 def objective_gradients(ch: ChannelSet, theta, xi, w, alpha: float,
@@ -147,20 +101,16 @@ def bcd_optimize(ch: ChannelSet, w, alpha: float, noise_linear: float,
     theta = rng.uniform(0.0, np.pi, size=L2)
     if fixed_alloc is None:
         xi = np.full((K, L), 1.0 / K)
-        granularity = "column"
     else:
         fixed_alloc.validate()
         xi = np.array(fixed_alloc.xi, dtype=float)
-        granularity = fixed_alloc.granularity
+    w_mat = _beam_matrix(w)
 
-    def wrap(arr):
-        return Allocation(arr, mode="relaxed", granularity=granularity)
+    def value_of(th, mask):
+        """Value-only kernel path for line-search trials."""
+        return float(_objective(ch.g_ris, ch.h_rb, ch.h_direct, w_mat, th, mask, noise_linear, alpha))
 
-    def value_of(th, xa):
-        v, _, _ = objective_value_and_gradients(ch, th, wrap(xa), w, alpha, noise_linear)
-        return v
-
-    obj = value_of(theta, xi)
+    obj = value_of(theta, expand_columns(xi))
     if not np.isfinite(obj):
         raise RuntimeError("objective is not finite at the starting point")
     trace = BcdTrace(objectives=[obj], seconds=[0.0])
@@ -168,18 +118,19 @@ def bcd_optimize(ch: ChannelSet, w, alpha: float, noise_linear: float,
     for outer in range(1, opts.max_outer_iters + 1):
         tic = time.perf_counter()
 
+        mask = expand_columns(xi)
         for _ in range(opts.inner_steps_per_block):
-            _, dtheta, _ = objective_value_and_gradients(ch, theta, wrap(xi), w, alpha, noise_linear)
+            _, dtheta, _ = objective_value_and_gradients(ch, theta, xi, w_mat, alpha, noise_linear)
             theta, obj = _line_ascend(
                 theta, dtheta, lambda t: np.clip(t, 0.0, np.pi),
-                lambda t: value_of(t, xi), obj, opts.step_size)
+                lambda t: value_of(t, mask), obj, opts.step_size)
 
         if fixed_alloc is None:
             for _ in range(opts.inner_steps_per_block):
-                _, _, dxi = objective_value_and_gradients(ch, theta, wrap(xi), w, alpha, noise_linear)
+                _, _, dxi = objective_value_and_gradients(ch, theta, xi, w_mat, alpha, noise_linear)
                 xi, obj = _line_ascend(
                     xi, dxi, lambda x: _project_columns(x)[0],
-                    lambda x: value_of(theta, x), obj, opts.step_size)
+                    lambda x: value_of(theta, expand_columns(x)), obj, opts.step_size)
 
         trace.objectives.append(obj)
         trace.seconds.append(time.perf_counter() - tic)
@@ -189,7 +140,7 @@ def bcd_optimize(ch: ChannelSet, w, alpha: float, noise_linear: float,
         if abs(obj - prev) <= opts.tol * max(1.0, abs(prev)):
             break
 
-    return PhaseConfig(theta), wrap(xi), trace
+    return PhaseConfig(theta), Allocation(xi, mode="relaxed"), trace
 
 
 def bcd_complexity_estimate(num_users: int, num_columns: int) -> int:

@@ -3,7 +3,9 @@
 Tractable only for toy sizes by design: the evaluation count is checked
 against a budget up front and the search refuses to start when it would
 exceed it. Surfaces with more than four elements share one phase per column
-to keep the grid enumerable.
+to keep the grid enumerable. Each hard assignment scores its whole phase
+grid in calls of the objective kernel in ``metrics``, at most _CHUNK
+configurations per call, so memory stays bounded whatever the budget.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ import itertools
 import numpy as np
 
 from .channel import ChannelSet
-from .metrics import Allocation, PhaseConfig, sum_utility
+from .metrics import Allocation, PhaseConfig, _beam_matrix, _objective, expand_columns
+
+_CHUNK = 4096  # phase configurations scored per kernel call
 
 
 class BudgetExceededError(RuntimeError):
@@ -57,7 +61,10 @@ def brute_force(ch: ChannelSet, w, alpha: float, noise_linear: float, nu: int,
     per_element = L2 <= 4
     slots = L2 if per_element else L
     grid = np.array([0.0]) if nu == 1 else np.linspace(0.0, np.pi, nu)
+    n_phases = nu ** slots
+    place = nu ** np.arange(slots - 1, -1, -1)  # grid index of slot s is digit s of j in base nu
     choices = list(range(K)) + ([K] if include_off else [])  # K = "off", sorts last
+    inputs = ch.g_ris, ch.h_rb, ch.h_direct, _beam_matrix(w)
 
     best_utility = None
     best_theta = None
@@ -67,12 +74,15 @@ def brute_force(ch: ChannelSet, w, alpha: float, noise_linear: float, nu: int,
         for c, a in enumerate(assign):
             if a < K:
                 xi[a, c] = 1.0
-        alloc = Allocation(xi, mode="binary")
-        for phases in itertools.product(grid, repeat=slots):
-            theta = np.asarray(phases) if per_element else np.repeat(phases, L)
-            u = sum_utility(ch, theta, alloc, w, alpha, noise_linear)
-            if best_utility is None or u > best_utility:
-                best_utility = u
-                best_theta = theta
-                best_alloc = alloc
+        mask = expand_columns(xi)
+        for start in range(0, n_phases, _CHUNK):
+            j = np.arange(start, min(start + _CHUNK, n_phases))
+            phases = grid[j[:, None] // place % nu]
+            thetas = phases if per_element else np.repeat(phases, L, axis=1)
+            values = _objective(*inputs, thetas, mask, noise_linear, alpha)
+            best = int(np.argmax(values))  # first of equals inside a chunk, strict > across
+            if best_utility is None or values[best] > best_utility:
+                best_utility = values[best]
+                best_theta = thetas[best]
+                best_alloc = Allocation(xi, mode="binary")
     return PhaseConfig(best_theta), best_alloc, float(best_utility)

@@ -165,7 +165,13 @@ def cmd_train(args) -> int:
 
 # --------------------------------------------------------------------- bcd
 
+def _require_positive_alpha(alpha: float) -> None:
+    if not alpha > 0:
+        raise ConfigError(f"--alpha must be positive, got {alpha}")
+
+
 def cmd_bcd(args) -> int:
+    _require_positive_alpha(args.alpha)
     samples, manifest = load_dataset(args.data)
     if not 0 <= args.index < len(samples):
         raise DatasetError(
@@ -243,6 +249,11 @@ def _solve_sample(scheme, sample, index, alpha, noise, opts, model, pca, nu, bud
 
 
 def cmd_compare(args) -> int:
+    _require_positive_alpha(args.alpha)
+    if args.nu < 1:
+        raise ConfigError(f"--nu must be >= 1, got {args.nu}")
+    if args.budget < 0:
+        raise ConfigError(f"--budget must be non-negative, got {args.budget}")
     samples, manifest = load_dataset(args.data)
     train_s, val_s = train_val_split(samples, manifest)
     split = {"val": val_s, "train": train_s, "all": samples}[args.split]

@@ -1,13 +1,15 @@
 """Allocation masking, effective channels, SINR, rates, and fairness objectives.
 
-This module is the single source of truth for the objective: the block
-optimizer, the exhaustive search, and the network training loss all call
-into the same functions here.
+The objective lives in one private kernel, ``_objective``, over stacked
+instances, with a value-only and a gradient path. Rates and utilities here,
+the block optimizer, the exhaustive search (a phase grid per call) and the
+training loss (a batch per call) all go through it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,6 +18,8 @@ from .channel import ChannelSet
 RATE_FLOOR = 1e-12  # keeps log/power utilities finite when a user gets nothing
 
 _FEAS_EPS = 1e-9  # slack for float noise out of the projection
+
+_LN2 = float(np.log(2.0))
 
 
 @dataclass
@@ -37,15 +41,13 @@ class PhaseConfig:
 class Allocation:
     """Per-user element shares.
 
-    xi is (K, L) in the default column granularity: entry (k, c) is user k's
-    share of surface column c, and each column's shares sum to at most 1.
-    granularity="element" switches to a full (K, L^2) mask. mode is
-    "relaxed" (shares in [0, 1]) or "binary" (shares in {0, 1}).
+    xi is (K, L): entry (k, c) is user k's share of surface column c, and
+    each column's shares sum to at most 1. mode is "relaxed" (shares in
+    [0, 1]) or "binary" (shares in {0, 1}).
     """
 
     xi: np.ndarray
     mode: str = "relaxed"
-    granularity: str = "column"
 
     def __post_init__(self):
         self.xi = np.asarray(self.xi, dtype=float)
@@ -53,13 +55,11 @@ class Allocation:
             raise ValueError("xi must be 2-D (users x columns)")
         if self.mode not in ("relaxed", "binary"):
             raise ValueError(f"unknown allocation mode {self.mode!r}")
-        if self.granularity not in ("column", "element"):
-            raise ValueError(f"unknown allocation granularity {self.granularity!r}")
 
     def validate(self) -> "Allocation":
         if np.any(self.xi < -_FEAS_EPS) or np.any(self.xi > 1.0 + _FEAS_EPS):
             raise ValueError("allocation entries must lie in [0, 1]")
-        if self.granularity == "column" and np.any(self.xi.sum(axis=0) > 1.0 + _FEAS_EPS):
+        if np.any(self.xi.sum(axis=0) > 1.0 + _FEAS_EPS):
             raise ValueError("column shares must sum to at most 1")
         if self.mode == "binary":
             if not np.all((self.xi == 0.0) | (self.xi == 1.0)):
@@ -102,9 +102,7 @@ def expand_columns(xi) -> np.ndarray:
 
 def _element_mask(xi) -> np.ndarray:
     """(K, L^2) element mask from an Allocation or a raw column-share array."""
-    if isinstance(xi, Allocation):
-        return xi.xi if xi.granularity == "element" else expand_columns(xi.xi)
-    return expand_columns(np.asarray(xi, dtype=float))
+    return expand_columns(xi.xi if isinstance(xi, Allocation) else xi)
 
 
 def _theta_vector(theta) -> np.ndarray:
@@ -115,12 +113,60 @@ def _beam_matrix(w) -> np.ndarray:
     return w.w if isinstance(w, Beamformers) else np.asarray(w, dtype=complex)
 
 
+def _rows(g_ris, h_rb, h_direct, phase, mask):
+    """Effective rows g_ris[k] * (mask_k * phase) @ h_rb + h_direct[k], stacked."""
+    return (g_ris * (mask * phase[..., None, :])) @ h_rb + h_direct
+
+
+def _objective(g_ris, h_rb, h_direct, w, theta, mask, noise_linear: float,
+               alpha: float | None = None, grads: bool = False):
+    """Rates (Q, K) when alpha is None, else utilities (Q,); grads=True adds
+    the exact gradients wrt phases (Q, L2) and column shares (Q, K, L).
+
+    Inputs broadcast over a leading batch shape (Q,), absent for one
+    instance: g_ris (Q, K, L2), h_rb (Q, L2, N), h_direct and w (Q, K, N),
+    theta (Q, L2), element mask (Q, K, L2). Users pinned at the rate floor
+    contribute zero gradient, so an all-zero allocation zeroes dtheta.
+    """
+    if noise_linear < 0 or (grads and noise_linear == 0):
+        raise ValueError("noise power must be non-negative, and positive for gradients")
+    phase = np.exp(1j * theta)
+    S = _rows(g_ris, h_rb, h_direct, phase, mask) @ w.swapaxes(-1, -2)  # S[k, i] = e_k . w_i
+    P = np.abs(S) ** 2
+    num = P.diagonal(axis1=-2, axis2=-1)
+    den = P.sum(axis=-1) - num + noise_linear
+    sig = num / den
+    K = S.shape[-1]
+    rates = np.log2(1.0 + sig) / K
+    if alpha is None:
+        return rates
+    values = alpha_utility(rates, alpha).sum(axis=-1)
+    if not grads:
+        return values
+
+    floored = np.maximum(rates, RATE_FLOOR)
+    du_drate = np.where(rates > RATE_FLOOR, floored ** (-alpha), 0.0)
+    drate_dsinr = 1.0 / (K * _LN2 * (1.0 + sig))
+    q = (du_drate * drate_dsinr / den)[..., :, None]
+    # dU/d|S_ki|^2: q_k on the diagonal, -q_k * SINR_k off it
+    G = np.where(np.eye(K, dtype=bool), q, -q * sig[..., :, None])
+    B = w @ h_rb.swapaxes(-1, -2)                         # B[i, l] = (h_rb w_i)_l
+    C = g_ris * phase[..., None, :] * ((G * np.conj(S)) @ B)  # (Q, K, L2)
+    dtheta = -2.0 * np.imag((mask * C).sum(axis=-2))
+    L = math.isqrt(C.shape[-1])
+    dxi = 2.0 * np.real(C).reshape(C.shape[:-1] + (L, L)).sum(axis=-1)
+    return values, dtheta, dxi
+
+
+def _single(ch: ChannelSet, w, theta, xi):
+    """Kernel inputs for one instance."""
+    return ch.g_ris, ch.h_rb, ch.h_direct, _beam_matrix(w), _theta_vector(theta), _element_mask(xi)
+
+
 def effective_channels(ch: ChannelSet, theta, xi) -> np.ndarray:
     """All effective rows at once: (K, N) matrix with row k =
     g_ris[k] * (mask_k * exp(j theta)) @ h_rb + h_direct[k]."""
-    mask = _element_mask(xi)
-    phase = np.exp(1j * _theta_vector(theta))
-    return (ch.g_ris * (mask * phase[None, :])) @ ch.h_rb + ch.h_direct
+    return _rows(ch.g_ris, ch.h_rb, ch.h_direct, np.exp(1j * _theta_vector(theta)), _element_mask(xi))
 
 
 def effective_channel(ch: ChannelSet, theta, xi, k: int) -> np.ndarray:
@@ -147,14 +193,7 @@ def sinr(ch: ChannelSet, theta, xi, w, k: int, noise_linear: float) -> float:
 
 def user_rates(ch: ChannelSet, theta, xi, w, noise_linear: float) -> np.ndarray:
     """Normalized per-user rates (1/K) log2(1 + SINR_k) for all users at once."""
-    if noise_linear < 0:
-        raise ValueError("noise power must be non-negative")
-    E = effective_channels(ch, theta, xi)
-    S = E @ _beam_matrix(w).T  # S[k, i] = e_k . w_i
-    P = np.abs(S) ** 2
-    num = np.diag(P)
-    den = P.sum(axis=1) - num + noise_linear
-    return np.log2(1.0 + num / den) / ch.num_users
+    return _objective(*_single(ch, w, theta, xi), noise_linear)
 
 
 def rate(ch: ChannelSet, theta, xi, w, k: int, noise_linear: float,
@@ -182,8 +221,7 @@ def alpha_utility(r, alpha: float):
 
 def sum_utility(ch: ChannelSet, theta, xi, w, alpha: float, noise_linear: float) -> float:
     """Total fairness utility over users; the objective every solver shares."""
-    rates = user_rates(ch, theta, xi, w, noise_linear)
-    return float(np.sum(alpha_utility(rates, alpha)))
+    return float(_objective(*_single(ch, w, theta, xi), noise_linear, alpha))
 
 
 def alpha_mean_throughput(rates, alpha: float, bandwidth: float) -> float:

@@ -342,6 +342,15 @@ def load_checkpoint(path):
         blob = f.read()
     if blob[:4] != CHECKPOINT_MAGIC:
         raise CheckpointError("not a model checkpoint file")
+    try:
+        return _parse_checkpoint(blob)
+    except (struct.error, KeyError, TypeError, ValueError) as exc:
+        # short header, bad UTF-8 or JSON, missing keys or arrays, bad types
+        raise CheckpointError(f"malformed checkpoint: {exc!r}") from exc
+
+
+def _parse_checkpoint(blob: bytes):
+    """Header, metadata and arrays of a checkpoint whose magic matched."""
     version, meta_len = struct.unpack("<II", blob[4:12])
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(

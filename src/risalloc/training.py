@@ -14,51 +14,55 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocation import project_feasible_with_vjp
-from .bcd import objective_value_and_gradients
+from .allocation import _project_columns, project_feasible_with_vjp
 from .features import PcaModel, feature_matrix, pca_fit, pca_transform
-from .metrics import Allocation
+from .metrics import _beam_matrix, _objective, expand_columns
 from .mlp import MlpArch, MlpModel, adam_step, init_adam, init_model, mlp_backward, mlp_forward
+
+
+def _batch(theta_batch, xi_batch, ch_batch, w_batch):
+    """Raw shares (Q, K, L), then the kernel inputs stacked over the batch."""
+    theta_batch = np.atleast_2d(np.asarray(theta_batch, dtype=float))
+    xi_batch = np.asarray(xi_batch, dtype=float)
+    xi_batch = xi_batch.reshape((-1,) + xi_batch.shape[-2:])
+    Q = len(ch_batch)
+    if not (theta_batch.shape[0] == xi_batch.shape[0] == Q == len(w_batch)):
+        raise ValueError("batch sizes disagree")
+    return (xi_batch, np.stack([c.g_ris for c in ch_batch]), np.stack([c.h_rb for c in ch_batch]),
+            np.stack([c.h_direct for c in ch_batch]), np.stack([_beam_matrix(w) for w in w_batch]),
+            theta_batch)
+
+
+def _mean_loss(values) -> float:
+    """Negated mean utility, accumulated sample by sample in batch order."""
+    loss = 0.0
+    for v in values:
+        loss -= v / len(values)
+    return float(loss)
 
 
 def nn_loss(theta_batch, xi_batch, ch_batch, w_batch, alpha: float,
             noise_linear: float) -> float:
-    """Mean negated utility over the batch.
-
-    Raw shares are projected to the feasible set before scoring, matching
-    what the gradients in nn_loss_and_grads differentiate through.
-    """
-    loss, _, _ = nn_loss_and_grads(theta_batch, xi_batch, ch_batch, w_batch,
-                                   alpha, noise_linear)
-    return loss
+    """Mean negated utility over the batch, by the kernel's value-only path;
+    raw shares are projected first, as in nn_loss_and_grads."""
+    xi, *inputs = _batch(theta_batch, xi_batch, ch_batch, w_batch)
+    proj, _, _ = _project_columns(xi)
+    return _mean_loss(_objective(*inputs, expand_columns(proj), noise_linear, alpha))
 
 
 def nn_loss_and_grads(theta_batch, xi_batch, ch_batch, w_batch, alpha: float,
                       noise_linear: float):
     """Loss plus exact gradients wrt the network's raw outputs.
 
-    Returns (loss, dloss_dtheta (Q, L2), dloss_dxi (Q, K, L)); the share
-    gradient is pulled back through the projection.
+    One projection and one kernel call cover the whole batch. Returns
+    (loss, dloss_dtheta (Q, L2), dloss_dxi (Q, K, L)); the share gradient
+    is pulled back through the projection.
     """
-    theta_batch = np.atleast_2d(np.asarray(theta_batch, dtype=float))
-    xi_batch = np.asarray(xi_batch, dtype=float)
-    if xi_batch.ndim == 2:
-        xi_batch = xi_batch[None, :, :]
-    Q = len(ch_batch)
-    if not (theta_batch.shape[0] == xi_batch.shape[0] == Q == len(w_batch)):
-        raise ValueError("batch sizes disagree")
-
-    loss = 0.0
-    dtheta = np.zeros_like(theta_batch)
-    dxi = np.zeros_like(xi_batch)
-    for q in range(Q):
-        proj, vjp = project_feasible_with_vjp(xi_batch[q])
-        value, g_theta, g_xi = objective_value_and_gradients(
-            ch_batch[q], theta_batch[q], Allocation(proj), w_batch[q], alpha, noise_linear)
-        loss -= value / Q
-        dtheta[q] = -g_theta / Q
-        dxi[q] = -vjp(g_xi) / Q
-    return float(loss), dtheta, dxi
+    xi, *inputs = _batch(theta_batch, xi_batch, ch_batch, w_batch)
+    proj, vjp = project_feasible_with_vjp(xi)
+    values, g_theta, g_xi = _objective(*inputs, expand_columns(proj), noise_linear, alpha, grads=True)
+    Q = len(values)
+    return _mean_loss(values), -g_theta / Q, -vjp(g_xi) / Q
 
 
 class PlateauScheduler:

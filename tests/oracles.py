@@ -1,13 +1,17 @@
 """Independent straight-line re-implementations used as test oracles.
 
-Everything here is written with explicit scalar loops, on purpose: the
-library is vectorized, so agreement between the two is a meaningful check
-rather than the same code evaluated twice.
+Everything here is written with explicit loops, on purpose: the library is
+vectorized, so agreement between the two is a meaningful check rather than
+the same code evaluated twice. The column projection and the exhaustive
+search loop keep the arithmetic of the library's batched versions, so those
+are compared with them bit for bit.
 """
+
+import itertools
 
 import numpy as np
 
-from risalloc import ChannelSet
+from risalloc import ChannelSet, sum_utility
 
 
 def toy_channels(num_users=2, num_antennas=2, side=2, seed=0, scale=1.0):
@@ -79,3 +83,50 @@ def total_utility(ch, theta, mask, w, alpha, noise):
     for k in range(w.shape[0]):
         total += utility_value(rate_value(ch, theta, mask, w, k, noise), alpha)
     return total
+
+
+def project_columns(x):
+    """Column-by-column projection onto the solid unit simplex.
+
+    Over-full columns go to the simplex face one at a time by the
+    sort-based threshold. Returns (projection, per-column simplex flag,
+    active-entry mask), the layout of the library's vectorised projection.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.clip(x, 0.0, None)
+    active = x > 0.0
+    on_simplex = out.sum(axis=0) > 1.0
+    for c in np.nonzero(on_simplex)[0]:
+        v = x[:, c]
+        srt = np.sort(v)[::-1]
+        css = np.cumsum(srt) - 1.0
+        rho = np.nonzero(srt - css / np.arange(1, v.size + 1) > 0)[0][-1]
+        out[:, c] = np.maximum(v - css[rho] / (rho + 1.0), 0.0)
+        active[:, c] = out[:, c] > 0
+    return out, on_simplex, active
+
+
+def brute_force_loop(ch, w, alpha, noise, nu, include_off=True):
+    """Exhaustive search scoring one configuration per sum_utility call.
+
+    Same enumeration order as the library (assignments outer with "off"
+    last, per-element phases on surfaces of at most four elements, per-column
+    phases otherwise); the first configuration wins ties. Returns
+    (theta, xi, utility).
+    """
+    K, L2 = ch.g_ris.shape
+    L = int(round(np.sqrt(L2)))
+    slots = L2 if L2 <= 4 else L
+    grid = [0.0] if nu == 1 else list(np.linspace(0.0, np.pi, nu))
+    best = None
+    for assign in itertools.product(list(range(K + include_off)), repeat=L):
+        xi = np.zeros((K, L))
+        for c in range(L):
+            if assign[c] < K:
+                xi[assign[c], c] = 1.0
+        for phases in itertools.product(grid, repeat=slots):
+            theta = np.array(phases) if slots == L2 else np.repeat(phases, L)
+            u = sum_utility(ch, theta, xi, w, alpha, noise)
+            if best is None or u > best[2]:
+                best = (theta, xi, u)
+    return best

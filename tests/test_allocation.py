@@ -4,6 +4,7 @@ import pytest
 import oracles
 from risalloc import (binarize, mrt_beamformers, project_feasible,
                       project_feasible_with_vjp, uniform_contiguous)
+from risalloc.allocation import _project_columns
 
 
 def test_projection_frozen_examples():
@@ -118,3 +119,25 @@ def test_mrt_aligns_with_conjugate():
     inner = np.dot(h, w[0])
     assert abs(inner.imag) < 1e-12
     assert inner.real > 0
+
+
+def _same_bits(got, want):
+    return all(g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+               for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("raw", [
+    np.array([[0.5, 0.7, 0.4], [0.5, 0.7, 0.4], [0.5, -1.0, 0.4]]),   # ties
+    np.array([[0.3, 0.0, 1.0], [0.2, 1.0, 0.0]]),                    # already feasible
+    np.array([[-1.0, -0.5, 2.0], [-2.0, 3.0, -0.1]]),                # negative entries
+    np.random.default_rng(5).normal(0.3, 1.5, size=(4, 6)),
+])
+def test_vectorised_projection_matches_per_column_reference(raw):
+    assert _same_bits(_project_columns(raw), oracles.project_columns(raw))
+
+
+def test_stacked_projection_matches_per_sample_reference():
+    stack = np.random.default_rng(6).normal(0.4, 1.0, size=(7, 3, 4))
+    proj, on_simplex, active = _project_columns(stack)
+    for q in range(stack.shape[0]):
+        assert _same_bits((proj[q], on_simplex[q], active[q]), oracles.project_columns(stack[q]))

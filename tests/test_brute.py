@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from risalloc import (BudgetExceededError, brute_force, enumeration_count,
+from risalloc import (BudgetExceededError, brute, brute_force, enumeration_count,
                       mrt_beamformers, sum_utility)
 
 NOISE = 0.05
@@ -117,3 +117,27 @@ def test_nu_must_be_positive():
     w = mrt_beamformers(ch, 1.0).w
     with pytest.raises(ValueError):
         brute_force(ch, w, 1.0, NOISE, nu=0)
+
+
+@pytest.mark.parametrize("chunk", [4096, 5])
+@pytest.mark.parametrize("side,nu,include_off,degenerate", [
+    (3, 3, True, False),
+    (3, 1, True, False),
+    (3, 2, False, False),
+    (2, 3, True, False),
+    (2, 1, False, False),
+    (2, 2, False, True),
+    (2, 3, True, True),
+])
+def test_batched_search_matches_per_configuration_loop(monkeypatch, chunk, side, nu,
+                                                       include_off, degenerate):
+    monkeypatch.setattr(brute, "_CHUNK", chunk)
+    ch = oracles.toy_channels(num_users=2, side=side, seed=10 * side + nu)
+    if degenerate:                               # every phase configuration ties
+        ch.g_ris[:] = 0.0
+    w = mrt_beamformers(ch, 1.0).w
+    theta, alloc, u = brute_force(ch, w, 0.7, NOISE, nu=nu, include_off=include_off)
+    ref_theta, ref_xi, ref_u = oracles.brute_force_loop(ch, w, 0.7, NOISE, nu, include_off)
+    assert u == ref_u
+    assert theta.theta.tobytes() == ref_theta.tobytes()
+    assert alloc.xi.tobytes() == ref_xi.tobytes()

@@ -6,8 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from risalloc import (ScenarioConfig, feature_dimension, load_checkpoint,
-                      load_dataset)
+from risalloc import (MlpArch, ScenarioConfig, feature_dimension, init_model,
+                      load_checkpoint, load_dataset, save_checkpoint)
 from risalloc.cli import main
 
 
@@ -263,6 +263,34 @@ def test_compare_brute_budget_refusal(tmp_path, dataset, capsys):
                "--out", str(tmp_path / "c.csv")])
     assert rc == 4
     assert "budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("bcd", ["--alpha", "0"]),
+    ("compare", ["--alpha", "-1"]),
+    ("compare", ["--nu", "0", "--scheme", "brute"]),
+    ("compare", ["--budget", "-1", "--scheme", "brute"]),
+])
+def test_out_of_domain_flags_are_config_errors(tmp_path, dataset, capsys, command, flags):
+    rc = main([command, "--data", str(dataset), *flags, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert flags[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda blob: blob[:8],                                  # cut inside the header
+    lambda blob: blob[:12] + b"X" + blob[13:],              # metadata no longer JSON
+    lambda blob: blob.replace(b'"arch"', b'"arcX"', 1),     # metadata key missing
+])
+def test_malformed_checkpoint_is_data_error(tmp_path, dataset, capsys, corrupt):
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, init_model(MlpArch(input_dim=4, phase_dim=4, alloc_users=2,
+                                             alloc_cols=2, hidden=(3,))))
+    ckpt.write_bytes(corrupt(ckpt.read_bytes()))
+    rc = main(["compare", "--data", str(dataset), "--scheme", "nn", "--model", str(ckpt),
+               "--out", str(tmp_path / "c.csv")])
+    assert rc == 3
+    assert "checkpoint" in capsys.readouterr().err
 
 
 def test_compare_empty_split(tmp_path, cfg_path, capsys):

@@ -5,7 +5,9 @@ import oracles
 from risalloc import (Allocation, Beamformers, PhaseConfig, RATE_FLOOR,
                       alpha_mean_throughput, alpha_utility, effective_channel,
                       effective_channels, expand_columns, mrt_beamformers,
-                      rate, sinr, sum_utility, user_rates)
+                      objective_value_and_gradients, rate, sinr, sum_utility,
+                      user_rates)
+from risalloc.metrics import _objective
 
 
 def test_expand_columns_replication():
@@ -173,3 +175,21 @@ def test_user_rates_vector_matches_scalar():
     vec = user_rates(ch, theta, xi, w, 1e-2)
     for k in range(3):
         assert vec[k] == pytest.approx(rate(ch, theta, xi, w, k, 1e-2), rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 3.0])
+def test_value_only_path_matches_gradient_path(alpha):
+    chs = [oracles.toy_channels(num_users=3, num_antennas=2, side=3, seed=s) for s in range(4)]
+    ws = [mrt_beamformers(ch, 1.0).w for ch in chs]
+    rng = np.random.default_rng(11)
+    theta = rng.uniform(0, np.pi, size=(4, 9))
+    xi = rng.uniform(0, 1 / 3, size=(4, 3, 3))   # three users: columns sum below 1
+    xi[0] = 0.0                                  # no surface share at all
+    stacked = [np.stack(arrs) for arrs in ([c.g_ris for c in chs], [c.h_rb for c in chs],
+                                           [c.h_direct for c in chs], ws)]
+    values = _objective(*stacked, theta, expand_columns(xi), 0.05, alpha)
+    grad_values, _, _ = _objective(*stacked, theta, expand_columns(xi), 0.05, alpha, grads=True)
+    assert values.tobytes() == grad_values.tobytes()
+    for q in range(4):
+        value, _, _ = objective_value_and_gradients(chs[q], theta[q], xi[q], ws[q], alpha, 0.05)
+        assert sum_utility(chs[q], theta[q], xi[q], ws[q], alpha, 0.05) == value == values[q]

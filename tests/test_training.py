@@ -4,7 +4,8 @@ import pytest
 import oracles
 from risalloc import (Deployment, PhaseConfig, PlateauScheduler, Sample,
                       TrainOptions, mrt_beamformers, nn_loss, nn_loss_and_grads,
-                      project_feasible, sum_utility, train)
+                      objective_value_and_gradients, project_feasible,
+                      project_feasible_with_vjp, sum_utility, train)
 
 NOISE = 0.05
 
@@ -157,3 +158,25 @@ def test_train_requires_minimum_samples():
     with pytest.raises(ValueError):
         train([toy_sample(0), toy_sample(2)], [], NOISE,
               TrainOptions(max_epochs=1, use_pca=False))
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+def test_batched_loss_and_grads_match_per_sample_loop(alpha):
+    samples = [toy_sample(seed) for seed in range(5)]
+    chs, ws = [s.channels for s in samples], [s.w for s in samples]
+    rng = np.random.default_rng(3)
+    theta = rng.uniform(0, np.pi, size=(5, 4))
+    xi = rng.normal(0.4, 0.6, size=(5, 2, 2))
+    loss, d_theta, d_xi = nn_loss_and_grads(theta, xi, chs, ws, alpha, NOISE)
+
+    ref_loss, ref_theta, ref_xi = 0.0, np.zeros_like(theta), np.zeros_like(xi)
+    for q in range(5):
+        proj, vjp = project_feasible_with_vjp(xi[q])
+        value, g_theta, g_xi = objective_value_and_gradients(chs[q], theta[q], proj, ws[q], alpha, NOISE)
+        ref_loss -= value / 5
+        ref_theta[q] = -g_theta / 5
+        ref_xi[q] = -vjp(g_xi) / 5
+    assert loss == ref_loss
+    assert d_theta.tobytes() == ref_theta.tobytes()
+    assert d_xi.tobytes() == ref_xi.tobytes()
+    assert nn_loss(theta, xi, chs, ws, alpha, NOISE) == loss
