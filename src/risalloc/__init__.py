@@ -31,8 +31,8 @@ from .metrics import (RATE_FLOOR, Allocation, Beamformers, PhaseConfig,
                       sum_utility, user_rates)
 from .mlp import (AdamState, CheckpointError, MlpArch, MlpModel, adam_step,
                   first_layer_weight_count, init_adam, init_model,
-                  load_checkpoint, mlp_backward, mlp_forward, parameter_count,
-                  save_checkpoint)
+                  load_checkpoint, mlp_backward, mlp_forward, param_views,
+                  parameter_count, save_checkpoint)
 from .training import (PlateauScheduler, TrainOptions, TrainResult, nn_loss,
                        nn_loss_and_grads, train)
 

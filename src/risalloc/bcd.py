@@ -94,9 +94,7 @@ def bcd_optimize(ch: ChannelSet, w, alpha: float, noise_linear: float,
     rng = np.random.default_rng(opts.seed)
     K = ch.num_users
     L2 = ch.num_elements
-    L = int(round(np.sqrt(L2)))
-    if L * L != L2:
-        raise ValueError("the surface must be square for column shares")
+    L = ch.side
 
     theta = rng.uniform(0.0, np.pi, size=L2)
     if fixed_alloc is None:

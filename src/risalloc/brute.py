@@ -50,9 +50,7 @@ def brute_force(ch: ChannelSet, w, alpha: float, noise_linear: float, nu: int,
         raise ValueError("nu must be >= 1")
     K = ch.num_users
     L2 = ch.num_elements
-    L = int(round(np.sqrt(L2)))
-    if L * L != L2:
-        raise ValueError("the surface must be square for column assignments")
+    L = ch.side
 
     count = enumeration_count(K, L, L2, nu, include_off)
     if count > budget:

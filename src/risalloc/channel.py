@@ -10,6 +10,7 @@ half-wavelength spacing unless overridden.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +55,14 @@ class ChannelSet:
     @property
     def num_elements(self) -> int:
         return int(self.h_rb.shape[0])
+
+    @property
+    def side(self) -> int:
+        """L for the L x L surface; column shares need a square surface."""
+        L = math.isqrt(self.num_elements)
+        if L * L != self.num_elements:
+            raise ValueError(f"the surface must be square, got {self.num_elements} elements")
+        return L
 
 
 def breakpoint_distance(h_tx: float, h_rx: float, fc_hz: float) -> float:

@@ -26,7 +26,7 @@ from .bcd import BcdOptions, bcd_optimize
 from .brute import BudgetExceededError, brute_force
 from .config import ConfigError, ScenarioConfig, desk_config, full_scale_config
 from .dataio import DatasetError, generate_dataset, load_dataset, train_val_split
-from .features import flatten_features, pca_transform
+from .features import feature_dimension, flatten_features, pca_transform
 from .metrics import alpha_mean_throughput, alpha_utility, sum_utility, user_rates
 from .mlp import CheckpointError, load_checkpoint, mlp_forward, parameter_count, save_checkpoint
 from .training import TrainOptions, train
@@ -210,7 +210,9 @@ def cmd_bcd(args) -> int:
 
 # ----------------------------------------------------------------- compare
 
-def _load_model_for(schemes, model_path):
+def _load_model_for(schemes, model_path, ch):
+    """The checkpoint the nn schemes need, checked against the dataset's
+    channel shapes (ch) before any sample is solved."""
     wanted = [s for s in schemes if s in _NN_SCHEMES]
     if not wanted:
         return None, None
@@ -221,6 +223,16 @@ def _load_model_for(schemes, model_path):
         raise ConfigError("checkpoint holds no dimensionality reduction; use scheme \"nn\"")
     if "nn" in wanted and pca is not None:
         raise ConfigError("checkpoint includes dimensionality reduction; use scheme \"nn+pca\"")
+    arch = model.arch
+    widths = [("input features", arch.input_dim if pca is None else pca.input_dim,
+               feature_dimension(ch.num_users, ch.num_antennas, ch.num_elements)),
+              ("phase_dim", arch.phase_dim, ch.num_elements),
+              ("alloc_users", arch.alloc_users, ch.num_users),
+              ("alloc_cols", arch.alloc_cols, ch.side)]
+    bad = [f"{name} {got} where the dataset needs {need}"
+           for name, got, need in widths if got != need]
+    if bad:
+        raise ConfigError("checkpoint does not fit the dataset: " + "; ".join(bad))
     return model, pca
 
 
@@ -228,7 +240,7 @@ def _solve_sample(scheme, sample, index, alpha, noise, opts, model, pca, nu, bud
     """Run one scheme on one drop; returns (theta, allocation)."""
     ch, w = sample.channels, sample.w
     if scheme == "uniform":
-        fixed = uniform_contiguous(ch.num_users, int(round(np.sqrt(ch.num_elements))))
+        fixed = uniform_contiguous(ch.num_users, ch.side)
         per = dataclasses.replace(opts, seed=_per_sample_seed(opts.seed, index))
         theta, xi, _ = bcd_optimize(ch, w, alpha, noise, per, fixed_alloc=fixed)
         return theta, xi
@@ -265,7 +277,7 @@ def cmd_compare(args) -> int:
     if bad:
         raise ConfigError(
             f"unknown scheme(s) {', '.join(bad)}; choose from {', '.join(_ALL_SCHEMES)}")
-    model, pca = _load_model_for(schemes, args.model)
+    model, pca = _load_model_for(schemes, args.model, split[0].channels)
     bcd_section = load_config_file(args.config)[1] if args.config else {}
     opts = _options_from(BcdOptions, bcd_section, {"seed": args.seed}, "bcd")
 

@@ -20,7 +20,7 @@ import numpy as np
 from .allocation import mrt_beamformers
 from .channel import ChannelSet, synth_channels
 from .config import ConfigError, ScenarioConfig
-from .geometry import Deployment, deploy_blockages, deploy_ues
+from .geometry import Deployment, deploy
 from .serial import decode_named_arrays, encode_named_arrays
 
 FORMAT_VERSION = 1
@@ -93,14 +93,14 @@ def sample_seed(master_seed: int, index: int) -> int:
 def make_sample(config: ScenarioConfig, seed: int) -> Sample:
     """Build one drop from one seed.
 
-    Three child streams (user drop, blockage drop, channel shadowing) come
-    from SeedSequence(seed).generate_state(3), so the sample is a pure
-    function of (config, seed).
+    The deployment is geometry.deploy(config, seed), which draws users and
+    blockages from the first two words of SeedSequence(seed); channel
+    shadowing takes the third word, so the sample is a pure function of
+    (config, seed).
     """
-    streams = np.random.SeedSequence(seed).generate_state(3, dtype=np.uint64)
-    dep = Deployment(deploy_ues(config, int(streams[0])),
-                     deploy_blockages(config, int(streams[1])))
-    ch = synth_channels(config, dep, int(streams[2]))
+    dep = deploy(config, seed)
+    channel_seed = np.random.SeedSequence(seed).generate_state(3, dtype=np.uint64)[2]
+    ch = synth_channels(config, dep, int(channel_seed))
     w = mrt_beamformers(ch, config.tx_power_watts).w
     return Sample(seed, dep, ch, w)
 
@@ -160,7 +160,9 @@ def load_dataset(path):
     """Read a dataset directory back; returns (samples, manifest).
 
     Raises DatasetVersionError / DatasetTruncationError /
-    DatasetChecksumError for the three distinct failure modes.
+    DatasetChecksumError for the three distinct failure modes, and
+    DatasetError when the manifest's split sizes do not partition the
+    records.
     """
     path = Path(path)
     manifest_path = path / "manifest.json"
@@ -202,6 +204,10 @@ def load_dataset(path):
     if len(samples) != manifest.sample_count:
         raise DatasetTruncationError(
             f"manifest promises {manifest.sample_count} records, file holds {len(samples)}")
+    n_train, n_val = manifest.n_train, manifest.n_val
+    if n_train < 0 or n_val < 0 or n_train + n_val != len(samples):
+        raise DatasetError(
+            f"manifest split sizes {n_train} + {n_val} do not partition its {len(samples)} records")
     return samples, manifest
 
 

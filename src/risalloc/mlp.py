@@ -14,9 +14,10 @@ finite differences in the test suite.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -78,17 +79,50 @@ class MlpArch:
 
 @dataclass
 class MlpModel:
-    """Parameter tensors: per-layer affine weights/biases (hidden layers
-    first, then the phase head, then the allocation head) and per-hidden-
-    layer batch-norm scale/shift plus running statistics."""
+    """All learnable scalars in one float64 vector, ``params``, updated in
+    place only; ``weights``, ``biases``, ``bn_scale`` and ``bn_shift`` are
+    lists of views into it. The running statistics are separate arrays."""
 
     arch: MlpArch
-    weights: list
-    biases: list
-    bn_scale: list
-    bn_shift: list
+    params: np.ndarray
     bn_mean: list
     bn_var: list
+
+    def __post_init__(self):
+        for kind, views in param_views(self.arch, self.params).items():
+            setattr(self, kind, views)
+
+
+def _layout(arch: MlpArch):
+    """Yield (name, shape) of every learnable tensor, in buffer order."""
+    dims = [arch.input_dim, *arch.hidden]
+    affine = [*zip(dims, dims[1:]), (dims[-1], arch.phase_dim), (dims[-1], arch.alloc_dim)]
+    norm = [(h,) for h in arch.hidden]
+    for kind, shapes in (("weights", affine), ("biases", [s[1:] for s in affine]),
+                         ("bn_scale", norm), ("bn_shift", norm)):
+        for i, shape in enumerate(shapes):
+            yield f"{kind}.{i}", shape
+
+
+def _named_views(arch: MlpArch, vec: np.ndarray):
+    """Yield (name, view) over a flat vector laid out as ``_layout`` says."""
+    pos = 0
+    for name, shape in _layout(arch):
+        size = math.prod(shape)
+        yield name, vec[pos:pos + size].reshape(shape)
+        pos += size
+    if vec.shape != (pos,):
+        raise ValueError(f"expected a flat vector of {pos} parameters, got shape {vec.shape}")
+
+
+def param_views(arch: MlpArch, vec: np.ndarray) -> dict:
+    """Views into a vector laid out like ``MlpModel.params`` (parameters,
+    gradients or Adam moments), as {"weights": [...], "biases": [...],
+    "bn_scale": [...], "bn_shift": [...]} with each list in layer order."""
+    views = {}
+    for name, view in _named_views(arch, vec):
+        views.setdefault(name.split(".")[0], []).append(view)
+    return views
 
 
 def init_model(arch: MlpArch, seed: int = 0) -> MlpModel:
@@ -96,24 +130,16 @@ def init_model(arch: MlpArch, seed: int = 0) -> MlpModel:
     norm scale, zero shift, fresh running statistics."""
     arch.validate()
     rng = np.random.default_rng(seed)
-    dims = [arch.input_dim, *arch.hidden]
-    shapes = [(dims[i], dims[i + 1]) for i in range(len(arch.hidden))]
-    shapes.append((arch.hidden[-1], arch.phase_dim))
-    shapes.append((arch.hidden[-1], arch.alloc_dim))
-    weights, biases = [], []
-    for fan_in, fan_out in shapes:
+    model = MlpModel(arch, np.zeros(parameter_count(arch)),
+                     bn_mean=[np.zeros(h) for h in arch.hidden],
+                     bn_var=[np.ones(h) for h in arch.hidden])
+    for w in model.weights:
+        fan_in, fan_out = w.shape
         bound = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return MlpModel(
-        arch=arch,
-        weights=weights,
-        biases=biases,
-        bn_scale=[np.ones(h) for h in arch.hidden],
-        bn_shift=[np.zeros(h) for h in arch.hidden],
-        bn_mean=[np.zeros(h) for h in arch.hidden],
-        bn_var=[np.ones(h) for h in arch.hidden],
-    )
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+    for s in model.bn_scale:
+        s[...] = 1.0
+    return model
 
 
 def _sigmoid(x):
@@ -178,12 +204,12 @@ def mlp_forward(model: MlpModel, z_batch, train_mode: bool, dropout_seed=0):
     return theta, xi, cache
 
 
-def mlp_backward(model: MlpModel, cache: dict, dtheta, dxi) -> dict:
+def mlp_backward(model: MlpModel, cache: dict, dtheta, dxi) -> np.ndarray:
     """Exact parameter gradients from upstream head gradients.
 
     dtheta is (Q, L2) against the scaled phase output, dxi is (Q, K, L)
     against the share output. The cache must come from a train-mode
-    forward pass. Returns lists matching the model's parameter layout.
+    forward pass. Returns a vector laid out like ``model.params``.
     """
     if not cache["train_mode"]:
         raise ValueError("backward needs a train-mode forward cache")
@@ -195,16 +221,14 @@ def mlp_backward(model: MlpModel, cache: dict, dtheta, dxi) -> dict:
     dphase_pre = np.asarray(dtheta, dtype=float).reshape(Q, -1) * np.pi * sp * (1.0 - sp)
     dalloc_pre = np.asarray(dxi, dtype=float).reshape(Q, -1) * sa * (1.0 - sa)
 
-    grads = {"weights": [None] * len(model.weights),
-             "biases": [None] * len(model.biases),
-             "bn_scale": [None] * len(model.bn_scale),
-             "bn_shift": [None] * len(model.bn_shift)}
+    grad = np.empty_like(model.params)  # every entry is written below
+    g = param_views(arch, grad)
 
     head_in = cache["head_input"]
-    grads["weights"][-2] = head_in.T @ dphase_pre
-    grads["biases"][-2] = dphase_pre.sum(axis=0)
-    grads["weights"][-1] = head_in.T @ dalloc_pre
-    grads["biases"][-1] = dalloc_pre.sum(axis=0)
+    np.matmul(head_in.T, dphase_pre, out=g["weights"][-2])
+    dphase_pre.sum(axis=0, out=g["biases"][-2])
+    np.matmul(head_in.T, dalloc_pre, out=g["weights"][-1])
+    dalloc_pre.sum(axis=0, out=g["biases"][-1])
     da = dphase_pre @ model.weights[-2].T + dalloc_pre @ model.weights[-1].T
 
     for v in reversed(range(len(arch.hidden))):
@@ -212,34 +236,26 @@ def mlp_backward(model: MlpModel, cache: dict, dtheta, dxi) -> dict:
         if layer["mask"] is not None:
             da = da * layer["mask"]
         xhat, inv = layer["xhat"], layer["inv"]
-        grads["bn_scale"][v] = (da * xhat).sum(axis=0)
-        grads["bn_shift"][v] = da.sum(axis=0)
+        (da * xhat).sum(axis=0, out=g["bn_scale"][v])
+        da.sum(axis=0, out=g["bn_shift"][v])
         dxhat = da * model.bn_scale[v]
         dr = (inv / Q) * (Q * dxhat - dxhat.sum(axis=0)
                           - xhat * (dxhat * xhat).sum(axis=0))
         dpre = dr * (layer["pre"] > 0)
-        grads["weights"][v] = layer["input"].T @ dpre
-        grads["biases"][v] = dpre.sum(axis=0)
+        np.matmul(layer["input"].T, dpre, out=g["weights"][v])
+        dpre.sum(axis=0, out=g["biases"][v])
         da = dpre @ model.weights[v].T
-    return grads
+    return grad
 
 
 # ---- optimizer ----
 
-_PARAM_KEYS = ("weights", "biases", "bn_scale", "bn_shift")
-
-
-def _param_lists(model: MlpModel) -> dict:
-    return {"weights": model.weights, "biases": model.biases,
-            "bn_scale": model.bn_scale, "bn_shift": model.bn_shift}
-
-
 @dataclass
 class AdamState:
-    """First/second moment accumulators and the step counter."""
+    """First/second moment vectors and the step counter."""
 
-    m: dict
-    v: dict
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
     learning_rate: float = 0.01
     beta1: float = 0.9
@@ -248,28 +264,28 @@ class AdamState:
 
 
 def init_adam(model: MlpModel, learning_rate: float = 0.01) -> AdamState:
-    zeros = lambda: {k: [np.zeros_like(p) for p in lst] for k, lst in _param_lists(model).items()}
-    return AdamState(m=zeros(), v=zeros(), learning_rate=learning_rate)
+    return AdamState(m=np.zeros_like(model.params), v=np.zeros_like(model.params),
+                     learning_rate=learning_rate)
 
 
-def adam_step(model: MlpModel, grads: dict, state: AdamState):
+def adam_step(model: MlpModel, grad: np.ndarray, state: AdamState):
     """One Adam update in place, standard 1 - beta^t bias correction.
 
     Gradients here point up the objective's descent direction (they come
-    from a loss), so parameters move against them.
+    from a loss), so parameters move against them. ``grad`` is overwritten
+    with the update's denominator, which saves a parameter-sized buffer.
     """
     state.step += 1
     t = state.step
     c1 = 1.0 - state.beta1 ** t
     c2 = 1.0 - state.beta2 ** t
-    params = _param_lists(model)
-    for key in _PARAM_KEYS:
-        for p, g, m, v in zip(params[key], grads[key], state.m[key], state.v[key]):
-            m *= state.beta1
-            m += (1.0 - state.beta1) * g
-            v *= state.beta2
-            v += (1.0 - state.beta2) * g * g
-            p -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + state.eps)
+    state.m *= state.beta1
+    state.m += (1.0 - state.beta1) * grad
+    state.v *= state.beta2
+    state.v += (1.0 - state.beta2) * grad * grad
+    denom = np.sqrt(np.divide(state.v, c2, out=grad), out=grad)
+    denom += state.eps
+    model.params -= state.learning_rate * (state.m / c1) / denom
     return model, state
 
 
@@ -279,14 +295,7 @@ def parameter_count(arch: MlpArch) -> int:
     """Learnable scalars: affine weights and biases plus batch-norm
     scale/shift pairs (running statistics are not parameters)."""
     arch.validate()
-    dims = [arch.input_dim, *arch.hidden]
-    total = 0
-    for i in range(len(arch.hidden)):
-        total += dims[i] * dims[i + 1] + dims[i + 1]
-    total += arch.hidden[-1] * arch.phase_dim + arch.phase_dim
-    total += arch.hidden[-1] * arch.alloc_dim + arch.alloc_dim
-    total += 2 * sum(arch.hidden)
-    return total
+    return sum(math.prod(shape) for _, shape in _layout(arch))
 
 
 def first_layer_weight_count(arch: MlpArch) -> int:
@@ -297,18 +306,6 @@ def first_layer_weight_count(arch: MlpArch) -> int:
 
 # ---- checkpoints ----
 
-def _model_arrays(model: MlpModel) -> dict:
-    arrays = {}
-    for key, lst in _param_lists(model).items():
-        for i, arr in enumerate(lst):
-            arrays[f"{key}.{i}"] = arr
-    for i, arr in enumerate(model.bn_mean):
-        arrays[f"bn_mean.{i}"] = arr
-    for i, arr in enumerate(model.bn_var):
-        arrays[f"bn_var.{i}"] = arr
-    return arrays
-
-
 def save_checkpoint(path, model: MlpModel, pca: PcaModel | None = None,
                     metadata: dict | None = None) -> None:
     """Write arch, parameters, optional PCA, and training metadata.
@@ -316,12 +313,11 @@ def save_checkpoint(path, model: MlpModel, pca: PcaModel | None = None,
     The array payload is CRC-checked and stored with the shared codec, so
     a load returns bit-identical tensors.
     """
-    arrays = _model_arrays(model)
+    arrays = dict(_named_views(model.arch, model.params))
+    for kind in ("bn_mean", "bn_var"):
+        arrays.update((f"{kind}.{i}", arr) for i, arr in enumerate(getattr(model, kind)))
     if pca is not None:
-        arrays["pca.feature_mean"] = pca.feature_mean
-        arrays["pca.feature_scale"] = pca.feature_scale
-        arrays["pca.axes"] = pca.axes
-        arrays["pca.eigenvalues"] = pca.eigenvalues
+        arrays.update((f"pca.{f.name}", getattr(pca, f.name)) for f in fields(PcaModel))
     meta = {"format_version": CHECKPOINT_VERSION,
             "arch": model.arch.to_dict(),
             "has_pca": pca is not None,
@@ -360,26 +356,31 @@ def _parse_checkpoint(blob: bytes):
     pos += meta_len
     crc, payload_len = struct.unpack("<IQ", blob[pos:pos + 12])
     pos += 12
-    payload = blob[pos:pos + payload_len]
+    payload = memoryview(blob)[pos:pos + payload_len]  # no copy of the payload
     if len(payload) != payload_len:
         raise CheckpointError("checkpoint payload truncated")
     if zlib.crc32(payload) != crc:
         raise CheckpointError("checkpoint payload failed its checksum")
     arrays = decode_named_arrays(payload)
 
-    arch = MlpArch.from_dict(meta["arch"])
-    n_affine = len(arch.hidden) + 2
-    model = MlpModel(
-        arch=arch,
-        weights=[arrays[f"weights.{i}"] for i in range(n_affine)],
-        biases=[arrays[f"biases.{i}"] for i in range(n_affine)],
-        bn_scale=[arrays[f"bn_scale.{i}"] for i in range(len(arch.hidden))],
-        bn_shift=[arrays[f"bn_shift.{i}"] for i in range(len(arch.hidden))],
-        bn_mean=[arrays[f"bn_mean.{i}"] for i in range(len(arch.hidden))],
-        bn_var=[arrays[f"bn_var.{i}"] for i in range(len(arch.hidden))],
-    )
+    # the metadata is outside the CRC, so the model's arrays are checked against it
+    arch = MlpArch.from_dict(meta["arch"]).validate()
+    expected = dict(_layout(arch))
+    for i, h in enumerate(arch.hidden):
+        expected[f"bn_mean.{i}"] = expected[f"bn_var.{i}"] = (h,)
+    model_names = {n for n in arrays if not n.startswith("pca.")}
+    bad = sorted(n for n in expected.keys() | model_names if n not in arrays
+                 or arrays[n].shape != expected.get(n) or np.iscomplexobj(arrays[n]))
+    if bad:
+        raise CheckpointError(f"checkpoint arrays {bad} are missing, extra or misshaped")
+
+    params = np.empty(parameter_count(arch))
+    for name, view in _named_views(arch, params):
+        view[...] = arrays.pop(name)  # drop each decoded tensor once it is copied
+    model = MlpModel(arch, params,
+                     bn_mean=[arrays.pop(f"bn_mean.{i}") for i in range(len(arch.hidden))],
+                     bn_var=[arrays.pop(f"bn_var.{i}") for i in range(len(arch.hidden))])
     pca = None
     if meta["has_pca"]:
-        pca = PcaModel(arrays["pca.feature_mean"], arrays["pca.feature_scale"],
-                       arrays["pca.axes"], arrays["pca.eigenvalues"])
+        pca = PcaModel(*(arrays[f"pca.{f.name}"] for f in fields(PcaModel)))
     return model, pca, meta["metadata"]

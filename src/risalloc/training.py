@@ -9,7 +9,6 @@ rate decay and early stopping.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -159,9 +158,11 @@ def train(train_samples, val_samples, noise_linear: float,
     opts = (options or TrainOptions()).validate()
     if len(train_samples) < 2 or not val_samples:
         raise ValueError("need at least 2 training samples and 1 validation sample")
+    ch_train = [s.channels for s in train_samples]
+    ch_val = [s.channels for s in val_samples]
 
-    feats_train = feature_matrix([s.channels for s in train_samples])
-    feats_val = feature_matrix([s.channels for s in val_samples])
+    feats_train = feature_matrix(ch_train)
+    feats_val = feature_matrix(ch_val)
     if opts.use_pca:
         pca = pca_fit(feats_train)
         z_train = pca_transform(pca, feats_train)
@@ -171,27 +172,23 @@ def train(train_samples, val_samples, noise_linear: float,
         z_train = feats_train
         z_val = feats_val
 
-    ch0 = train_samples[0].channels
-    L = int(round(np.sqrt(ch0.num_elements)))
-    arch = MlpArch(input_dim=z_train.shape[1], phase_dim=ch0.num_elements,
-                   alloc_users=ch0.num_users, alloc_cols=L,
+    arch = MlpArch(input_dim=z_train.shape[1], phase_dim=ch_train[0].num_elements,
+                   alloc_users=ch_train[0].num_users, alloc_cols=ch_train[0].side,
                    hidden=opts.hidden, dropout_rate=opts.dropout_rate)
-    seeds = np.random.SeedSequence(opts.seed).generate_state(2, dtype=np.uint64)
-    model = init_model(arch, seed=int(seeds[0]))
+    (init_seed,) = np.random.SeedSequence(opts.seed).generate_state(1, dtype=np.uint64)
+    model = init_model(arch, seed=int(init_seed))
     adam = init_adam(model, opts.learning_rate)
     sched = PlateauScheduler(opts.learning_rate, opts.lr_decay,
                              opts.lr_patience, opts.stop_patience)
 
-    ch_train = [s.channels for s in train_samples]
     w_train = [s.w for s in train_samples]
-    ch_val = [s.channels for s in val_samples]
     w_val = [s.w for s in val_samples]
 
-    def validation_loss() -> float:
-        theta_v, xi_v, _ = mlp_forward(model, z_val, train_mode=False)
-        return nn_loss(theta_v, xi_v, ch_val, w_val, opts.alpha, noise_linear)
+    def snapshot() -> MlpModel:
+        return MlpModel(arch, model.params.copy(), [m.copy() for m in model.bn_mean],
+                        [v.copy() for v in model.bn_var])
 
-    best_state = copy.deepcopy(model)
+    best_state = snapshot()
     best_val = np.inf
     best_epoch = -1
     history = []
@@ -211,16 +208,17 @@ def train(train_samples, val_samples, noise_linear: float,
             loss, d_theta, d_xi = nn_loss_and_grads(
                 theta_b, xi_b, [ch_train[i] for i in idx], [w_train[i] for i in idx],
                 opts.alpha, noise_linear)
-            grads = mlp_backward(model, cache, d_theta, d_xi)
-            adam_step(model, grads, adam)
+            grad = mlp_backward(model, cache, d_theta, d_xi)
+            adam_step(model, grad, adam)
             batch_losses.append(loss)
 
-        val_loss = validation_loss()
+        theta_v, xi_v, _ = mlp_forward(model, z_val, train_mode=False)
+        val_loss = nn_loss(theta_v, xi_v, ch_val, w_val, opts.alpha, noise_linear)
         history.append({"epoch": epoch, "train_loss": float(np.mean(batch_losses)),
                         "val_loss": val_loss, "learning_rate": adam.learning_rate})
         improved, _, stop = sched.update(val_loss)
         if improved:
-            best_state = copy.deepcopy(model)
+            best_state = snapshot()
             best_val = val_loss
             best_epoch = epoch
         if stop:

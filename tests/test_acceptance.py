@@ -15,7 +15,7 @@ from risalloc import (Allocation, Deployment, MlpArch, PhaseConfig,
                       bcd_optimize, binarize, breakpoint_distance, brute_force,
                       first_layer_weight_count, init_adam, init_model,
                       mlp_backward, mlp_forward, mrt_beamformers,
-                      objective_value_and_gradients, parameter_count,
+                      objective_value_and_gradients, param_views, parameter_count,
                       pathloss_umi_los, pathloss_umi_nlos, pca_fit,
                       pca_transform, project_feasible, sum_utility, train,
                       user_rates)
@@ -107,7 +107,7 @@ def _fd_network(seed):
         return float(np.sum(wt * theta) + np.sum(wx * xi)), cache
 
     base, cache = loss()
-    grads = mlp_backward(model, cache, wt, wx)
+    grads = param_views(arch, mlp_backward(model, cache, wt, wx))
     eps = 1e-5
     lists = {"weights": model.weights, "biases": model.biases,
              "bn_scale": model.bn_scale, "bn_shift": model.bn_shift}
@@ -169,10 +169,7 @@ def test_criterion_05_training_dynamics():
         model = init_model(arch, seed=0)
         before = model.weights[0].copy()
         state = init_adam(model, learning_rate=0.01)
-        grads = {k: [np.full_like(p, 2.3) for p in lst] for k, lst in
-                 [("weights", model.weights), ("biases", model.biases),
-                  ("bn_scale", model.bn_scale), ("bn_shift", model.bn_shift)]}
-        adam_step(model, grads, state)
+        adam_step(model, np.full_like(model.params, 2.3), state)
         assert np.allclose(model.weights[0] - before, -0.01, atol=1e-6)
 
         # scripted plateau handling

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from risalloc import (Deployment, ScenarioConfig, breakpoint_distance,
-                      pathloss_umi_los, pathloss_umi_nlos,
-                      steering_vector_upa, synth_channels)
+import oracles
+from risalloc import (ChannelSet, Deployment, Sample, ScenarioConfig, TrainOptions,
+                      bcd_optimize, breakpoint_distance, brute_force, mrt_beamformers,
+                      pathloss_umi_los, pathloss_umi_nlos, steering_vector_upa,
+                      synth_channels, train)
 
 H_BS, H_UE, FC = 10.0, 1.5, 28.0
 
@@ -169,3 +171,27 @@ def test_shadowing_scales_amplitude_only():
     assert np.allclose(ratio.imag, 0.0, atol=1e-15)
     assert np.allclose(ratio.real, ratio.real[0])
     assert ratio.real[0] > 0
+
+
+def _six_element_sample(seed):
+    ch = oracles.toy_channels(side=3, seed=seed)
+    ch = ChannelSet(ch.h_direct, ch.g_ris[:, :6], ch.h_rb[:6], ch.los_flags, ch.clamped)
+    return Sample(seed, Deployment(np.zeros((2, 3)), np.zeros((0, 5))), ch,
+                  mrt_beamformers(ch, 1.0).w)
+
+
+def test_surface_side():
+    assert oracles.toy_channels(side=3).side == 3
+    with pytest.raises(ValueError, match="square"):
+        _six_element_sample(0).channels.side
+
+
+@pytest.mark.parametrize("solve", [
+    lambda s: bcd_optimize(s.channels, s.w, 1.0, 0.05),
+    lambda s: brute_force(s.channels, s.w, 1.0, 0.05, nu=2),
+    lambda s: train([s, _six_element_sample(1)], [_six_element_sample(2)], 0.05,
+                    TrainOptions(max_epochs=1, hidden=(4,), use_pca=False)),
+], ids=["bcd", "brute", "train"])
+def test_column_solvers_reject_non_square_surface(solve):
+    with pytest.raises(ValueError, match="square"):
+        solve(_six_element_sample(0))

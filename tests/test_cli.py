@@ -293,6 +293,49 @@ def test_malformed_checkpoint_is_data_error(tmp_path, dataset, capsys, corrupt):
     assert "checkpoint" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field,edited", [("alloc_users", 3), ("phase_dim", 5)])
+def test_checkpoint_metadata_must_match_its_arrays(tmp_path, dataset, cfg_path, capsys,
+                                                   field, edited):
+    ckpt = tmp_path / "model.ckpt"
+    assert main(["train", "--data", str(dataset), "--config", cfg_path,
+                 "--max-epochs", "2", "--out", str(ckpt)]) == 0
+    blob = ckpt.read_bytes()
+    model, _, _ = load_checkpoint(ckpt)
+    old = f'"{field}": {getattr(model.arch, field)}'.encode()
+    assert blob.count(old) == 1 and len(old) == len(f'"{field}": {edited}')
+    ckpt.write_bytes(blob.replace(old, f'"{field}": {edited}'.encode()))
+    rc = main(["compare", "--data", str(dataset), "--scheme", "nn+pca",
+               "--model", str(ckpt), "--out", str(tmp_path / "c.csv")])
+    assert rc == 3
+    assert "checkpoint arrays" in capsys.readouterr().err
+
+
+def test_compare_rejects_model_that_does_not_fit_dataset(tmp_path, dataset, cfg_path, capsys):
+    ckpt = tmp_path / "model.ckpt"
+    assert main(["train", "--data", str(dataset), "--config", cfg_path,
+                 "--max-epochs", "2", "--out", str(ckpt)]) == 0
+    three = write_config(tmp_path / "three.json",
+                         scenario=ScenarioConfig(n_bs_antennas=2, ris_side=2, num_ues=3))
+    other = tmp_path / "three_users"
+    assert main(["generate", "--config", three, "--n-train", "2", "--n-val", "1",
+                 "--out", str(other)]) == 0
+    rc = main(["compare", "--data", str(other), "--scheme", "nn+pca",
+               "--model", str(ckpt), "--out", str(tmp_path / "c.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "does not fit the dataset" in err and "alloc_users 2" in err
+    assert not (tmp_path / "c.csv").exists()
+
+
+def test_manifest_split_sizes_checked(tmp_path, dataset, capsys):
+    manifest = dataset / "manifest.json"
+    manifest.write_text(manifest.read_text().replace('"n_train": 6', '"n_train": 5000'))
+    rc = main(["compare", "--data", str(dataset), "--split", "train",
+               "--out", str(tmp_path / "c.csv")])
+    assert rc == 3
+    assert "split sizes" in capsys.readouterr().err
+
+
 def test_compare_empty_split(tmp_path, cfg_path, capsys):
     ds = tmp_path / "ds"
     assert main(["generate", "--config", cfg_path, "--n-train", "2",

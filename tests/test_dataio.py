@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from risalloc import (DatasetChecksumError, DatasetError, DatasetManifest,
                       DatasetTruncationError, DatasetVersionError,
-                      ScenarioConfig, desk_config, generate_dataset,
+                      ScenarioConfig, deploy, desk_config, generate_dataset,
                       load_dataset, make_sample, sample_seed, train_val_split)
 
 
@@ -26,6 +28,14 @@ def test_make_sample_deterministic():
     assert np.array_equal(a.w, b.w)
     c = make_sample(cfg, 43)
     assert not np.array_equal(a.channels.h_direct, c.channels.h_direct)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 11, 2**40 + 7])
+def test_sample_deployment_is_deploy(seed):
+    cfg = small_config()
+    dep, ref = make_sample(cfg, seed).deployment, deploy(cfg, seed)
+    assert np.array_equal(dep.ue_positions, ref.ue_positions)
+    assert np.array_equal(dep.blockages, ref.blockages)
 
 
 def test_round_trip_bit_exact(tmp_path):
@@ -118,6 +128,17 @@ def test_record_count_mismatch(dataset_dir):
     text = manifest_path.read_text().replace('"sample_count": 3', '"sample_count": 4')
     manifest_path.write_text(text)
     with pytest.raises(DatasetTruncationError, match="promises 4"):
+        load_dataset(dataset_dir)
+
+
+@pytest.mark.parametrize("sizes", [{"n_train": 5000}, {"n_train": 4, "n_val": -1},
+                                   {"n_train": -1, "n_val": 4}])
+def test_split_sizes_must_partition_records(dataset_dir, sizes):
+    manifest_path = dataset_dir / "manifest.json"
+    body = json.loads(manifest_path.read_text())
+    body.update(sizes)
+    manifest_path.write_text(json.dumps(body))
+    with pytest.raises(DatasetError, match="split sizes"):
         load_dataset(dataset_dir)
 
 

@@ -1,12 +1,17 @@
 import copy
+import json
+import struct
+import zlib
 
 import numpy as np
 import pytest
 
 from risalloc import (CheckpointError, MlpArch, adam_step, first_layer_weight_count,
                       init_adam, init_model, load_checkpoint, mlp_backward,
-                      mlp_forward, parameter_count, pca_fit, save_checkpoint)
+                      mlp_forward, param_views, parameter_count, pca_fit,
+                      save_checkpoint)
 from risalloc.mlp import BN_MOMENTUM
+from risalloc.serial import encode_named_arrays
 
 TINY = MlpArch(input_dim=3, phase_dim=4, alloc_users=2, alloc_cols=2,
                hidden=(4, 4, 4, 4))
@@ -43,6 +48,18 @@ def test_init_determinism_and_bounds():
     assert all(np.all(x == 0) for x in a.biases)
     assert all(np.all(s == 1) for s in a.bn_scale)
     assert all(np.all(v == 1) for v in a.bn_var)
+
+
+def test_parameters_are_views_into_one_vector():
+    model = tiny_model(seed=7)
+    assert model.params.shape == (parameter_count(model.arch),)
+    for key in ("weights", "biases", "bn_scale", "bn_shift"):
+        for p in getattr(model, key):
+            assert np.shares_memory(p, model.params)
+    model.weights[1][2, 3] = 42.0
+    assert np.count_nonzero(model.params == 42.0) == 1
+    with pytest.raises(ValueError):
+        param_views(model.arch, np.zeros(model.params.size + 1))
 
 
 def test_forward_shapes_and_ranges():
@@ -109,7 +126,8 @@ def test_backward_matches_finite_differences():
     z = rng.normal(size=(3, 3))
     wt = rng.normal(size=(3, 4))
     wx = rng.normal(size=(3, 2, 2))
-    _, grads = _loss_and_grads(model, z, wt, wx, seed=7)
+    _, grad = _loss_and_grads(model, z, wt, wx, seed=7)
+    grads = param_views(model.arch, grad)
     eps = 1e-5
     lists = {"weights": model.weights, "biases": model.biases,
              "bn_scale": model.bn_scale, "bn_shift": model.bn_shift}
@@ -134,7 +152,8 @@ def test_backward_zero_upstream():
     model = tiny_model()
     z = np.random.default_rng(13).normal(size=(3, 3))
     _, _, cache = mlp_forward(model, z, train_mode=True, dropout_seed=2)
-    grads = mlp_backward(model, cache, np.zeros((3, 4)), np.zeros((3, 2, 2)))
+    grads = param_views(model.arch, mlp_backward(model, cache, np.zeros((3, 4)),
+                                                 np.zeros((3, 2, 2))))
     for key in ("weights", "biases", "bn_scale", "bn_shift"):
         assert all(np.all(g == 0.0) for g in grads[key])
 
@@ -148,7 +167,7 @@ def test_backward_same_dropout_seed_repeats():
     for _ in range(2):
         model = tiny_model(seed=3)
         _, g = _loss_and_grads(model, z, wt, wx, seed=42)
-        runs.append(g)
+        runs.append(param_views(model.arch, g))
     for key in ("weights", "biases"):
         for ga, gb in zip(runs[0][key], runs[1][key]):
             assert np.array_equal(ga, gb)
@@ -165,10 +184,7 @@ def test_adam_zero_gradient_is_noop():
     model = tiny_model(seed=4)
     before = copy.deepcopy(model.weights)
     state = init_adam(model)
-    grads = {k: [np.zeros_like(p) for p in lst] for k, lst in
-             [("weights", model.weights), ("biases", model.biases),
-              ("bn_scale", model.bn_scale), ("bn_shift", model.bn_shift)]}
-    adam_step(model, grads, state)
+    adam_step(model, np.zeros_like(model.params), state)
     for wa, wb in zip(before, model.weights):
         assert np.array_equal(wa, wb)
     assert state.step == 1
@@ -178,10 +194,7 @@ def test_adam_first_step_size():
     model = tiny_model(seed=5)
     before = copy.deepcopy(model.weights)
     state = init_adam(model, learning_rate=0.01)
-    grads = {k: [np.full_like(p, 3.7) for p in lst] for k, lst in
-             [("weights", model.weights), ("biases", model.biases),
-              ("bn_scale", model.bn_scale), ("bn_shift", model.bn_shift)]}
-    adam_step(model, grads, state)
+    adam_step(model, np.full_like(model.params, 3.7), state)
     delta = model.weights[0] - before[0]
     assert np.allclose(delta, -0.01, atol=1e-6)
     assert np.allclose(delta, -0.01 * 3.7 / (3.7 + 1e-8), atol=1e-15)
@@ -196,13 +209,32 @@ def test_adam_determinism():
         state = init_adam(model, learning_rate=0.005)
         rng = np.random.default_rng(21)
         for _step in range(3):
-            grads = {k: [rng.normal(size=p.shape) for p in lst] for k, lst in
-                     [("weights", model.weights), ("biases", model.biases),
-                      ("bn_scale", model.bn_scale), ("bn_shift", model.bn_shift)]}
-            adam_step(model, grads, state)
+            adam_step(model, rng.normal(size=model.params.shape), state)
         runs.append(model)
     for wa, wb in zip(runs[0].weights, runs[1].weights):
         assert np.array_equal(wa, wb)
+
+
+def test_adam_flat_step_matches_per_tensor_reference():
+    # the update as one tensor at a time, in the library's arithmetic order
+    model, ref = tiny_model(seed=8), tiny_model(seed=8)
+    state = init_adam(model, learning_rate=0.005)
+    moments = {"m": np.zeros_like(ref.params), "v": np.zeros_like(ref.params)}
+    rng = np.random.default_rng(22)
+    for t in range(1, 4):
+        grad = rng.normal(size=model.params.shape)
+        adam_step(model, grad.copy(), state)
+        c1, c2 = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
+        views = [param_views(ref.arch, a) for a in (ref.params, grad, moments["m"], moments["v"])]
+        for key in views[0]:
+            for p, g, m, v in zip(*(vw[key] for vw in views)):
+                m *= 0.9
+                m += (1.0 - 0.9) * g
+                v *= 0.999
+                v += (1.0 - 0.999) * g * g
+                p -= 0.005 * (m / c1) / (np.sqrt(v / c2) + 1e-8)
+    assert np.array_equal(model.params, ref.params)
+    assert np.array_equal(state.m, moments["m"]) and np.array_equal(state.v, moments["v"])
 
 
 def test_parameter_counts():
@@ -269,4 +301,52 @@ def test_checkpoint_corruption(tmp_path, corrupt, match):
         blob[-1] ^= 0xFF
     path.write_bytes(bytes(blob))
     with pytest.raises(CheckpointError, match=match):
+        load_checkpoint(path)
+
+
+def _write_raw_checkpoint(path, arch, arrays):
+    meta = json.dumps({"arch": arch.to_dict(), "has_pca": False, "metadata": {}}).encode()
+    payload = encode_named_arrays(arrays)
+    path.write_bytes(b"RISM" + struct.pack("<II", 1, len(meta)) + meta
+                     + struct.pack("<IQ", zlib.crc32(payload), len(payload)) + payload)
+
+
+def _model_arrays(model):
+    arrays = {}
+    for key in ("weights", "biases", "bn_scale", "bn_shift", "bn_mean", "bn_var"):
+        for i, a in enumerate(getattr(model, key)):
+            arrays[f"{key}.{i}"] = a
+    return arrays
+
+
+def test_checkpoint_from_separate_arrays_loads_bit_exact(tmp_path):
+    model = tiny_model(seed=12)
+    mlp_forward(model, np.random.default_rng(3).normal(size=(4, 3)), train_mode=True)
+    path = tmp_path / "raw.ckpt"
+    _write_raw_checkpoint(path, model.arch, {k: a.copy() for k, a in _model_arrays(model).items()})
+    loaded, _, _ = load_checkpoint(path)
+    assert np.array_equal(loaded.params, model.params)
+    z = np.random.default_rng(4).normal(size=(5, 3))
+    t1, x1, _ = mlp_forward(model, z, train_mode=False)
+    t2, x2, _ = mlp_forward(loaded, z, train_mode=False)
+    assert np.array_equal(t1, t2) and np.array_equal(x1, x2)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda a: a.pop("biases.3"),
+    lambda a: a.pop("bn_var.0"),
+    lambda a: a.update({"bn_var.4": np.ones(4)}),
+    lambda a: a.update({"weights.0": a["weights.0"].T.copy()}),
+    lambda a: a.update({"weights.5": a["weights.5"][:, :3].copy()}),
+    lambda a: a.update({"bn_mean.2": np.zeros(5)}),
+    lambda a: a.update({"bn_shift.1": a["bn_shift.1"] + 0j}),
+], ids=["missing-param", "missing-stat", "extra", "transposed", "narrow-head",
+        "long-stat", "complex"])
+def test_checkpoint_arrays_checked_against_metadata(tmp_path, edit):
+    model = tiny_model(seed=13)
+    arrays = _model_arrays(model)
+    edit(arrays)
+    path = tmp_path / "bad.ckpt"
+    _write_raw_checkpoint(path, model.arch, arrays)
+    with pytest.raises(CheckpointError, match="checkpoint arrays"):
         load_checkpoint(path)
