@@ -11,11 +11,10 @@ preprocessing, dataset persistence, and a CLI benchmark harness.
 from .allocation import (binarize, mrt_beamformers, project_feasible,
                          project_feasible_with_vjp, uniform_contiguous)
 from .bcd import (BcdOptions, BcdTrace, bcd_complexity_estimate, bcd_optimize,
-                  objective_gradients, objective_value_and_gradients)
+                  objective_value_and_gradients)
 from .brute import BudgetExceededError, brute_force, enumeration_count
-from .channel import (ChannelSet, breakpoint_distance, compute_angles,
-                      pathloss_umi_los, pathloss_umi_nlos, steering_vector_upa,
-                      synth_channels)
+from .channel import (ChannelSet, breakpoint_distance, pathloss_umi_los,
+                      pathloss_umi_nlos, steering_vector_upa, synth_channels)
 from .config import (ConfigError, ScenarioConfig, dbm_to_watts, desk_config,
                      full_scale_config)
 from .dataio import (DatasetChecksumError, DatasetError, DatasetManifest,
@@ -26,8 +25,7 @@ from .features import (PcaModel, feature_dimension, feature_matrix,
                        flatten_features, pca_fit, pca_transform)
 from .geometry import Deployment, deploy, deploy_blockages, deploy_ues, is_blocked
 from .metrics import (RATE_FLOOR, Allocation, Beamformers, PhaseConfig,
-                      alpha_mean_throughput, alpha_utility, effective_channel,
-                      effective_channels, expand_columns, rate, sinr,
+                      alpha_mean_throughput, alpha_utility, expand_columns,
                       sum_utility, user_rates)
 from .mlp import (AdamState, CheckpointError, MlpArch, MlpModel, adam_step,
                   first_layer_weight_count, init_adam, init_model,

@@ -62,13 +62,6 @@ def objective_value_and_gradients(ch: ChannelSet, theta, xi, w, alpha: float,
     return float(value), dtheta, dxi
 
 
-def objective_gradients(ch: ChannelSet, theta, xi, w, alpha: float,
-                        noise_linear: float):
-    """Gradients of the fairness objective wrt (phases, shares)."""
-    _, dtheta, dxi = objective_value_and_gradients(ch, theta, xi, w, alpha, noise_linear)
-    return dtheta, dxi
-
-
 def _line_ascend(x, grad, project, evaluate, f_x, step0):
     """One projected step, halving until the objective does not decrease."""
     s = step0

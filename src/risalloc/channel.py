@@ -5,13 +5,13 @@ at the breakpoint distance, and an NLOS law taken as the maximum of the LOS
 value and a steeper urban term, with one shadow-fading draw added per link
 outside the max. Amplitudes are 10^(-PL/20). The transmitter panel lies in
 the xz-plane, the reflecting surface in the xy-plane; steering phases use
-half-wavelength spacing unless overridden.
+half-wavelength element spacing.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,13 +111,12 @@ def pathloss_umi_nlos(d2d: float, d3d: float, fc_ghz: float,
     return float(max(los, nlos) + shadow_db)
 
 
-def steering_vector_upa(rows: int, cols: int, elevation: float, azimuth: float,
-                        spacing: float = ELEMENT_SPACING) -> np.ndarray:
+def steering_vector_upa(rows: int, cols: int, elevation: float, azimuth: float) -> np.ndarray:
     """Unit-modulus planar-array response, flattened row-major over (p, q).
 
-    Entry (p, q) is exp(j 2 pi spacing (p sin(el) cos(az) + q sin(el) sin(az))),
-    with elevation measured from the array boresight; elevation 0 gives the
-    all-ones broadside vector.
+    Entry (p, q) is exp(j 2 pi d (p sin(el) cos(az) + q sin(el) sin(az))),
+    with d = ELEMENT_SPACING and elevation measured from the array boresight;
+    elevation 0 gives the all-ones broadside vector.
     """
     if rows < 1 or cols < 1:
         raise ValueError("array dimensions must be >= 1")
@@ -125,7 +124,7 @@ def steering_vector_upa(rows: int, cols: int, elevation: float, azimuth: float,
     w = np.sin(elevation) * np.sin(azimuth)
     p = np.arange(rows)[:, None]
     q = np.arange(cols)[None, :]
-    phase = 2.0 * np.pi * spacing * (p * u + q * w)
+    phase = 2.0 * np.pi * ELEMENT_SPACING * (p * u + q * w)
     return np.exp(1j * phase).reshape(-1)
 
 
@@ -151,30 +150,6 @@ def direction_angles(src, dst, frame) -> tuple:
     return elevation, azimuth
 
 
-@dataclass
-class AngleSet:
-    """Departure/arrival angles (elevation, azimuth) for every link in a drop."""
-
-    bs_to_ris: tuple
-    ris_to_bs: tuple
-    bs_to_ue: np.ndarray   # (K, 2)
-    ris_to_ue: np.ndarray  # (K, 2)
-
-
-def compute_angles(config: ScenarioConfig, ue_positions: np.ndarray) -> AngleSet:
-    bs = np.asarray(config.bs_position, dtype=float)
-    ris = np.asarray(config.ris_position, dtype=float)
-    ue = np.atleast_2d(np.asarray(ue_positions, dtype=float))
-    bs_ue = np.array([direction_angles(bs, u, _BS_FRAME) for u in ue])
-    ris_ue = np.array([direction_angles(ris, u, _RIS_FRAME) for u in ue])
-    return AngleSet(
-        bs_to_ris=direction_angles(bs, ris, _BS_FRAME),
-        ris_to_bs=direction_angles(ris, bs, _RIS_FRAME),
-        bs_to_ue=bs_ue.reshape(-1, 2),
-        ris_to_ue=ris_ue.reshape(-1, 2),
-    )
-
-
 def bs_panel_shape(n_antennas: int) -> tuple:
     """Most-square factorization of the antenna count, rows <= cols."""
     if n_antennas < 1:
@@ -194,6 +169,18 @@ def _link_geometry(a, b):
     if d2d < MIN_DIST_2D:
         return MIN_DIST_2D, float(np.hypot(MIN_DIST_2D, dz)), True
     return d2d, float(np.hypot(d2d, dz)), False
+
+
+def _user_link(src, h_src: float, frame, shape, ue, shadow_db: float, fc: float, blockages):
+    """One user leg from the panel at src: (LOS flag, clamped flag, amplitude,
+    panel response toward the user). The leg is LOS unless a blockage
+    crosses it; NLOS legs take the NLOS law."""
+    los = not is_blocked(src, ue, blockages)
+    d2d, d3d, clamped = _link_geometry(src, ue)
+    law = pathloss_umi_los if los else pathloss_umi_nlos
+    pl = law(d2d, d3d, fc, h_src, ue[2], shadow_db)
+    response = steering_vector_upa(*shape, *direction_angles(src, ue, frame))
+    return los, clamped, 10.0 ** (-pl / 20.0), response
 
 
 def synth_channels(config: ScenarioConfig, deployment: Deployment, seed: int) -> ChannelSet:
@@ -221,15 +208,14 @@ def synth_channels(config: ScenarioConfig, deployment: Deployment, seed: int) ->
     shadow_direct = rng.normal(0.0, config.shadow_sigma, size=K)
     shadow_ris = rng.normal(0.0, config.shadow_sigma, size=K)
 
-    angles = compute_angles(config, ue)
     rows, cols = bs_panel_shape(N)
 
     # fixed transmitter-to-surface hop, always LOS
     d2d, d3d, hop_clamped = _link_geometry(bs, ris)
     pl_hop = pathloss_umi_los(d2d, d3d, fc, config.bs_height, ris[2], shadow_hop)
     amp_hop = 10.0 ** (-pl_hop / 20.0)
-    a_surface = steering_vector_upa(L, L, *angles.ris_to_bs)
-    a_panel = steering_vector_upa(rows, cols, *angles.bs_to_ris)
+    a_surface = steering_vector_upa(L, L, *direction_angles(ris, bs, _RIS_FRAME))
+    a_panel = steering_vector_upa(rows, cols, *direction_angles(bs, ris, _BS_FRAME))
     h_rb = amp_hop * np.outer(a_surface, np.conj(a_panel))
 
     h_direct = np.zeros((K, N), dtype=complex)
@@ -238,24 +224,12 @@ def synth_channels(config: ScenarioConfig, deployment: Deployment, seed: int) ->
     clamped = np.zeros((K, 2), dtype=bool)
 
     for k in range(K):
-        los_d = not is_blocked(bs, ue[k], deployment.blockages)
-        d2d, d3d, cl = _link_geometry(bs, ue[k])
-        if los_d:
-            pl = pathloss_umi_los(d2d, d3d, fc, config.bs_height, ue[k][2], shadow_direct[k])
-        else:
-            pl = pathloss_umi_nlos(d2d, d3d, fc, config.bs_height, ue[k][2], shadow_direct[k])
-        h_direct[k] = 10.0 ** (-pl / 20.0) * steering_vector_upa(rows, cols, *angles.bs_to_ue[k])
-        los_flags[k, 0] = los_d
-        clamped[k, 0] = cl
-
-        los_r = not is_blocked(ris, ue[k], deployment.blockages)
-        d2d, d3d, cl = _link_geometry(ris, ue[k])
-        if los_r:
-            pl = pathloss_umi_los(d2d, d3d, fc, ris[2], ue[k][2], shadow_ris[k])
-        else:
-            pl = pathloss_umi_nlos(d2d, d3d, fc, ris[2], ue[k][2], shadow_ris[k])
-        g_ris[k] = 10.0 ** (-pl / 20.0) * np.conj(steering_vector_upa(L, L, *angles.ris_to_ue[k]))
-        los_flags[k, 1] = los_r
-        clamped[k, 1] = cl
+        los_flags[k, 0], clamped[k, 0], amp, response = _user_link(
+            bs, config.bs_height, _BS_FRAME, (rows, cols), ue[k], shadow_direct[k], fc,
+            deployment.blockages)
+        h_direct[k] = amp * response
+        los_flags[k, 1], clamped[k, 1], amp, response = _user_link(
+            ris, ris[2], _RIS_FRAME, (L, L), ue[k], shadow_ris[k], fc, deployment.blockages)
+        g_ris[k] = amp * np.conj(response)
 
     return ChannelSet(h_direct, g_ris, h_rb, los_flags, clamped, hop_clamped)

@@ -4,7 +4,8 @@ A dataset directory holds manifest.json (config snapshot, split sizes,
 master seed) and records.bin. The record file starts with the magic "RISD"
 and a version word; each record is u64 payload length, u64 sample seed,
 u32 CRC-32 of the payload, then the payload encoded with the shared
-named-array codec. Sample i uses seed master_seed + i.
+named-array codec. Sample i uses seed master_seed + i; loading checks it,
+since the seed is outside the CRC.
 """
 
 from __future__ import annotations
@@ -71,7 +72,8 @@ class DatasetManifest:
         return json.dumps(body, indent=2, sort_keys=True) + "\n"
 
     @classmethod
-    def from_json(cls, text: str) -> "DatasetManifest":
+    def from_json(cls, text: str | bytes) -> "DatasetManifest":
+        """Parse a manifest; bytes that are not UTF-8 are a DatasetError."""
         try:
             body = json.loads(text)
             return cls(config=ScenarioConfig.from_dict(body["config"]),
@@ -161,15 +163,16 @@ def load_dataset(path):
 
     Raises DatasetVersionError / DatasetTruncationError /
     DatasetChecksumError for the three distinct failure modes, and
-    DatasetError when the manifest's split sizes do not partition the
-    records.
+    DatasetError when a record's seed is not master seed + index, an array
+    holds NaN or infinity, or the manifest's split sizes do not partition
+    the records.
     """
     path = Path(path)
     manifest_path = path / "manifest.json"
     records_path = path / "records.bin"
     if not manifest_path.exists() or not records_path.exists():
         raise DatasetError(f"{path} does not contain manifest.json and records.bin")
-    manifest = DatasetManifest.from_json(manifest_path.read_text())
+    manifest = DatasetManifest.from_json(manifest_path.read_bytes())
 
     blob = records_path.read_bytes()
     if blob[:4] != _MAGIC:
@@ -195,6 +198,9 @@ def load_dataset(path):
         pos += payload_len
         if zlib.crc32(payload) != crc:
             raise DatasetChecksumError(f"record {len(samples)} failed its CRC check")
+        expected = sample_seed(manifest.master_seed, len(samples))
+        if seed != expected:
+            raise DatasetError(f"record {len(samples)} has seed {seed}, expected {expected}")
         try:
             arrays = decode_named_arrays(payload)
         except ValueError as exc:

@@ -1,9 +1,9 @@
-"""Allocation masking, effective channels, SINR, rates, and fairness objectives.
+"""Allocation masking, rates, and fairness objectives.
 
 The objective lives in one private kernel, ``_objective``, over stacked
-instances, with a value-only and a gradient path. Rates and utilities here,
-the block optimizer, the exhaustive search (a phase grid per call) and the
-training loss (a batch per call) all go through it.
+instances, with a value-only and a gradient path. Its one-instance callers
+are ``user_rates`` and ``sum_utility`` here and
+``bcd.objective_value_and_gradients``.
 """
 
 from __future__ import annotations
@@ -100,22 +100,8 @@ def expand_columns(xi) -> np.ndarray:
     return np.repeat(arr, reps, axis=arr.ndim - 1)
 
 
-def _element_mask(xi) -> np.ndarray:
-    """(K, L^2) element mask from an Allocation or a raw column-share array."""
-    return expand_columns(xi.xi if isinstance(xi, Allocation) else xi)
-
-
-def _theta_vector(theta) -> np.ndarray:
-    return theta.theta if isinstance(theta, PhaseConfig) else np.asarray(theta, dtype=float).reshape(-1)
-
-
 def _beam_matrix(w) -> np.ndarray:
     return w.w if isinstance(w, Beamformers) else np.asarray(w, dtype=complex)
-
-
-def _rows(g_ris, h_rb, h_direct, phase, mask):
-    """Effective rows g_ris[k] * (mask_k * phase) @ h_rb + h_direct[k], stacked."""
-    return (g_ris * (mask * phase[..., None, :])) @ h_rb + h_direct
 
 
 def _objective(g_ris, h_rb, h_direct, w, theta, mask, noise_linear: float,
@@ -131,7 +117,8 @@ def _objective(g_ris, h_rb, h_direct, w, theta, mask, noise_linear: float,
     if noise_linear < 0 or (grads and noise_linear == 0):
         raise ValueError("noise power must be non-negative, and positive for gradients")
     phase = np.exp(1j * theta)
-    S = _rows(g_ris, h_rb, h_direct, phase, mask) @ w.swapaxes(-1, -2)  # S[k, i] = e_k . w_i
+    e = (g_ris * (mask * phase[..., None, :])) @ h_rb + h_direct  # e_k: user k's effective row
+    S = e @ w.swapaxes(-1, -2)  # S[k, i] = e_k . w_i
     P = np.abs(S) ** 2
     num = P.diagonal(axis1=-2, axis2=-1)
     den = P.sum(axis=-1) - num + noise_linear
@@ -159,48 +146,15 @@ def _objective(g_ris, h_rb, h_direct, w, theta, mask, noise_linear: float,
 
 
 def _single(ch: ChannelSet, w, theta, xi):
-    """Kernel inputs for one instance."""
-    return ch.g_ris, ch.h_rb, ch.h_direct, _beam_matrix(w), _theta_vector(theta), _element_mask(xi)
-
-
-def effective_channels(ch: ChannelSet, theta, xi) -> np.ndarray:
-    """All effective rows at once: (K, N) matrix with row k =
-    g_ris[k] * (mask_k * exp(j theta)) @ h_rb + h_direct[k]."""
-    return _rows(ch.g_ris, ch.h_rb, ch.h_direct, np.exp(1j * _theta_vector(theta)), _element_mask(xi))
-
-
-def effective_channel(ch: ChannelSet, theta, xi, k: int) -> np.ndarray:
-    """Effective downlink row seen by user k, shape (N,)."""
-    if not 0 <= k < ch.num_users:
-        raise IndexError(f"user index {k} out of range")
-    mask = _element_mask(xi)
-    phase = np.exp(1j * _theta_vector(theta))
-    return (ch.g_ris[k] * (mask[k] * phase)) @ ch.h_rb + ch.h_direct[k]
-
-
-def sinr(ch: ChannelSet, theta, xi, w, k: int, noise_linear: float) -> float:
-    """|e_k w_k|^2 over (sum_{i != k} |e_k w_i|^2 + noise).
-
-    Interference flows through user k's own effective channel hit by the
-    other users' beams.
-    """
-    if noise_linear < 0:
-        raise ValueError("noise power must be non-negative")
-    e = effective_channel(ch, theta, xi, k)
-    p = np.abs(_beam_matrix(w) @ e) ** 2
-    return float(p[k] / (p.sum() - p[k] + noise_linear))
+    """Kernel inputs for one instance; theta may be a PhaseConfig, xi an Allocation."""
+    theta = theta.theta if isinstance(theta, PhaseConfig) else np.asarray(theta, dtype=float).reshape(-1)
+    mask = expand_columns(xi.xi if isinstance(xi, Allocation) else xi)
+    return ch.g_ris, ch.h_rb, ch.h_direct, _beam_matrix(w), theta, mask
 
 
 def user_rates(ch: ChannelSet, theta, xi, w, noise_linear: float) -> np.ndarray:
     """Normalized per-user rates (1/K) log2(1 + SINR_k) for all users at once."""
     return _objective(*_single(ch, w, theta, xi), noise_linear)
-
-
-def rate(ch: ChannelSet, theta, xi, w, k: int, noise_linear: float,
-         num_users: int | None = None) -> float:
-    """User k's rate, normalized by the sharing factor (defaults to K)."""
-    K = ch.num_users if num_users is None else num_users
-    return float(np.log2(1.0 + sinr(ch, theta, xi, w, k, noise_linear)) / K)
 
 
 def alpha_utility(r, alpha: float):

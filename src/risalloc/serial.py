@@ -3,6 +3,8 @@
 Per array: u16 name length + UTF-8 name, u8 kind (0 real / 1 complex),
 u8 ndim, u64 dims, then the raw values as little-endian 64-bit floats,
 complex entries interleaved (real, imag). Round-trips are bit-exact.
+Decoding rejects an array holding NaN or infinity, which a CRC written over
+the bad values would not catch.
 """
 
 from __future__ import annotations
@@ -58,7 +60,10 @@ def decode_named_arrays(payload: bytes) -> dict:
         else:
             raise ValueError(f"unknown array kind {kind}")
         size = int(np.prod(shape)) if shape else 1
-        arrays[name] = np.frombuffer(take(size * item), dtype=dtype).reshape(shape).copy()
+        arr = np.frombuffer(take(size * item), dtype=dtype)
+        if not np.isfinite(arr).all():
+            raise ValueError(f"array {name!r} holds non-finite values")
+        arrays[name] = arr.reshape(shape).copy()
     if pos != len(mv):
         raise ValueError("trailing bytes after the last array")
     return arrays

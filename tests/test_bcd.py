@@ -4,8 +4,7 @@ import pytest
 import oracles
 from risalloc import (Allocation, BcdOptions, bcd_complexity_estimate,
                       bcd_optimize, binarize, brute_force, mrt_beamformers,
-                      objective_gradients, objective_value_and_gradients,
-                      sum_utility, uniform_contiguous)
+                      objective_value_and_gradients, sum_utility, uniform_contiguous)
 
 NOISE = 0.05
 
@@ -56,8 +55,8 @@ def test_gradients_small_instance_every_coordinate():
 def test_gradient_zero_when_surface_severed():
     ch = oracles.toy_channels(seed=2)
     w = mrt_beamformers(ch, 1.0).w
-    dtheta, _ = objective_gradients(ch, np.full(4, 0.5), Allocation(np.zeros((2, 2))),
-                                    w, 1.0, NOISE)
+    _, dtheta, _ = objective_value_and_gradients(ch, np.full(4, 0.5), Allocation(np.zeros((2, 2))),
+                                                 w, 1.0, NOISE)
     assert np.all(dtheta == 0.0)
 
 

@@ -1,7 +1,9 @@
 import csv
 import json
+import struct
 import subprocess
 import sys
+import zlib
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ import pytest
 from risalloc import (MlpArch, ScenarioConfig, feature_dimension, init_model,
                       load_checkpoint, load_dataset, save_checkpoint)
 from risalloc.cli import main
+from risalloc.serial import decode_named_arrays, encode_named_arrays
 
 
 def tiny_scenario():
@@ -334,6 +337,37 @@ def test_manifest_split_sizes_checked(tmp_path, dataset, capsys):
                "--out", str(tmp_path / "c.csv")])
     assert rc == 3
     assert "split sizes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "compare"])
+def test_non_finite_dataset_is_data_error(tmp_path, dataset, cfg_path, capsys, command):
+    # a NaN written before the CRC was computed passes the CRC check
+    rec = dataset / "records.bin"
+    blob = rec.read_bytes()
+    length, seed, _ = struct.unpack_from("<QQI", blob, 8)
+    arrays = decode_named_arrays(blob[28:28 + length])
+    arrays["g_ris"][0, 0] = np.nan
+    payload = encode_named_arrays(arrays)
+    rec.write_bytes(blob[:8] + struct.pack("<QQI", len(payload), seed, zlib.crc32(payload))
+                    + payload + blob[28 + length:])
+    flags = {"train": ["--config", cfg_path, "--out", str(tmp_path / "m.ckpt")],
+             "compare": ["--out", str(tmp_path / "c.csv")]}[command]
+    assert main([command, "--data", str(dataset)] + flags) == 3
+    assert "'g_ris' holds non-finite values" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("array", ["weights", "pca"])
+def test_non_finite_checkpoint_is_data_error(tmp_path, dataset, cfg_path, capsys, array):
+    ckpt = tmp_path / "model.ckpt"
+    assert main(["train", "--data", str(dataset), "--config", cfg_path,
+                 "--max-epochs", "1", "--out", str(ckpt)]) == 0
+    model, pca, meta = load_checkpoint(ckpt)
+    (model.weights[0] if array == "weights" else pca.feature_mean)[0] = np.inf
+    save_checkpoint(ckpt, model, pca, meta)
+    rc = main(["compare", "--data", str(dataset), "--scheme", "nn+pca",
+               "--model", str(ckpt), "--out", str(tmp_path / "c.csv")])
+    assert rc == 3
+    assert "non-finite values" in capsys.readouterr().err
 
 
 def test_compare_empty_split(tmp_path, cfg_path, capsys):

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -151,6 +152,20 @@ def test_checksum_flip(dataset_dir):
         load_dataset(dataset_dir)
 
 
+@pytest.mark.parametrize("record", [0, 1, 2])
+def test_record_seed_must_be_master_seed_plus_index(dataset_dir, record):
+    # the seed sits in the record header, outside the payload's CRC
+    rec = dataset_dir / "records.bin"
+    blob = bytearray(rec.read_bytes())
+    pos = 8
+    for _ in range(record):
+        pos += 20 + struct.unpack_from("<Q", blob, pos)[0]
+    blob[pos + 9] ^= 0x01   # second byte of the record's seed
+    rec.write_bytes(bytes(blob))
+    with pytest.raises(DatasetError, match=f"record {record} has seed"):
+        load_dataset(dataset_dir)
+
+
 def test_manifest_round_trip():
     m = DatasetManifest(small_config(), 4, 2, 123, 6)
     again = DatasetManifest.from_json(m.to_json())
@@ -160,6 +175,8 @@ def test_manifest_round_trip():
 def test_manifest_malformed():
     with pytest.raises(DatasetError):
         DatasetManifest.from_json('{"n_train": 1}')
+    with pytest.raises(DatasetError):
+        DatasetManifest.from_json(b'{"n_train": \xff}')   # not UTF-8
     m = DatasetManifest(small_config(), 1, 1, 0, 2)
     broken = m.to_json().replace('"n_val": 1', '"n_val": "many"')
     with pytest.raises(DatasetError):

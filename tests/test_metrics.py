@@ -3,10 +3,9 @@ import pytest
 
 import oracles
 from risalloc import (Allocation, Beamformers, PhaseConfig, RATE_FLOOR,
-                      alpha_mean_throughput, alpha_utility, effective_channel,
-                      effective_channels, expand_columns, mrt_beamformers,
-                      objective_value_and_gradients, rate, sinr, sum_utility,
-                      user_rates)
+                      alpha_mean_throughput, alpha_utility, expand_columns,
+                      mrt_beamformers, objective_value_and_gradients,
+                      sum_utility, user_rates)
 from risalloc.metrics import _objective
 
 
@@ -44,64 +43,40 @@ def test_beamformer_norm_validation():
         Beamformers(w).validate(tx_power_watts=8.0)
 
 
-def test_effective_channel_xi_zero_severs_surface():
+def test_zero_shares_sever_surface():
     ch = oracles.toy_channels(seed=1)
+    w = mrt_beamformers(ch, 1.0).w
     theta = np.random.default_rng(2).uniform(0, np.pi, 4)
-    e = effective_channel(ch, theta, np.zeros((2, 2)), 0)
-    assert np.allclose(e, ch.h_direct[0])
-
-
-def test_effective_channel_midpoint_linearity():
-    ch = oracles.toy_channels(seed=3)
-    theta = np.zeros(4)
-    full = effective_channel(ch, theta, np.array([[1.0, 1.0], [0, 0]]), 0)
-    none = effective_channel(ch, theta, np.zeros((2, 2)), 0)
-    half = effective_channel(ch, theta, np.array([[0.5, 0.5], [0, 0]]), 0)
-    assert np.allclose(half, 0.5 * (full + none))
-
-
-def test_effective_channels_matches_single():
-    ch = oracles.toy_channels(seed=4)
-    theta = np.random.default_rng(5).uniform(0, np.pi, 4)
-    xi = np.random.default_rng(6).uniform(0, 0.5, (2, 2))
-    stacked = effective_channels(ch, theta, xi)
-    for k in range(2):
-        assert np.allclose(stacked[k], effective_channel(ch, theta, xi, k))
-
-
-def test_effective_channel_index_bounds():
-    ch = oracles.toy_channels()
-    with pytest.raises(IndexError):
-        effective_channel(ch, np.zeros(4), np.zeros((2, 2)), 2)
+    severed = oracles.toy_channels(seed=1)
+    severed.g_ris[:] = 0.0
+    rates = user_rates(ch, theta, np.zeros((2, 2)), w, 0.1)
+    assert np.allclose(rates, user_rates(severed, np.zeros(4), np.full((2, 2), 0.5), w, 0.1))
 
 
 def test_sinr_single_user_no_interference():
+    # one user: the rate is log2(1 + SINR) and nothing interferes
     ch = oracles.toy_channels(num_users=1, seed=7)
     w = mrt_beamformers(ch, 1.0).w
-    theta = np.zeros(4)
-    xi = np.zeros((1, 2))
-    e = ch.h_direct[0]
-    expected = abs(np.dot(e, w[0])) ** 2 / 0.3
-    assert sinr(ch, theta, xi, w, 0, 0.3) == pytest.approx(expected, rel=1e-12)
+    expected = abs(np.dot(ch.h_direct[0], w[0])) ** 2 / 0.3
+    (r,) = user_rates(ch, np.zeros(4), np.zeros((1, 2)), w, 0.3)
+    assert 2.0 ** r - 1.0 == pytest.approx(expected, rel=1e-12)
 
 
 def test_sinr_zero_beam():
     ch = oracles.toy_channels(seed=8)
     w = np.zeros((2, 2), dtype=complex)
-    assert sinr(ch, np.zeros(4), np.zeros((2, 2)), w, 0, 1.0) == 0.0
+    assert np.all(user_rates(ch, np.zeros(4), np.zeros((2, 2)), w, 1.0) == 0.0)
 
 
 def test_rate_frozen_points():
-    # engineered SINR via the normalization override
+    # one user, so the rate is log2(1 + SINR) with no sharing factor
     ch = oracles.toy_channels(num_users=1, seed=9)
     w = np.array([[1.0 + 0j, 0.0]])
-    # make |e w|^2 / noise = 1 -> rate 0.5 at K=2
-    e = ch.h_direct[0]
-    noise = abs(np.dot(e, w[0])) ** 2
-    assert rate(ch, np.zeros(4), np.zeros((1, 2)), w, 0, noise, num_users=2) == pytest.approx(0.5)
-    # sinr 3 at K=4 -> (1/4) log2(4) = 0.5
-    assert rate(ch, np.zeros(4), np.zeros((1, 2)), w, 0, noise / 3.0,
-                num_users=4) == pytest.approx(0.5)
+    noise = abs(np.dot(ch.h_direct[0], w[0])) ** 2
+    # SINR 1 -> log2(2) = 1
+    assert user_rates(ch, np.zeros(4), np.zeros((1, 2)), w, noise)[0] == pytest.approx(1.0)
+    # SINR 3 -> log2(4) = 2
+    assert user_rates(ch, np.zeros(4), np.zeros((1, 2)), w, noise / 3.0)[0] == pytest.approx(2.0)
 
 
 def test_alpha_utility_frozen_points():
@@ -157,11 +132,12 @@ def test_metrics_match_straight_line_oracle():
         xi = rng.uniform(0, 0.5, (2, 2))
         mask = oracles.element_mask(xi)
         noise = 0.017
+        rates = user_rates(ch, theta, xi, w, noise)
         for k in range(2):
-            assert sinr(ch, theta, xi, w, k, noise) == pytest.approx(
-                oracles.sinr_value(ch, theta, mask, w, k, noise), rel=1e-12)
-            assert rate(ch, theta, xi, w, k, noise) == pytest.approx(
+            assert rates[k] == pytest.approx(
                 oracles.rate_value(ch, theta, mask, w, k, noise), rel=1e-12)
+            assert 2.0 ** (2 * rates[k]) - 1.0 == pytest.approx(
+                oracles.sinr_value(ch, theta, mask, w, k, noise), rel=1e-12)
         for alpha in (0.5, 1.0, 2.0):
             assert sum_utility(ch, theta, xi, w, alpha, noise) == pytest.approx(
                 oracles.total_utility(ch, theta, mask, w, alpha, noise), rel=1e-12)
@@ -173,8 +149,9 @@ def test_user_rates_vector_matches_scalar():
     theta = np.random.default_rng(14).uniform(0, np.pi, 4)
     xi = np.random.default_rng(15).uniform(0, 0.33, (3, 2))
     vec = user_rates(ch, theta, xi, w, 1e-2)
+    mask = oracles.element_mask(xi)
     for k in range(3):
-        assert vec[k] == pytest.approx(rate(ch, theta, xi, w, k, 1e-2), rel=1e-12)
+        assert vec[k] == pytest.approx(oracles.rate_value(ch, theta, mask, w, k, 1e-2), rel=1e-12)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 3.0])
