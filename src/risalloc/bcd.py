@@ -19,10 +19,11 @@ import numpy as np
 
 from .allocation import _project_columns
 from .channel import ChannelSet
+from .config import AT_LEAST_ONE, NON_NEGATIVE, POSITIVE, check_fields
 from .metrics import Allocation, PhaseConfig, _beam_matrix, _objective, _single, expand_columns
 
 
-@dataclass
+@dataclass(frozen=True)
 class BcdOptions:
     max_outer_iters: int = 200
     inner_steps_per_block: int = 10
@@ -30,12 +31,9 @@ class BcdOptions:
     tol: float = 1e-5
     seed: int = 0
 
-    def validate(self) -> "BcdOptions":
-        if self.max_outer_iters < 1 or self.inner_steps_per_block < 1:
-            raise ValueError("iteration counts must be >= 1")
-        if self.step_size <= 0 or self.tol <= 0:
-            raise ValueError("step_size and tol must be positive")
-        return self
+    def __post_init__(self):
+        check_fields(self, max_outer_iters=AT_LEAST_ONE, inner_steps_per_block=AT_LEAST_ONE,
+                     step_size=POSITIVE, tol=POSITIVE, seed=NON_NEGATIVE)
 
 
 @dataclass
@@ -83,7 +81,7 @@ def bcd_optimize(ch: ChannelSet, w, alpha: float, noise_linear: float,
     Passing fixed_alloc pins the allocation and optimizes phases only (the
     classic fixed-split baseline). Returns (PhaseConfig, Allocation, BcdTrace).
     """
-    opts = (options or BcdOptions()).validate()
+    opts = options or BcdOptions()
     rng = np.random.default_rng(opts.seed)
     K = ch.num_users
     L2 = ch.num_elements

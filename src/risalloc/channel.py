@@ -191,7 +191,6 @@ def synth_channels(config: ScenarioConfig, deployment: Deployment, seed: int) ->
     (surface hop, then per-user direct, then per-user surface legs) so the
     output is a pure function of (config, deployment, seed).
     """
-    config.validate()
     rng = np.random.default_rng(seed)
     K = deployment.num_ues
     if K < 1:

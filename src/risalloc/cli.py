@@ -24,7 +24,7 @@ import numpy as np
 from .allocation import binarize, project_feasible, uniform_contiguous
 from .bcd import BcdOptions, bcd_optimize
 from .brute import BudgetExceededError, brute_force
-from .config import ConfigError, ScenarioConfig, desk_config, full_scale_config
+from .config import ConfigError, ScenarioConfig, desk_config, full_scale_config, parse_settings
 from .dataio import DatasetError, generate_dataset, load_dataset, train_val_split
 from .features import feature_dimension, flatten_features, pca_transform
 from .metrics import alpha_mean_throughput, alpha_utility, sum_utility, user_rates
@@ -49,17 +49,17 @@ def _fmt(x) -> str:
 def load_config_file(path):
     """Parse the harness config file.
 
-    Returns (ScenarioConfig, bcd section, training section). The file is a
-    JSON object with a mandatory "scenario" section (the flat scenario
-    fields) and optional "bcd" / "training" sections holding solver and
-    trainer options.
+    Returns (ScenarioConfig, BcdOptions, TrainOptions). The file is a JSON
+    object with a mandatory "scenario" section (every scenario field) and
+    optional "bcd" / "training" sections holding solver and trainer
+    options; options a section leaves out keep their defaults.
     """
     try:
-        text = Path(path).read_text()
+        body = json.loads(Path(path).read_bytes().decode("utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    try:
-        body = json.loads(text)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path} is not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}") from exc
@@ -70,29 +70,21 @@ def load_config_file(path):
         raise ConfigError(f"unknown config section(s): {', '.join(unknown)}")
     if "scenario" not in body:
         raise ConfigError(f"{path} is missing the \"scenario\" section")
-    scenario = ScenarioConfig.from_dict(body["scenario"])
-    return scenario, dict(body.get("bcd", {})), dict(body.get("training", {}))
+    return (parse_settings(ScenarioConfig, body["scenario"], "scenario"),
+            parse_settings(BcdOptions, body.get("bcd", {}), "bcd", complete=False),
+            parse_settings(TrainOptions, body.get("training", {}), "training", complete=False))
 
 
-def _resolve_scenario(args):
-    """Config file when given, else the named profile."""
-    if getattr(args, "config", None):
-        return load_config_file(args.config)
-    return _PROFILES[args.profile](), {}, {}
-
-
-def _options_from(cls, section: dict, overrides: dict, label: str):
-    """Dataclass options = defaults <- config section <- explicit flags."""
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(section) - names)
-    if unknown:
-        raise ConfigError(f"unknown {label} option(s): {', '.join(unknown)}")
-    merged = dict(section)
-    merged.update({k: v for k, v in overrides.items() if v is not None})
-    try:
-        return cls(**merged).validate()
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {label} options: {exc}") from exc
+def _with_flags(options, flags: dict):
+    """Options from the config file (or the defaults) with the flags given
+    on top; ``flags`` maps each flag to (field, value or None if absent)."""
+    for flag, (name, value) in flags.items():
+        if value is not None:
+            try:
+                options = dataclasses.replace(options, **{name: value})
+            except ConfigError as exc:
+                raise ConfigError(f"{flag}: {exc}") from None
+    return options
 
 
 def _write_csv(path, header, rows):
@@ -110,9 +102,11 @@ def _per_sample_seed(seed: int, index: int) -> int:
 # ---------------------------------------------------------------- generate
 
 def cmd_generate(args) -> int:
-    config, _, _ = _resolve_scenario(args)
+    config = load_config_file(args.config)[0] if args.config else _PROFILES[args.profile]()
     if args.n_train < 0 or args.n_val < 0 or args.n_train + args.n_val < 1:
         raise ConfigError("need --n-train/--n-val with at least one sample in total")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
     out = Path(args.out)
     manifest = generate_dataset(config, args.n_train, args.n_val, args.seed, out)
     digest = hashlib.sha256()
@@ -134,11 +128,12 @@ def cmd_train(args) -> int:
     if not train_s or not val_s:
         raise DatasetError("training needs non-empty train and validation splits")
 
-    training_section = load_config_file(args.config)[2] if args.config else {}
-    overrides = {"alpha": args.alpha, "learning_rate": args.lr,
-                 "batch_size": args.batch_size, "max_epochs": args.max_epochs,
-                 "seed": args.seed, "use_pca": False if args.no_pca else None}
-    opts = _options_from(TrainOptions, training_section, overrides, "training")
+    training = load_config_file(args.config)[2] if args.config else TrainOptions()
+    opts = _with_flags(training, {
+        "--alpha": ("alpha", args.alpha), "--lr": ("learning_rate", args.lr),
+        "--batch-size": ("batch_size", args.batch_size), "--seed": ("seed", args.seed),
+        "--max-epochs": ("max_epochs", args.max_epochs),
+        "--no-pca": ("use_pca", False if args.no_pca else None)})
 
     result = train(train_s, val_s, manifest.config.noise_watts, opts)
 
@@ -176,10 +171,9 @@ def cmd_bcd(args) -> int:
     if not 0 <= args.index < len(samples):
         raise DatasetError(
             f"sample index {args.index} out of range for {len(samples)} records")
-    bcd_section = load_config_file(args.config)[1] if args.config else {}
-    overrides = {"tol": args.tol, "seed": args.seed,
-                 "max_outer_iters": args.max_outer_iters}
-    opts = _options_from(BcdOptions, bcd_section, overrides, "bcd")
+    solver = load_config_file(args.config)[1] if args.config else BcdOptions()
+    opts = _with_flags(solver, {"--tol": ("tol", args.tol), "--seed": ("seed", args.seed),
+                                "--max-outer-iters": ("max_outer_iters", args.max_outer_iters)})
 
     s = samples[args.index]
     noise = manifest.config.noise_watts
@@ -278,8 +272,8 @@ def cmd_compare(args) -> int:
         raise ConfigError(
             f"unknown scheme(s) {', '.join(bad)}; choose from {', '.join(_ALL_SCHEMES)}")
     model, pca = _load_model_for(schemes, args.model, split[0].channels)
-    bcd_section = load_config_file(args.config)[1] if args.config else {}
-    opts = _options_from(BcdOptions, bcd_section, {"seed": args.seed}, "bcd")
+    solver = load_config_file(args.config)[1] if args.config else BcdOptions()
+    opts = _with_flags(solver, {"--seed": ("seed", args.seed)})
 
     noise = manifest.config.noise_watts
     bandwidth = manifest.config.bandwidth

@@ -1,4 +1,5 @@
-"""Scenario parameters, validation, unit conversions, and JSON round-trip.
+"""Scenario parameters, the one check and JSON parser for settings, and
+unit conversions.
 
 Units: distances in meters, carrier_freq in GHz, bandwidth in Hz, tx_power
 and noise_power in dBm, shadow_sigma in dB, densities per square kilometer.
@@ -9,17 +10,73 @@ dBm values are converted to linear watts once, at config load, through the
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+import math
+import numbers
+from dataclasses import asdict, dataclass, fields
 
 SPEED_OF_LIGHT = 3.0e8  # free-space propagation speed, m/s
 
 
 class ConfigError(ValueError):
-    """Invalid or malformed scenario configuration."""
+    """Invalid or malformed scenario, solver, training or network settings."""
 
 
 def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
+
+
+def is_int(v) -> bool:
+    """An integer; a bool is not a number."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_finite(v) -> bool:
+    """A finite real number; a bool is not a number."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
+# rules for check_fields: (predicate, wording), the predicate seeing a value of the field's type
+POSITIVE = (lambda v: v > 0, "positive")
+NON_NEGATIVE = (lambda v: v >= 0, "non-negative")
+AT_LEAST_ONE = (lambda v: v >= 1, ">= 1")
+_POINT = (lambda v: isinstance(v, (list, tuple)) and len(v) == 3 and all(map(_is_finite, v)),
+          "three finite numbers")
+_TYPES = {"int": (is_int, "an integer"), "float": (_is_finite, "a finite number"),
+          "bool": (lambda v: isinstance(v, bool), "true or false")}
+
+
+def check_fields(settings, **rules) -> None:
+    """The one check of a settings dataclass, run by its ``__post_init__``.
+
+    Every field must hold its annotated type (an ``int`` field an integer, a
+    ``float`` field a finite number, a ``bool`` field true or false), then
+    satisfy the rule given for it by name, if any.
+    """
+    for f in fields(settings):
+        value = getattr(settings, f.name)
+        kind = _TYPES.get(getattr(f.type, "__name__", f.type))
+        for ok, wording in filter(None, (kind, rules.get(f.name))):
+            if not ok(value):
+                raise ConfigError(f"{f.name} must be {wording}, got {value!r}")
+
+
+def parse_settings(cls, data, section: str, complete: bool = True):
+    """The one way a JSON object becomes a settings object of type ``cls``.
+
+    Unknown keys are rejected, and so are missing ones when ``complete``
+    (every field required); otherwise absent fields keep their defaults.
+    """
+    if not isinstance(data, dict):
+        raise ConfigError(f"{section} must be a JSON object")
+    names = {f.name for f in fields(cls)}
+    missing = names - set(data) if complete else set()
+    for problem, keys in (("unknown", set(data) - names), ("missing", missing)):
+        if keys:
+            raise ConfigError(f"{problem} {section} fields: {', '.join(sorted(keys))}")
+    try:
+        return cls(**data)
+    except ConfigError as exc:
+        raise ConfigError(f"{section}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -52,9 +109,17 @@ class ScenarioConfig:
     bs_height: float = 10.0
 
     def __post_init__(self):
+        check_fields(self, bs_position=_POINT, ris_position=_POINT, area_side=POSITIVE,
+                     n_bs_antennas=AT_LEAST_ONE, ris_side=AT_LEAST_ONE, num_ues=AT_LEAST_ONE,
+                     ue_density=NON_NEGATIVE, blockage_density=NON_NEGATIVE,
+                     blockage_mean_length=POSITIVE, blockage_mean_width=POSITIVE,
+                     carrier_freq=POSITIVE, bandwidth=POSITIVE, shadow_sigma=NON_NEGATIVE,
+                     ue_height=POSITIVE, bs_height=POSITIVE)
         # keep positions hashable and JSON-friendly
         object.__setattr__(self, "bs_position", tuple(float(v) for v in self.bs_position))
         object.__setattr__(self, "ris_position", tuple(float(v) for v in self.ris_position))
+        if abs(self.bs_height - self.bs_position[2]) > 1e-9:
+            raise ConfigError("bs_height must match the z coordinate of bs_position")
 
     # ---- derived quantities ----
 
@@ -79,64 +144,17 @@ class ScenarioConfig:
     def area_km2(self) -> float:
         return (self.area_side / 1000.0) ** 2
 
-    # ---- validation ----
-
-    def validate(self) -> "ScenarioConfig":
-        if len(self.bs_position) != 3 or len(self.ris_position) != 3:
-            raise ConfigError("bs_position and ris_position must be 3-D points")
-        if self.n_bs_antennas < 1:
-            raise ConfigError("n_bs_antennas must be >= 1")
-        if self.ris_side < 1:
-            raise ConfigError("ris_side must be >= 1")
-        if self.num_ues < 1:
-            raise ConfigError("num_ues must be >= 1")
-        if self.area_side <= 0:
-            raise ConfigError("area_side must be positive")
-        if self.carrier_freq <= 0:
-            raise ConfigError("carrier_freq must be positive")
-        if self.bandwidth <= 0:
-            raise ConfigError("bandwidth must be positive")
-        if self.ue_density < 0 or self.blockage_density < 0:
-            raise ConfigError("densities must be non-negative")
-        if self.blockage_mean_length <= 0 or self.blockage_mean_width <= 0:
-            raise ConfigError("blockage mean dimensions must be positive")
-        if self.shadow_sigma < 0:
-            raise ConfigError("shadow_sigma must be non-negative")
-        if self.ue_height <= 0 or self.bs_height <= 0:
-            raise ConfigError("antenna heights must be positive")
-        if abs(self.bs_height - self.bs_position[2]) > 1e-9:
-            raise ConfigError("bs_height must match the z coordinate of bs_position")
-        return self
-
     # ---- JSON round-trip ----
 
     def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            out[f.name] = list(v) if isinstance(v, tuple) else v
-        return out
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
-        if not isinstance(data, dict):
-            raise ConfigError("scenario config must be a JSON object")
-        names = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - names)
-        if unknown:
-            raise ConfigError(f"unknown scenario config fields: {', '.join(unknown)}")
-        missing = sorted(names - set(data))
-        if missing:
-            raise ConfigError(f"missing scenario config fields: {', '.join(missing)}")
-        kwargs = dict(data)
-        for key in ("bs_position", "ris_position"):
-            kwargs[key] = tuple(kwargs[key])
-        cfg = cls(**kwargs)
-        cfg.validate()
-        return cfg
+        return parse_settings(cls, data, "scenario")
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioConfig":

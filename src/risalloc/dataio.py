@@ -20,7 +20,7 @@ import numpy as np
 
 from .allocation import mrt_beamformers
 from .channel import ChannelSet, synth_channels
-from .config import ConfigError, ScenarioConfig
+from .config import ConfigError, ScenarioConfig, is_int
 from .geometry import Deployment, deploy
 from .serial import decode_named_arrays, encode_named_arrays
 
@@ -73,14 +73,19 @@ class DatasetManifest:
 
     @classmethod
     def from_json(cls, text: str | bytes) -> "DatasetManifest":
-        """Parse a manifest; bytes that are not UTF-8 are a DatasetError."""
+        """Parse a manifest; bytes that are not UTF-8, a count or seed that is
+        not an integer, or a version this library does not read are a
+        DatasetError."""
         try:
             body = json.loads(text)
-            return cls(config=ScenarioConfig.from_dict(body["config"]),
-                       n_train=int(body["n_train"]), n_val=int(body["n_val"]),
-                       master_seed=int(body["master_seed"]),
-                       sample_count=int(body["sample_count"]),
-                       format_version=int(body["format_version"]))
+            ints = {k: body[k] for k in ("n_train", "n_val", "master_seed", "sample_count")}
+            bad = sorted(k for k, v in ints.items() if not is_int(v))
+            if bad:
+                raise DatasetError(f"manifest fields {', '.join(bad)} must be integers")
+            if not (is_int(body["format_version"]) and body["format_version"] == FORMAT_VERSION):
+                raise DatasetVersionError(f"manifest is format version {body['format_version']!r}; "
+                                          f"this library reads {FORMAT_VERSION}")
+            return cls(ScenarioConfig.from_dict(body["config"]), **ints)
         except ConfigError:
             raise
         except (KeyError, ValueError, TypeError) as exc:
@@ -142,7 +147,6 @@ def generate_dataset(config: ScenarioConfig, n_train: int, n_val: int,
     """
     if n_train < 0 or n_val < 0 or n_train + n_val < 1:
         raise ValueError("need at least one sample")
-    config.validate()
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     total = n_train + n_val

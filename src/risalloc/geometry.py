@@ -39,7 +39,6 @@ def deploy_ues(config: ScenarioConfig, seed: int, fixed_count: bool = True) -> n
     fixed_count=True conditions the point process on exactly ``num_ues``
     points; otherwise the count is Poisson(ue_density * area_km2).
     """
-    config.validate()
     rng = np.random.default_rng(seed)
     if fixed_count:
         n = config.num_ues
@@ -53,7 +52,6 @@ def deploy_ues(config: ScenarioConfig, seed: int, fixed_count: bool = True) -> n
 def deploy_blockages(config: ScenarioConfig, seed: int) -> np.ndarray:
     """Drop rectangles: Poisson count, uniform centers and orientation,
     exponential length and width. Returns an (n, 5) array."""
-    config.validate()
     rng = np.random.default_rng(seed)
     n = int(rng.poisson(config.blockage_density * config.area_km2))
     if n == 0:

@@ -17,10 +17,11 @@ import json
 import math
 import struct
 import zlib
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
+from .config import AT_LEAST_ONE, check_fields, is_int, parse_settings
 from .features import PcaModel
 from .serial import decode_named_arrays, encode_named_arrays
 
@@ -36,7 +37,15 @@ class CheckpointError(RuntimeError):
     """Unreadable, foreign, or corrupted model checkpoint."""
 
 
-@dataclass
+# the hidden-layer checks, shared with the training options
+LAYER_RULES = {
+    "hidden": (lambda v: isinstance(v, (list, tuple)) and len(v) > 0
+               and all(is_int(h) and h >= 1 for h in v), "a non-empty list of positive integers"),
+    "dropout_rate": (lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
+}
+
+
+@dataclass(frozen=True)
 class MlpArch:
     """Layer sizing: input width, hidden widths, and the two head widths."""
 
@@ -48,33 +57,13 @@ class MlpArch:
     dropout_rate: float = 0.5
 
     def __post_init__(self):
-        self.hidden = tuple(int(h) for h in self.hidden)
+        check_fields(self, input_dim=AT_LEAST_ONE, phase_dim=AT_LEAST_ONE,
+                     alloc_users=AT_LEAST_ONE, alloc_cols=AT_LEAST_ONE, **LAYER_RULES)
+        object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
 
     @property
     def alloc_dim(self) -> int:
         return self.alloc_users * self.alloc_cols
-
-    def validate(self) -> "MlpArch":
-        if self.input_dim < 1 or self.phase_dim < 1:
-            raise ValueError("input and phase dimensions must be >= 1")
-        if self.alloc_users < 1 or self.alloc_cols < 1:
-            raise ValueError("allocation head dimensions must be >= 1")
-        if not self.hidden or any(h < 1 for h in self.hidden):
-            raise ValueError("hidden widths must be >= 1")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout rate must lie in [0, 1)")
-        return self
-
-    def to_dict(self) -> dict:
-        return {"input_dim": self.input_dim, "phase_dim": self.phase_dim,
-                "alloc_users": self.alloc_users, "alloc_cols": self.alloc_cols,
-                "hidden": list(self.hidden), "dropout_rate": self.dropout_rate}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MlpArch":
-        return cls(input_dim=int(d["input_dim"]), phase_dim=int(d["phase_dim"]),
-                   alloc_users=int(d["alloc_users"]), alloc_cols=int(d["alloc_cols"]),
-                   hidden=tuple(d["hidden"]), dropout_rate=float(d["dropout_rate"]))
 
 
 @dataclass
@@ -128,7 +117,6 @@ def param_views(arch: MlpArch, vec: np.ndarray) -> dict:
 def init_model(arch: MlpArch, seed: int = 0) -> MlpModel:
     """Uniform +-sqrt(6/(fan_in+fan_out)) weights, zero biases, unit batch
     norm scale, zero shift, fresh running statistics."""
-    arch.validate()
     rng = np.random.default_rng(seed)
     model = MlpModel(arch, np.zeros(parameter_count(arch)),
                      bn_mean=[np.zeros(h) for h in arch.hidden],
@@ -294,7 +282,6 @@ def adam_step(model: MlpModel, grad: np.ndarray, state: AdamState):
 def parameter_count(arch: MlpArch) -> int:
     """Learnable scalars: affine weights and biases plus batch-norm
     scale/shift pairs (running statistics are not parameters)."""
-    arch.validate()
     return sum(math.prod(shape) for _, shape in _layout(arch))
 
 
@@ -319,7 +306,7 @@ def save_checkpoint(path, model: MlpModel, pca: PcaModel | None = None,
     if pca is not None:
         arrays.update((f"pca.{f.name}", getattr(pca, f.name)) for f in fields(PcaModel))
     meta = {"format_version": CHECKPOINT_VERSION,
-            "arch": model.arch.to_dict(),
+            "arch": asdict(model.arch),
             "has_pca": pca is not None,
             "metadata": dict(metadata or {})}
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
@@ -364,7 +351,7 @@ def _parse_checkpoint(blob: bytes):
     arrays = decode_named_arrays(payload)
 
     # the metadata is outside the CRC, so the model's arrays are checked against it
-    arch = MlpArch.from_dict(meta["arch"]).validate()
+    arch = parse_settings(MlpArch, meta["arch"], "checkpoint arch")
     expected = dict(_layout(arch))
     for i, h in enumerate(arch.hidden):
         expected[f"bn_mean.{i}"] = expected[f"bn_var.{i}"] = (h,)

@@ -9,14 +9,16 @@ rate decay and early stopping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .allocation import _project_columns, project_feasible_with_vjp
+from .config import AT_LEAST_ONE, NON_NEGATIVE, POSITIVE, ConfigError, check_fields
 from .features import PcaModel, feature_matrix, pca_fit, pca_transform
 from .metrics import _beam_matrix, _objective, expand_columns
-from .mlp import MlpArch, MlpModel, adam_step, init_adam, init_model, mlp_backward, mlp_forward
+from .mlp import (LAYER_RULES, MlpArch, MlpModel, adam_step, init_adam, init_model, mlp_backward,
+                  mlp_forward)
 
 
 def _batch(theta_batch, xi_batch, ch_batch, w_batch):
@@ -76,10 +78,7 @@ class PlateauScheduler:
 
     def __init__(self, learning_rate: float, decay: float = 0.33,
                  lr_patience: int = 10, stop_patience: int = 40):
-        if lr_patience < 1 or stop_patience < 1:
-            raise ValueError("patience values must be >= 1")
-        if not 0 < decay < 1:
-            raise ValueError("decay must lie in (0, 1)")
+        self.check(decay, lr_patience, stop_patience)
         self.learning_rate = learning_rate
         self.decay = decay
         self.lr_patience = lr_patience
@@ -87,6 +86,15 @@ class PlateauScheduler:
         self.best = np.inf
         self.lr_wait = 0
         self.stop_wait = 0
+
+    @staticmethod
+    def check(decay, lr_patience, stop_patience) -> None:
+        """Patience values >= 1 and a decay in (0, 1); TrainOptions calls it too."""
+        for name, patience in (("lr_patience", lr_patience), ("stop_patience", stop_patience)):
+            if patience < 1:
+                raise ConfigError(f"{name} must be >= 1, got {patience}")
+        if not 0 < decay < 1:
+            raise ConfigError(f"lr_decay must be in (0, 1), got {decay}")
 
     def update(self, val_loss: float):
         """Feed one epoch's validation loss; returns (improved, decayed, stop)."""
@@ -105,7 +113,7 @@ class PlateauScheduler:
         return False, decayed, self.stop_wait >= self.stop_patience
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainOptions:
     alpha: float = 1.0
     learning_rate: float = 0.01
@@ -119,16 +127,11 @@ class TrainOptions:
     dropout_rate: float = 0.5
     seed: int = 0
 
-    def validate(self) -> "TrainOptions":
-        if self.batch_size < 2:
-            raise ValueError("batch_size must be >= 2 for batch statistics")
-        if self.max_epochs < 1:
-            raise ValueError("max_epochs must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        return self
+    def __post_init__(self):
+        check_fields(self, alpha=POSITIVE, learning_rate=POSITIVE, max_epochs=AT_LEAST_ONE,
+                     batch_size=(lambda v: v >= 2, ">= 2 for batch statistics"),
+                     seed=NON_NEGATIVE, **LAYER_RULES)
+        PlateauScheduler.check(self.lr_decay, self.lr_patience, self.stop_patience)
 
 
 @dataclass
@@ -155,7 +158,7 @@ def train(train_samples, val_samples, noise_linear: float,
     apply from the following epoch. Trailing batches of a single sample
     are dropped because batch normalization needs two rows.
     """
-    opts = (options or TrainOptions()).validate()
+    opts = options or TrainOptions()
     if len(train_samples) < 2 or not val_samples:
         raise ValueError("need at least 2 training samples and 1 validation sample")
     ch_train = [s.channels for s in train_samples]

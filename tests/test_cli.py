@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import struct
 import subprocess
@@ -8,8 +9,8 @@ import zlib
 import numpy as np
 import pytest
 
-from risalloc import (MlpArch, ScenarioConfig, feature_dimension, init_model,
-                      load_checkpoint, load_dataset, save_checkpoint)
+from risalloc import (BcdOptions, MlpArch, ScenarioConfig, TrainOptions, feature_dimension,
+                      init_model, load_checkpoint, load_dataset, save_checkpoint)
 from risalloc.cli import main
 from risalloc.serial import decode_named_arrays, encode_named_arrays
 
@@ -75,6 +76,13 @@ def test_generate_rejects_empty(tmp_path, cfg_path, capsys):
 @pytest.mark.parametrize("mutate,needle", [
     (lambda d: d.pop("carrier_freq"), "carrier_freq"),
     (lambda d: d.update(wavelength=1.0), "wavelength"),
+    (lambda d: d.update(num_ues="3"), "num_ues"),
+    (lambda d: d.update(ris_side=8.0), "ris_side"),
+    (lambda d: d.update(n_bs_antennas=True), "n_bs_antennas"),
+    (lambda d: d.update(bs_position=["a", 0, 10]), "bs_position"),
+    (lambda d: d.update(area_side=float("nan")), "area_side"),
+    (lambda d: d.update(noise_power=float("nan")), "noise_power"),
+    (lambda d: d.update(tx_power=float("inf")), "tx_power"),
 ])
 def test_scenario_field_errors(tmp_path, capsys, mutate, needle):
     scen = tiny_scenario().to_dict()
@@ -108,6 +116,39 @@ def test_config_missing_file(tmp_path, capsys):
     rc = main(["generate", "--config", str(tmp_path / "absent.json"),
                "--n-train", "1", "--n-val", "0", "--out", str(tmp_path / "ds")])
     assert rc == 2
+
+
+def test_config_not_utf8(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_bytes(b'{"scenario": \xff}')
+    rc = main(["generate", "--config", str(path), "--out", str(tmp_path / "ds")])
+    assert rc == 2
+    assert "not UTF-8" in capsys.readouterr().err
+
+
+def test_generate_rejects_negative_seed(tmp_path, capsys):
+    rc = main(["generate", "--seed", "-3", "--out", str(tmp_path / "ds")])
+    assert rc == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "ds").exists()
+
+
+_SECTIONS = {"scenario": ("generate", ScenarioConfig), "bcd": ("bcd", BcdOptions),
+             "training": ("train", TrainOptions)}
+
+
+@pytest.mark.parametrize("section,field", [(section, f.name)
+                                           for section, (_, cls) in _SECTIONS.items()
+                                           for f in dataclasses.fields(cls)])
+def test_every_config_field_is_checked(tmp_path, dataset, capsys, section, field):
+    body = {"scenario": tiny_scenario().to_dict()}
+    body.setdefault(section, {})[field] = "a string"
+    path = tmp_path / "strings.json"
+    path.write_text(json.dumps(body))
+    command = _SECTIONS[section][0]
+    data = [] if command == "generate" else ["--data", str(dataset)]
+    assert main([command, *data, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert field in capsys.readouterr().err
 
 
 def test_bcd_outputs(tmp_path, dataset, cfg_path):
@@ -190,8 +231,25 @@ def test_train_flag_overrides_config(tmp_path, dataset, cfg_path):
         assert len(list(csv.DictReader(f))) == 1
 
 
-def test_train_bad_option_in_config(tmp_path, dataset):
-    path = write_config(tmp_path / "bad.json", training={"momentum": 0.9})
+@pytest.mark.parametrize("section,options", [
+    ("training", {"momentum": 0.9}),
+    ("training", {"lr_patience": 0}),
+    ("training", {"stop_patience": 0}),
+    ("training", {"lr_decay": 2}),
+    ("training", {"dropout_rate": 1.5}),
+    ("training", {"hidden": []}),
+    ("training", {"hidden": "ab"}),
+    ("training", {"hidden": [0]}),
+    ("training", {"seed": -1}),
+    ("training", {"batch_size": 2.5}),
+    ("training", {"use_pca": "no"}),
+    ("bcd", {"seed": -1}),
+    ("bcd", {"seed": 1.5}),
+    ("bcd", {"max_outer_iters": 2.5}),
+    ("bcd", {"inner_steps_per_block": 1.5}),
+])
+def test_train_bad_option_in_config(tmp_path, dataset, section, options):
+    path = write_config(tmp_path / "bad.json", **{section: options})
     rc = main(["train", "--data", str(dataset), "--config", path,
                "--out", str(tmp_path / "m.ckpt")])
     assert rc == 2
@@ -273,6 +331,11 @@ def test_compare_brute_budget_refusal(tmp_path, dataset, capsys):
     ("compare", ["--alpha", "-1"]),
     ("compare", ["--nu", "0", "--scheme", "brute"]),
     ("compare", ["--budget", "-1", "--scheme", "brute"]),
+    ("train", ["--seed", "-3"]),
+    ("bcd", ["--seed", "-3"]),
+    ("compare", ["--seed", "-3"]),
+    ("train", ["--lr", "nan"]),
+    ("bcd", ["--max-outer-iters", "0"]),
 ])
 def test_out_of_domain_flags_are_config_errors(tmp_path, dataset, capsys, command, flags):
     rc = main([command, "--data", str(dataset), *flags, "--out", str(tmp_path / "o")])

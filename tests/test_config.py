@@ -83,15 +83,13 @@ def test_from_dict_rejects_missing_field():
     ("blockage_density", -1.0),
 ])
 def test_validate_rejects_bad_values(field, value):
-    c = ScenarioConfig(**{field: value})
     with pytest.raises(ConfigError):
-        c.validate()
+        ScenarioConfig(**{field: value})
 
 
 def test_bs_height_must_match_position():
-    c = ScenarioConfig(bs_height=12.0)
     with pytest.raises(ConfigError, match="bs_height"):
-        c.validate()
+        ScenarioConfig(bs_height=12.0)
 
 
 def test_to_json_is_stable():

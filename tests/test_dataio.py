@@ -181,3 +181,10 @@ def test_manifest_malformed():
     broken = m.to_json().replace('"n_val": 1', '"n_val": "many"')
     with pytest.raises(DatasetError):
         DatasetManifest.from_json(broken)
+    for field, old, new in [("n_train", 1, '"6"'), ("master_seed", 0, 0.4),
+                            ("sample_count", 2, "true")]:
+        broken = m.to_json().replace(f'"{field}": {old}', f'"{field}": {new}')
+        with pytest.raises(DatasetError, match=field):
+            DatasetManifest.from_json(broken)
+    with pytest.raises(DatasetVersionError):
+        DatasetManifest.from_json(m.to_json().replace('"format_version": 1', '"format_version": 2'))

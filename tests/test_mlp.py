@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import struct
 import zlib
@@ -33,7 +34,7 @@ def test_arch_validation(bad):
     kw = dict(input_dim=3, phase_dim=4, alloc_users=2, alloc_cols=2)
     kw.update(bad)
     with pytest.raises(ValueError):
-        MlpArch(**kw).validate()
+        MlpArch(**kw)
 
 
 def test_init_determinism_and_bounds():
@@ -305,7 +306,7 @@ def test_checkpoint_corruption(tmp_path, corrupt, match):
 
 
 def _write_raw_checkpoint(path, arch, arrays):
-    meta = json.dumps({"arch": arch.to_dict(), "has_pca": False, "metadata": {}}).encode()
+    meta = json.dumps({"arch": dataclasses.asdict(arch), "has_pca": False, "metadata": {}}).encode()
     payload = encode_named_arrays(arrays)
     path.write_bytes(b"RISM" + struct.pack("<II", 1, len(meta)) + meta
                      + struct.pack("<IQ", zlib.crc32(payload), len(payload)) + payload)

@@ -106,7 +106,7 @@ def test_scheduler_validation():
 ])
 def test_train_options_validation(bad):
     with pytest.raises(ValueError):
-        TrainOptions(**bad).validate()
+        TrainOptions(**bad)
 
 
 def _fit(seed=0, epochs=30):
