@@ -4,9 +4,10 @@ Each outer iteration sweeps the phase block, then the share block (unless a
 fixed allocation was supplied), taking a handful of gradient steps per block
 with a halving line search that never accepts a decrease, so the objective
 trace is monotone up to float noise. Every evaluation goes through the
-objective kernel in ``metrics``: each gradient step through its gradient
-path (``objective_value_and_gradients``), each line-search trial through
-its value-only path.
+objective kernel in ``metrics`` by its gradient path,
+``objective_value_and_gradients``: once at the starting point, then once
+or twice per step, each call scoring a stack of line-search trials with
+their gradients. The accepted trial's gradients drive the next step.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from .allocation import _project_columns
 from .channel import ChannelSet
 from .config import AT_LEAST_ONE, NON_NEGATIVE, POSITIVE, check_fields
-from .metrics import Allocation, PhaseConfig, _beam_matrix, _objective, _single, expand_columns
+from .metrics import Allocation, PhaseConfig, _beam_matrix, _objective, _single
 
 
 @dataclass(frozen=True)
@@ -55,21 +56,36 @@ class BcdTrace:
 def objective_value_and_gradients(ch: ChannelSet, theta, xi, w, alpha: float,
                                   noise_linear: float):
     """Objective plus exact gradients wrt phases and column shares; users
-    pinned at the rate floor contribute zero gradient."""
+    pinned at the rate floor contribute zero gradient.
+
+    Scores one instance, or a stack of trials when theta is (Q, L2) or xi
+    is (Q, K, L): the value is then a (Q,) array instead of a float, and
+    the gradients gain the leading Q axis.
+    """
     value, dtheta, dxi = _objective(*_single(ch, w, theta, xi), noise_linear, alpha, grads=True)
-    return float(value), dtheta, dxi
+    return (float(value) if np.ndim(value) == 0 else value), dtheta, dxi
 
 
-def _line_ascend(x, grad, project, evaluate, f_x, step0):
-    """One projected step, halving until the objective does not decrease."""
-    s = step0
-    for _ in range(30):
-        cand = project(x + s * grad)
-        f_c = evaluate(cand)
-        if f_c >= f_x:
-            return cand, f_c
-        s *= 0.5
-    return x, f_x
+def _line_ascend(x, f_x, grads, block, project, score, ladder, first):
+    """One projected step along grads[block], halving until the objective
+    does not decrease.
+
+    The trials x + ladder[j] * grads[block] are projected and scored as
+    stacks: the first ``first`` in one call, the rest of the ladder in a
+    second when none of those is accepted. Returns (point, value, gradients
+    there, trials used), or (x, f_x, grads, len(ladder)) when every trial
+    decreases the objective.
+    """
+    for lo, hi in ((0, first), (first, len(ladder))):
+        if lo == hi:
+            continue
+        trials = project(x + np.multiply.outer(ladder[lo:hi], grads[block]))
+        values, *trial_grads = score(trials)
+        accepted = np.flatnonzero(values >= f_x)
+        if accepted.size:
+            i = accepted[0]
+            return trials[i].copy(), float(values[i]), [g[i].copy() for g in trial_grads], lo + i + 1
+    return x, f_x, grads, len(ladder)
 
 
 def bcd_optimize(ch: ChannelSet, w, alpha: float, noise_linear: float,
@@ -94,32 +110,30 @@ def bcd_optimize(ch: ChannelSet, w, alpha: float, noise_linear: float,
         fixed_alloc.validate()
         xi = np.array(fixed_alloc.xi, dtype=float)
     w_mat = _beam_matrix(w)
+    ladder = np.cumprod([opts.step_size] + [0.5] * 29)  # the floats a halving loop gives
 
-    def value_of(th, mask):
-        """Value-only kernel path for line-search trials."""
-        return float(_objective(ch.g_ris, ch.h_rb, ch.h_direct, w_mat, th, mask, noise_linear, alpha))
+    def score(th, x):
+        return objective_value_and_gradients(ch, th, x, w_mat, alpha, noise_linear)
 
-    obj = value_of(theta, expand_columns(xi))
+    obj, *grads = score(theta, xi)
     if not np.isfinite(obj):
         raise RuntimeError("objective is not finite at the starting point")
     trace = BcdTrace(objectives=[obj], seconds=[0.0])
+    used = [1, 1]  # trials the last line search of each block needed
 
     for outer in range(1, opts.max_outer_iters + 1):
         tic = time.perf_counter()
 
-        mask = expand_columns(xi)
         for _ in range(opts.inner_steps_per_block):
-            _, dtheta, _ = objective_value_and_gradients(ch, theta, xi, w_mat, alpha, noise_linear)
-            theta, obj = _line_ascend(
-                theta, dtheta, lambda t: np.clip(t, 0.0, np.pi),
-                lambda t: value_of(t, mask), obj, opts.step_size)
+            theta, obj, grads, used[0] = _line_ascend(
+                theta, obj, grads, 0, lambda t: np.clip(t, 0.0, np.pi),
+                lambda t: score(t, xi), ladder, used[0])
 
         if fixed_alloc is None:
             for _ in range(opts.inner_steps_per_block):
-                _, _, dxi = objective_value_and_gradients(ch, theta, xi, w_mat, alpha, noise_linear)
-                xi, obj = _line_ascend(
-                    xi, dxi, lambda x: _project_columns(x)[0],
-                    lambda x: value_of(theta, expand_columns(x)), obj, opts.step_size)
+                xi, obj, grads, used[1] = _line_ascend(
+                    xi, obj, grads, 1, lambda x: _project_columns(x)[0],
+                    lambda x: score(theta, x), ladder, used[1])
 
         trace.objectives.append(obj)
         trace.seconds.append(time.perf_counter() - tic)
@@ -130,10 +144,3 @@ def bcd_optimize(ch: ChannelSet, w, alpha: float, noise_linear: float,
             break
 
     return PhaseConfig(theta), Allocation(xi, mode="relaxed"), trace
-
-
-def bcd_complexity_estimate(num_users: int, num_columns: int) -> int:
-    """Dominant per-iteration operation count: K^2 L^2 + K L^2."""
-    if num_users < 1 or num_columns < 1:
-        raise ValueError("counts must be >= 1")
-    return num_users * num_users * num_columns * num_columns + num_users * num_columns * num_columns

@@ -120,6 +120,15 @@ class ScenarioConfig:
         object.__setattr__(self, "ris_position", tuple(float(v) for v in self.ris_position))
         if abs(self.bs_height - self.bs_position[2]) > 1e-9:
             raise ConfigError("bs_height must match the z coordinate of bs_position")
+        for name, derived in (("tx_power", "tx_power_watts"), ("noise_power", "noise_watts"),
+                              ("area_side", "area_km2")):
+            try:
+                value = getattr(self, derived)
+            except OverflowError:
+                value = math.inf
+            if not 0.0 < value < math.inf:
+                raise ConfigError(f"{name} = {getattr(self, name)!r} gives {derived} = {value!r}, "
+                                  "which must be a positive finite number")
 
     # ---- derived quantities ----
 

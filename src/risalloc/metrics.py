@@ -1,9 +1,9 @@
 """Allocation masking, rates, and fairness objectives.
 
 The objective lives in one private kernel, ``_objective``, over stacked
-instances, with a value-only and a gradient path. Its one-instance callers
+instances, with a value-only and a gradient path. Its one-channel callers
 are ``user_rates`` and ``sum_utility`` here and
-``bcd.objective_value_and_gradients``.
+``bcd.objective_value_and_gradients``, which also scores stacks of trials.
 """
 
 from __future__ import annotations
@@ -146,8 +146,10 @@ def _objective(g_ris, h_rb, h_direct, w, theta, mask, noise_linear: float,
 
 
 def _single(ch: ChannelSet, w, theta, xi):
-    """Kernel inputs for one instance; theta may be a PhaseConfig, xi an Allocation."""
-    theta = theta.theta if isinstance(theta, PhaseConfig) else np.asarray(theta, dtype=float).reshape(-1)
+    """Kernel inputs for one channel; theta may be a PhaseConfig, xi an
+    Allocation, or either one a stack of trials, theta (Q, L2) or xi (Q, K, L)."""
+    theta = theta.theta if isinstance(theta, PhaseConfig) else np.asarray(theta, dtype=float)
+    theta = theta if theta.ndim == 2 else theta.reshape(-1)
     mask = expand_columns(xi.xi if isinstance(xi, Allocation) else xi)
     return ch.g_ris, ch.h_rb, ch.h_direct, _beam_matrix(w), theta, mask
 

@@ -2,16 +2,18 @@
 
 Everything here is written with explicit loops, on purpose: the library is
 vectorized, so agreement between the two is a meaningful check rather than
-the same code evaluated twice. The column projection and the exhaustive
-search loop keep the arithmetic of the library's batched versions, so those
-are compared with them bit for bit.
+the same code evaluated twice. The column projection, the exhaustive
+search loop and the serial bcd solver keep the arithmetic of the library's
+batched versions, so those are compared with them bit for bit.
 """
 
 import itertools
 
 import numpy as np
 
-from risalloc import ChannelSet, sum_utility
+from risalloc import BcdOptions, ChannelSet, sum_utility
+from risalloc.allocation import _project_columns
+from risalloc.metrics import _objective, expand_columns
 
 
 def toy_channels(num_users=2, num_antennas=2, side=2, seed=0, scale=1.0):
@@ -130,3 +132,52 @@ def brute_force_loop(ch, w, alpha, noise, nu, include_off=True):
             if best is None or u > best[2]:
                 best = (theta, xi, u)
     return best
+
+
+def line_ascend_serial(x, grad, project, evaluate, f_x, step0):
+    """One projected step, halving until the objective does not decrease,
+    one trial at a time. Returns (point, value, trials scored)."""
+    s = step0
+    for j in range(30):
+        cand = project(x + s * grad)
+        f_c = evaluate(cand)
+        if f_c >= f_x:
+            return cand, f_c, j + 1
+        s *= 0.5
+    return x, f_x, 30
+
+
+def bcd_serial(ch, w, alpha, noise, options=None, fixed_alloc=None):
+    """Block ascent with one gradient call per step and one value-only
+    kernel call per line-search trial. Returns (theta, xi, objectives)."""
+    opts = options or BcdOptions()
+    rng = np.random.default_rng(opts.seed)
+    K, L = ch.num_users, ch.side
+    theta = rng.uniform(0.0, np.pi, size=ch.num_elements)
+    xi = np.full((K, L), 1.0 / K) if fixed_alloc is None else np.array(fixed_alloc.xi, dtype=float)
+
+    def value_of(th, mask):
+        return float(_objective(ch.g_ris, ch.h_rb, ch.h_direct, w, th, mask, noise, alpha))
+
+    def grads(th, x):
+        _, dtheta, dxi = _objective(ch.g_ris, ch.h_rb, ch.h_direct, w, th, expand_columns(x),
+                                    noise, alpha, grads=True)
+        return dtheta, dxi
+
+    obj = value_of(theta, expand_columns(xi))
+    objectives = [obj]
+    for _ in range(opts.max_outer_iters):
+        mask = expand_columns(xi)
+        for _ in range(opts.inner_steps_per_block):
+            theta, obj, _ = line_ascend_serial(
+                theta, grads(theta, xi)[0], lambda t: np.clip(t, 0.0, np.pi),
+                lambda t: value_of(t, mask), obj, opts.step_size)
+        if fixed_alloc is None:
+            for _ in range(opts.inner_steps_per_block):
+                xi, obj, _ = line_ascend_serial(
+                    xi, grads(theta, xi)[1], lambda x: _project_columns(x)[0],
+                    lambda x: value_of(theta, expand_columns(x)), obj, opts.step_size)
+        objectives.append(obj)
+        if abs(obj - objectives[-2]) <= opts.tol * max(1.0, abs(objectives[-2])):
+            break
+    return theta, xi, objectives

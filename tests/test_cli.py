@@ -1,14 +1,17 @@
 import csv
 import dataclasses
 import json
+import os
 import struct
 import subprocess
 import sys
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import risalloc
 from risalloc import (BcdOptions, MlpArch, ScenarioConfig, TrainOptions, feature_dimension,
                       init_model, load_checkpoint, load_dataset, save_checkpoint)
 from risalloc.cli import main
@@ -83,6 +86,9 @@ def test_generate_rejects_empty(tmp_path, cfg_path, capsys):
     (lambda d: d.update(area_side=float("nan")), "area_side"),
     (lambda d: d.update(noise_power=float("nan")), "noise_power"),
     (lambda d: d.update(tx_power=float("inf")), "tx_power"),
+    pytest.param(lambda d: d.update(tx_power=1e5), "tx_power", id="tx_power-overflows"),
+    pytest.param(lambda d: d.update(noise_power=-1e5), "noise_power", id="noise_power-underflows"),
+    pytest.param(lambda d: d.update(area_side=1e300), "area_side", id="area_side-overflows"),
 ])
 def test_scenario_field_errors(tmp_path, capsys, mutate, needle):
     scen = tiny_scenario().to_dict()
@@ -454,3 +460,30 @@ def test_module_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "generate" in proc.stdout and "compare" in proc.stdout
+
+
+def _pipeline_bytes(tmp_path, threads):
+    """generate, bcd and compare in fresh interpreters at one BLAS thread
+    count; every output file's bytes, the trace without its seconds column."""
+    out = tmp_path / f"threads{threads}"
+    src = str(Path(risalloc.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "OMP_NUM_THREADS": str(threads),
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    config = write_config(tmp_path / "config.json")
+    for args in (["generate", "--config", config, "--n-train", "2", "--n-val", "1", "--seed", "5",
+                  "--out", out / "ds"],
+                 ["bcd", "--data", out / "ds", "--index", "0", "--out", out / "solve"],
+                 ["compare", "--data", out / "ds", "--scheme", "uniform", "--scheme", "bcd",
+                  "--out", out / "cmp.csv"]):
+        proc = subprocess.run([sys.executable, "-m", "risalloc", *map(str, args)], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+    files = {rel: (out / rel).read_bytes()
+             for rel in ("ds/records.bin", "ds/manifest.json", "solve/result.json", "cmp.csv")}
+    trace = (out / "solve/trace.csv").read_text().splitlines()
+    files["solve/trace.csv"] = [line.rsplit(",", 1)[0] for line in trace]
+    return files
+
+
+def test_outputs_do_not_depend_on_blas_threads(tmp_path):
+    assert _pipeline_bytes(tmp_path, 1) == _pipeline_bytes(tmp_path, 2)
