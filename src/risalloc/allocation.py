@@ -31,13 +31,13 @@ def _project_columns(x: np.ndarray):
     return np.where(face, z, clipped), on_simplex, np.where(face, z > 0, x > 0.0)
 
 
-def project_feasible(xi_raw) -> Allocation:
+def project_feasible(xi_raw: np.ndarray) -> Allocation:
     """Nearest feasible relaxed allocation, column by column."""
-    arr = xi_raw.xi if isinstance(xi_raw, Allocation) else np.asarray(xi_raw, dtype=float)
+    arr = np.asarray(xi_raw, dtype=float)
     if arr.ndim != 2:
         raise ValueError("expected a 2-D users-by-columns array")
     proj, _, _ = _project_columns(arr)
-    return Allocation(proj, mode="relaxed")
+    return Allocation(proj)
 
 
 def project_feasible_with_vjp(xi_raw: np.ndarray):
@@ -62,22 +62,20 @@ def project_feasible_with_vjp(xi_raw: np.ndarray):
     return proj, vjp
 
 
-def binarize(xi, threshold: float = 0.5) -> Allocation:
+def binarize(xi: np.ndarray) -> Allocation:
     """Round relaxed column shares to a hard assignment.
 
-    Each column goes entirely to its largest share when that share reaches
-    the threshold, otherwise it stays unassigned. Ties break toward the
+    Each column goes entirely to its largest share when that share is at
+    least 0.5, otherwise it stays unassigned. Ties break toward the
     smallest user index.
     """
-    if not 0.0 < threshold < 1.0:
-        raise ValueError("threshold must lie strictly inside (0, 1)")
-    arr = xi.xi if isinstance(xi, Allocation) else np.asarray(xi, dtype=float)
+    arr = np.asarray(xi, dtype=float)
     out = np.zeros_like(arr)
     winners = np.argmax(arr, axis=0)
     cols = np.arange(arr.shape[1])
-    taken = cols[arr[winners, cols] >= threshold]
+    taken = cols[arr[winners, cols] >= 0.5]
     out[winners[taken], taken] = 1.0
-    return Allocation(out, mode="binary")
+    return Allocation(out)
 
 
 def uniform_contiguous(num_users: int, num_columns: int) -> Allocation:
@@ -90,7 +88,7 @@ def uniform_contiguous(num_users: int, num_columns: int) -> Allocation:
     xi = np.zeros((num_users, num_columns))
     for k in range(num_users):
         xi[k, k * share:(k + 1) * share] = 1.0
-    return Allocation(xi, mode="binary")
+    return Allocation(xi)
 
 
 def mrt_beamformers(ch: ChannelSet, tx_power_watts: float) -> Beamformers:

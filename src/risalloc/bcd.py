@@ -21,7 +21,7 @@ import numpy as np
 from .allocation import _project_columns
 from .channel import ChannelSet
 from .config import AT_LEAST_ONE, NON_NEGATIVE, POSITIVE, check_fields
-from .metrics import Allocation, PhaseConfig, _beam_matrix, _objective, _single
+from .metrics import Allocation, PhaseConfig, _objective, _single
 
 
 @dataclass(frozen=True)
@@ -109,11 +109,10 @@ def bcd_optimize(ch: ChannelSet, w, alpha: float, noise_linear: float,
     else:
         fixed_alloc.validate()
         xi = np.array(fixed_alloc.xi, dtype=float)
-    w_mat = _beam_matrix(w)
     ladder = np.cumprod([opts.step_size] + [0.5] * 29)  # the floats a halving loop gives
 
     def score(th, x):
-        return objective_value_and_gradients(ch, th, x, w_mat, alpha, noise_linear)
+        return objective_value_and_gradients(ch, th, x, w, alpha, noise_linear)
 
     obj, *grads = score(theta, xi)
     if not np.isfinite(obj):
@@ -143,4 +142,4 @@ def bcd_optimize(ch: ChannelSet, w, alpha: float, noise_linear: float,
         if abs(obj - prev) <= opts.tol * max(1.0, abs(prev)):
             break
 
-    return PhaseConfig(theta), Allocation(xi, mode="relaxed"), trace
+    return PhaseConfig(theta), Allocation(xi), trace

@@ -15,7 +15,7 @@ import itertools
 import numpy as np
 
 from .channel import ChannelSet
-from .metrics import Allocation, PhaseConfig, _beam_matrix, _objective, expand_columns
+from .metrics import Allocation, PhaseConfig, _objective, expand_columns
 
 _CHUNK = 4096  # phase configurations scored per kernel call
 
@@ -30,20 +30,21 @@ class BudgetExceededError(RuntimeError):
         self.budget = budget
 
 
-def enumeration_count(num_users: int, num_columns: int, num_elements: int,
-                      nu: int, include_off: bool = True) -> int:
-    """Configurations the search would visit (exact integer)."""
+def enumeration_count(num_users: int, num_columns: int, num_elements: int, nu: int) -> int:
+    """Configurations the search would visit (exact integer): each column
+    goes to one user or stays off."""
     slots = num_elements if num_elements <= 4 else num_columns
-    return (num_users + bool(include_off)) ** num_columns * nu ** slots
+    return (num_users + 1) ** num_columns * nu ** slots
 
 
 def brute_force(ch: ChannelSet, w, alpha: float, noise_linear: float, nu: int,
-                include_off: bool = True, budget: int = 10_000_000):
+                budget: int = 10_000_000):
     """Grid-search every hard assignment and quantized phase combination.
 
-    Phases come from nu evenly spaced levels spanning [0, pi] (nu = 1 pins
-    them at 0). Ties resolve to the first configuration in enumeration
-    order, i.e. the lexicographically smallest with "off" sorting last.
+    Each column goes to one user or stays off. Phases come from nu evenly
+    spaced levels spanning [0, pi] (nu = 1 pins them at 0). Ties resolve to
+    the first configuration in enumeration order, i.e. the
+    lexicographically smallest with "off" sorting last.
     Returns (PhaseConfig, Allocation, utility).
     """
     if nu < 1:
@@ -52,7 +53,7 @@ def brute_force(ch: ChannelSet, w, alpha: float, noise_linear: float, nu: int,
     L2 = ch.num_elements
     L = ch.side
 
-    count = enumeration_count(K, L, L2, nu, include_off)
+    count = enumeration_count(K, L, L2, nu)
     if count > budget:
         raise BudgetExceededError(count, budget)
 
@@ -61,13 +62,12 @@ def brute_force(ch: ChannelSet, w, alpha: float, noise_linear: float, nu: int,
     grid = np.array([0.0]) if nu == 1 else np.linspace(0.0, np.pi, nu)
     n_phases = nu ** slots
     place = nu ** np.arange(slots - 1, -1, -1)  # grid index of slot s is digit s of j in base nu
-    choices = list(range(K)) + ([K] if include_off else [])  # K = "off", sorts last
-    inputs = ch.g_ris, ch.h_rb, ch.h_direct, _beam_matrix(w)
+    inputs = ch.g_ris, ch.h_rb, ch.h_direct, w
 
     best_utility = None
     best_theta = None
     best_alloc = None
-    for assign in itertools.product(choices, repeat=L):
+    for assign in itertools.product(range(K + 1), repeat=L):  # K = "off", sorts last
         xi = np.zeros((K, L))
         for c, a in enumerate(assign):
             if a < K:
@@ -82,5 +82,5 @@ def brute_force(ch: ChannelSet, w, alpha: float, noise_linear: float, nu: int,
             if best_utility is None or values[best] > best_utility:
                 best_utility = values[best]
                 best_theta = thetas[best]
-                best_alloc = Allocation(xi, mode="binary")
+                best_alloc = Allocation(xi)
     return PhaseConfig(best_theta), best_alloc, float(best_utility)

@@ -15,12 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SPEED_OF_LIGHT, ScenarioConfig
+from .config import MAX_DIST_2D, SPEED_OF_LIGHT, ScenarioConfig
 from .geometry import Deployment, is_blocked
 
 ENV_HEIGHT = 1.0        # effective environment height for the breakpoint, m
 MIN_DIST_2D = 10.0      # model validity floor; shorter links are clamped
-MAX_DIST_2D = 5000.0    # model validity ceiling
 ELEMENT_SPACING = 0.5   # array spacing in wavelengths
 
 

@@ -125,8 +125,9 @@ def cmd_generate(args) -> int:
 def cmd_train(args) -> int:
     samples, manifest = load_dataset(args.data)
     train_s, val_s = train_val_split(samples, manifest)
-    if not train_s or not val_s:
-        raise DatasetError("training needs non-empty train and validation splits")
+    if len(train_s) < 2 or not val_s:
+        raise DatasetError(f"training needs at least 2 training samples and 1 validation sample, "
+                           f"got {len(train_s)} and {len(val_s)}")
 
     training = load_config_file(args.config)[2] if args.config else TrainOptions()
     opts = _with_flags(training, {
@@ -233,14 +234,10 @@ def _load_model_for(schemes, model_path, ch):
 def _solve_sample(scheme, sample, index, alpha, noise, opts, model, pca, nu, budget):
     """Run one scheme on one drop; returns (theta, allocation)."""
     ch, w = sample.channels, sample.w
-    if scheme == "uniform":
-        fixed = uniform_contiguous(ch.num_users, ch.side)
+    if scheme in ("uniform", "bcd"):
+        fixed = uniform_contiguous(ch.num_users, ch.side) if scheme == "uniform" else None
         per = dataclasses.replace(opts, seed=_per_sample_seed(opts.seed, index))
         theta, xi, _ = bcd_optimize(ch, w, alpha, noise, per, fixed_alloc=fixed)
-        return theta, xi
-    if scheme == "bcd":
-        per = dataclasses.replace(opts, seed=_per_sample_seed(opts.seed, index))
-        theta, xi, _ = bcd_optimize(ch, w, alpha, noise, per)
         return theta, xi
     if scheme in _NN_SCHEMES:
         z = flatten_features(ch)
@@ -248,10 +245,8 @@ def _solve_sample(scheme, sample, index, alpha, noise, opts, model, pca, nu, bud
             z = pca_transform(pca, z)
         theta_b, xi_b, _ = mlp_forward(model, z, train_mode=False)
         return theta_b[0], project_feasible(xi_b[0])
-    if scheme == "brute":
-        theta, alloc, _ = brute_force(ch, w, alpha, noise, nu=nu, budget=budget)
-        return theta, alloc
-    raise ConfigError(f"unknown scheme {scheme!r}; choose from {', '.join(_ALL_SCHEMES)}")
+    theta, alloc, _ = brute_force(ch, w, alpha, noise, nu=nu, budget=budget)  # "brute"
+    return theta, alloc
 
 
 def cmd_compare(args) -> int:
@@ -266,11 +261,7 @@ def cmd_compare(args) -> int:
     if not split:
         raise DatasetError(f"split {args.split!r} is empty")
 
-    schemes = args.scheme or ["uniform", "bcd"]
-    bad = sorted(set(schemes) - set(_ALL_SCHEMES))
-    if bad:
-        raise ConfigError(
-            f"unknown scheme(s) {', '.join(bad)}; choose from {', '.join(_ALL_SCHEMES)}")
+    schemes = args.scheme or ["uniform", "bcd"]  # the parser's choices refused unknown names
     model, pca = _load_model_for(schemes, args.model, split[0].channels)
     solver = load_config_file(args.config)[1] if args.config else BcdOptions()
     opts = _with_flags(solver, {"--seed": ("seed", args.seed)})

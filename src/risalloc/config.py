@@ -15,6 +15,10 @@ import numbers
 from dataclasses import asdict, dataclass, fields
 
 SPEED_OF_LIGHT = 3.0e8  # free-space propagation speed, m/s
+MAX_DIST_2D = 5000.0    # ground distance ceiling of the channel model's pathloss laws, m
+# Ceiling on blockage_density * area_km2, the expected blockages per drop:
+# is_blocked loops in Python over every rectangle on every link.
+MAX_EXPECTED_BLOCKAGES = 1e6
 
 
 class ConfigError(ValueError):
@@ -87,7 +91,8 @@ class ScenarioConfig:
     the reflecting surface at ``ris_position`` with ``ris_side`` x
     ``ris_side`` elements. Users drop uniformly over the
     ``area_side`` x ``area_side`` square with x, y >= 0, so everything stays
-    on the same side of the transmitter and the surface.
+    on the same side of the transmitter and the surface. Every link the
+    channel model synthesises must span at most MAX_DIST_2D on the ground.
     """
 
     bs_position: tuple = (0.0, 0.0, 10.0)
@@ -129,6 +134,28 @@ class ScenarioConfig:
             if not 0.0 < value < math.inf:
                 raise ConfigError(f"{name} = {getattr(self, name)!r} gives {derived} = {value!r}, "
                                   "which must be a positive finite number")
+        self._check_link_ranges()
+        expected = self.blockage_density * self.area_km2
+        if not expected <= MAX_EXPECTED_BLOCKAGES:
+            raise ConfigError(f"blockage_density = {self.blockage_density!r} expects {expected!r} "
+                              f"blockages per drop, over the {MAX_EXPECTED_BLOCKAGES:g} allowed")
+
+    def _check_link_ranges(self):
+        """The transmitter-to-surface hop, and every corner of the service
+        square seen from the transmitter and from the surface, lie within
+        MAX_DIST_2D on the ground; a user link then does too."""
+        (bx, by, _), (rx, ry, _) = self.bs_position, self.ris_position
+        hop = math.hypot(rx - bx, ry - by)
+        if not hop <= MAX_DIST_2D:
+            raise ConfigError(f"bs_position and ris_position are {hop!r} m apart on the ground, "
+                              f"beyond the channel model's {MAX_DIST_2D:g} m")
+        a = self.area_side
+        for name, (x, y) in (("bs_position", (bx, by)), ("ris_position", (rx, ry))):
+            far = max(math.hypot(cx - x, cy - y) for cx in (0.0, a) for cy in (0.0, a))
+            if not far <= MAX_DIST_2D:
+                raise ConfigError(f"area_side = {a!r} puts a corner of the service square {far!r} m "
+                                  f"from {name} on the ground, beyond the channel model's "
+                                  f"{MAX_DIST_2D:g} m")
 
     # ---- derived quantities ----
 
@@ -136,10 +163,6 @@ class ScenarioConfig:
     def total_elements(self) -> int:
         """Number of surface elements, L^2."""
         return self.ris_side * self.ris_side
-
-    @property
-    def carrier_freq_hz(self) -> float:
-        return self.carrier_freq * 1e9
 
     @property
     def tx_power_watts(self) -> float:
@@ -160,14 +183,6 @@ class ScenarioConfig:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ScenarioConfig":
-        return parse_settings(cls, data, "scenario")
-
-    @classmethod
-    def from_json(cls, text: str) -> "ScenarioConfig":
-        return cls.from_dict(json.loads(text))
 
 
 def desk_config() -> ScenarioConfig:

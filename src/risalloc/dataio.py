@@ -20,7 +20,7 @@ import numpy as np
 
 from .allocation import mrt_beamformers
 from .channel import ChannelSet, synth_channels
-from .config import ConfigError, ScenarioConfig, is_int
+from .config import ConfigError, ScenarioConfig, is_int, parse_settings
 from .geometry import Deployment, deploy
 from .serial import decode_named_arrays, encode_named_arrays
 
@@ -85,7 +85,7 @@ class DatasetManifest:
             if not (is_int(body["format_version"]) and body["format_version"] == FORMAT_VERSION):
                 raise DatasetVersionError(f"manifest is format version {body['format_version']!r}; "
                                           f"this library reads {FORMAT_VERSION}")
-            return cls(ScenarioConfig.from_dict(body["config"]), **ints)
+            return cls(parse_settings(ScenarioConfig, body["config"], "scenario"), **ints)
         except ConfigError:
             raise
         except (KeyError, ValueError, TypeError) as exc:

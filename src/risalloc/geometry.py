@@ -1,8 +1,7 @@
 """Seeded placement of users and blockages, plus ground-plane LOS testing.
 
-Users follow a Poisson point process conditioned on the configured count
-(fixed-count mode keeps feature dimensions constant downstream); the
-unconditioned process is available for statistics checks. Blockages are
+Users follow a Poisson point process conditioned on the configured count,
+which keeps feature dimensions constant downstream. Blockages are
 rectangles with exponentially distributed side lengths and uniform
 orientation, and a link counts as blocked when its ground-plane segment
 crosses any rectangle.
@@ -33,17 +32,11 @@ class Deployment:
         return int(self.ue_positions.shape[0])
 
 
-def deploy_ues(config: ScenarioConfig, seed: int, fixed_count: bool = True) -> np.ndarray:
-    """Drop users uniformly over the service square at ue_height.
-
-    fixed_count=True conditions the point process on exactly ``num_ues``
-    points; otherwise the count is Poisson(ue_density * area_km2).
-    """
+def deploy_ues(config: ScenarioConfig, seed: int) -> np.ndarray:
+    """Drop exactly ``num_ues`` users uniformly over the service square at
+    ue_height."""
     rng = np.random.default_rng(seed)
-    if fixed_count:
-        n = config.num_ues
-    else:
-        n = int(rng.poisson(config.ue_density * config.area_km2))
+    n = config.num_ues
     xy = rng.uniform(0.0, config.area_side, size=(n, 2))
     z = np.full((n, 1), config.ue_height)
     return np.hstack([xy, z])

@@ -31,44 +31,28 @@ class PhaseConfig:
     def __post_init__(self):
         self.theta = np.asarray(self.theta, dtype=float).reshape(-1)
 
-    def validate(self) -> "PhaseConfig":
-        if np.any(self.theta < -_FEAS_EPS) or np.any(self.theta > np.pi + _FEAS_EPS):
-            raise ValueError("phases must lie in [0, pi]")
-        return self
-
 
 @dataclass
 class Allocation:
     """Per-user element shares.
 
-    xi is (K, L): entry (k, c) is user k's share of surface column c, and
-    each column's shares sum to at most 1. mode is "relaxed" (shares in
-    [0, 1]) or "binary" (shares in {0, 1}).
+    xi is (K, L): entry (k, c) is user k's share of surface column c, in
+    [0, 1], and each column's shares sum to at most 1.
     """
 
     xi: np.ndarray
-    mode: str = "relaxed"
 
     def __post_init__(self):
         self.xi = np.asarray(self.xi, dtype=float)
         if self.xi.ndim != 2:
             raise ValueError("xi must be 2-D (users x columns)")
-        if self.mode not in ("relaxed", "binary"):
-            raise ValueError(f"unknown allocation mode {self.mode!r}")
 
     def validate(self) -> "Allocation":
         if np.any(self.xi < -_FEAS_EPS) or np.any(self.xi > 1.0 + _FEAS_EPS):
             raise ValueError("allocation entries must lie in [0, 1]")
         if np.any(self.xi.sum(axis=0) > 1.0 + _FEAS_EPS):
             raise ValueError("column shares must sum to at most 1")
-        if self.mode == "binary":
-            if not np.all((self.xi == 0.0) | (self.xi == 1.0)):
-                raise ValueError("binary allocation entries must be 0 or 1")
         return self
-
-    @property
-    def num_users(self) -> int:
-        return int(self.xi.shape[0])
 
 
 @dataclass
@@ -79,13 +63,6 @@ class Beamformers:
 
     def __post_init__(self):
         self.w = np.asarray(self.w, dtype=complex)
-
-    def validate(self, tx_power_watts: float) -> "Beamformers":
-        target = tx_power_watts / self.w.shape[0]
-        norms = np.sum(np.abs(self.w) ** 2, axis=1)
-        if not np.allclose(norms, target, rtol=1e-9, atol=0):
-            raise ValueError("each beam must carry exactly P_t / K")
-        return self
 
 
 def expand_columns(xi) -> np.ndarray:
@@ -98,10 +75,6 @@ def expand_columns(xi) -> np.ndarray:
     arr = np.asarray(xi, dtype=float)
     reps = arr.shape[-1]
     return np.repeat(arr, reps, axis=arr.ndim - 1)
-
-
-def _beam_matrix(w) -> np.ndarray:
-    return w.w if isinstance(w, Beamformers) else np.asarray(w, dtype=complex)
 
 
 def _objective(g_ris, h_rb, h_direct, w, theta, mask, noise_linear: float,
@@ -146,12 +119,13 @@ def _objective(g_ris, h_rb, h_direct, w, theta, mask, noise_linear: float,
 
 
 def _single(ch: ChannelSet, w, theta, xi):
-    """Kernel inputs for one channel; theta may be a PhaseConfig, xi an
-    Allocation, or either one a stack of trials, theta (Q, L2) or xi (Q, K, L)."""
+    """Kernel inputs for one channel and the (K, N) beam matrix w; theta may
+    be a PhaseConfig, xi an Allocation, or either one a stack of trials,
+    theta (Q, L2) or xi (Q, K, L)."""
     theta = theta.theta if isinstance(theta, PhaseConfig) else np.asarray(theta, dtype=float)
     theta = theta if theta.ndim == 2 else theta.reshape(-1)
     mask = expand_columns(xi.xi if isinstance(xi, Allocation) else xi)
-    return ch.g_ris, ch.h_rb, ch.h_direct, _beam_matrix(w), theta, mask
+    return ch.g_ris, ch.h_rb, ch.h_direct, w, theta, mask
 
 
 def user_rates(ch: ChannelSet, theta, xi, w, noise_linear: float) -> np.ndarray:

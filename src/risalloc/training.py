@@ -16,21 +16,21 @@ import numpy as np
 from .allocation import _project_columns, project_feasible_with_vjp
 from .config import AT_LEAST_ONE, NON_NEGATIVE, POSITIVE, ConfigError, check_fields
 from .features import PcaModel, feature_matrix, pca_fit, pca_transform
-from .metrics import _beam_matrix, _objective, expand_columns
+from .metrics import _objective, expand_columns
 from .mlp import (LAYER_RULES, MlpArch, MlpModel, adam_step, init_adam, init_model, mlp_backward,
                   mlp_forward)
 
 
 def _batch(theta_batch, xi_batch, ch_batch, w_batch):
-    """Raw shares (Q, K, L), then the kernel inputs stacked over the batch."""
-    theta_batch = np.atleast_2d(np.asarray(theta_batch, dtype=float))
+    """Raw shares (Q, K, L), then the kernel inputs stacked over the batch;
+    theta_batch is (Q, L2), xi_batch (Q, K, L)."""
+    theta_batch = np.asarray(theta_batch, dtype=float)
     xi_batch = np.asarray(xi_batch, dtype=float)
-    xi_batch = xi_batch.reshape((-1,) + xi_batch.shape[-2:])
     Q = len(ch_batch)
     if not (theta_batch.shape[0] == xi_batch.shape[0] == Q == len(w_batch)):
         raise ValueError("batch sizes disagree")
     return (xi_batch, np.stack([c.g_ris for c in ch_batch]), np.stack([c.h_rb for c in ch_batch]),
-            np.stack([c.h_direct for c in ch_batch]), np.stack([_beam_matrix(w) for w in w_batch]),
+            np.stack([c.h_direct for c in ch_batch]), np.stack(w_batch),
             theta_batch)
 
 

@@ -108,7 +108,7 @@ def project_columns(x):
     return out, on_simplex, active
 
 
-def brute_force_loop(ch, w, alpha, noise, nu, include_off=True):
+def brute_force_loop(ch, w, alpha, noise, nu):
     """Exhaustive search scoring one configuration per sum_utility call.
 
     Same enumeration order as the library (assignments outer with "off"
@@ -121,7 +121,7 @@ def brute_force_loop(ch, w, alpha, noise, nu, include_off=True):
     slots = L2 if L2 <= 4 else L
     grid = [0.0] if nu == 1 else list(np.linspace(0.0, np.pi, nu))
     best = None
-    for assign in itertools.product(list(range(K + include_off)), repeat=L):
+    for assign in itertools.product(range(K + 1), repeat=L):
         xi = np.zeros((K, L))
         for c in range(L):
             if assign[c] < K:

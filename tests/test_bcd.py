@@ -91,7 +91,7 @@ def test_bcd_trace_monotone_and_feasible():
         theta, xi, trace = bcd_optimize(ch, w, 1.0, NOISE, BcdOptions(seed=seed))
         obj = np.asarray(trace.objectives)
         assert np.all(np.diff(obj) >= -1e-9)
-        theta.validate()
+        assert np.all((theta.theta >= 0.0) & (theta.theta <= np.pi))
         xi.validate()
         assert len(trace.seconds) == len(trace.objectives)
 

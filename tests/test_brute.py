@@ -12,7 +12,7 @@ def test_enumeration_count_formula():
     assert enumeration_count(1, 1, 1, 2) == 4          # {assign, off} x {0, pi}
     assert enumeration_count(2, 3, 9, 8) == 13824      # 3^3 column picks, 8^3 shared phases
     assert enumeration_count(2, 2, 4, 3) == 729        # tiny surface: per-element phases
-    assert enumeration_count(1, 2, 4, 2, include_off=False) == 16
+    assert enumeration_count(1, 2, 4, 2) == 64         # 2^2 column picks, 2^4 phases
 
 
 def test_budget_refusal_carries_counts():
@@ -46,7 +46,7 @@ def test_returned_value_is_feasible_maximum():
     w = mrt_beamformers(ch, 1.0).w
     theta, alloc, val = brute_force(ch, w, 0.5, NOISE, nu=3)
     alloc.validate()
-    theta.validate()
+    assert np.all((theta.theta >= 0.0) & (theta.theta <= np.pi))
     assert val == pytest.approx(sum_utility(ch, theta, alloc, w, 0.5, NOISE), rel=1e-12)
     # no enumerated configuration beats it
     rng = np.random.default_rng(3)
@@ -105,13 +105,6 @@ def test_degenerate_ties_resolve_to_first_configuration():
     assert np.all(theta.theta == 0.0)
 
 
-def test_include_off_false_assigns_every_column():
-    ch = oracles.toy_channels(num_users=2, side=2, seed=9)
-    w = mrt_beamformers(ch, 1.0).w
-    _, alloc, _ = brute_force(ch, w, 1.0, NOISE, nu=2, include_off=False)
-    assert np.all(alloc.xi.sum(axis=0) == 1.0)
-
-
 def test_nu_must_be_positive():
     ch = oracles.toy_channels(seed=10)
     w = mrt_beamformers(ch, 1.0).w
@@ -119,25 +112,26 @@ def test_nu_must_be_positive():
         brute_force(ch, w, 1.0, NOISE, nu=0)
 
 
+# The ids keep their earlier four-field form, whose third field chose whether
+# the search could leave a column off; every row now searches "off" too.
 @pytest.mark.parametrize("chunk", [4096, 5])
-@pytest.mark.parametrize("side,nu,include_off,degenerate", [
-    (3, 3, True, False),
-    (3, 1, True, False),
-    (3, 2, False, False),
-    (2, 3, True, False),
-    (2, 1, False, False),
-    (2, 2, False, True),
-    (2, 3, True, True),
+@pytest.mark.parametrize("side,nu,degenerate", [
+    pytest.param(3, 3, False, id="3-3-True-False"),
+    pytest.param(3, 1, False, id="3-1-True-False"),
+    pytest.param(3, 2, False, id="3-2-False-False"),
+    pytest.param(2, 3, False, id="2-3-True-False"),
+    pytest.param(2, 1, False, id="2-1-False-False"),
+    pytest.param(2, 2, True, id="2-2-False-True"),
+    pytest.param(2, 3, True, id="2-3-True-True"),
 ])
-def test_batched_search_matches_per_configuration_loop(monkeypatch, chunk, side, nu,
-                                                       include_off, degenerate):
+def test_batched_search_matches_per_configuration_loop(monkeypatch, chunk, side, nu, degenerate):
     monkeypatch.setattr(brute, "_CHUNK", chunk)
     ch = oracles.toy_channels(num_users=2, side=side, seed=10 * side + nu)
     if degenerate:                               # every phase configuration ties
         ch.g_ris[:] = 0.0
     w = mrt_beamformers(ch, 1.0).w
-    theta, alloc, u = brute_force(ch, w, 0.7, NOISE, nu=nu, include_off=include_off)
-    ref_theta, ref_xi, ref_u = oracles.brute_force_loop(ch, w, 0.7, NOISE, nu, include_off)
+    theta, alloc, u = brute_force(ch, w, 0.7, NOISE, nu=nu)
+    ref_theta, ref_xi, ref_u = oracles.brute_force_loop(ch, w, 0.7, NOISE, nu)
     assert u == ref_u
     assert theta.theta.tobytes() == ref_theta.tobytes()
     assert alloc.xi.tobytes() == ref_xi.tobytes()

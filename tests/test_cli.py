@@ -89,6 +89,12 @@ def test_generate_rejects_empty(tmp_path, cfg_path, capsys):
     pytest.param(lambda d: d.update(tx_power=1e5), "tx_power", id="tx_power-overflows"),
     pytest.param(lambda d: d.update(noise_power=-1e5), "noise_power", id="noise_power-underflows"),
     pytest.param(lambda d: d.update(area_side=1e300), "area_side", id="area_side-overflows"),
+    pytest.param(lambda d: d.update(area_side=1e4), "area_side", id="area_side-out-of-range"),
+    pytest.param(lambda d: d.update(area_side=1e150), "area_side", id="area_side-far-out-of-range"),
+    pytest.param(lambda d: d.update(blockage_density=1e300), "blockage_density",
+                 id="blockage_density-too-many"),
+    pytest.param(lambda d: d.update(ris_position=[1e4, 0, 10]), "ris_position",
+                 id="ris_position-out-of-range"),
 ])
 def test_scenario_field_errors(tmp_path, capsys, mutate, needle):
     scen = tiny_scenario().to_dict()
@@ -215,6 +221,15 @@ def test_train_writes_checkpoint_and_history(tmp_path, dataset, cfg_path):
     assert len(rows) == 4   # max_epochs from the config file
     assert [r["epoch"] for r in rows] == ["0", "1", "2", "3"]
     assert float(rows[0]["learning_rate"]) == 0.01
+
+
+def test_train_needs_two_training_samples(tmp_path, cfg_path, capsys):
+    ds = tmp_path / "ds"
+    assert main(["generate", "--config", cfg_path, "--n-train", "1",
+                 "--n-val", "1", "--out", str(ds)]) == 0
+    rc = main(["train", "--data", str(ds), "--out", str(tmp_path / "m.ckpt")])
+    assert rc == 3
+    assert "at least 2 training samples" in capsys.readouterr().err
 
 
 def test_train_no_pca_uses_raw_width(tmp_path, dataset, cfg_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from risalloc import ConfigError, ScenarioConfig, dbm_to_watts, desk_config, full_scale_config
+from risalloc.config import parse_settings
 
 
 def test_default_values():
@@ -30,7 +31,6 @@ def test_default_values():
 def test_derived_quantities():
     c = ScenarioConfig()
     assert c.total_elements == 400
-    assert c.carrier_freq_hz == 28e9
     assert c.area_km2 == pytest.approx(0.01)
     # dBm -> watts happens once, here
     assert c.tx_power_watts == pytest.approx(10 ** ((35 - 30) / 10))
@@ -53,7 +53,7 @@ def test_profiles():
 
 def test_json_round_trip():
     c = desk_config()
-    c2 = ScenarioConfig.from_json(c.to_json())
+    c2 = parse_settings(ScenarioConfig, json.loads(c.to_json()), "scenario")
     assert c2 == c
 
 
@@ -61,14 +61,14 @@ def test_from_dict_rejects_unknown_field():
     d = ScenarioConfig().to_dict()
     d["wavelength"] = 1.0
     with pytest.raises(ConfigError, match="wavelength"):
-        ScenarioConfig.from_dict(d)
+        parse_settings(ScenarioConfig, d, "scenario")
 
 
 def test_from_dict_rejects_missing_field():
     d = ScenarioConfig().to_dict()
     del d["carrier_freq"]
     with pytest.raises(ConfigError, match="carrier_freq"):
-        ScenarioConfig.from_dict(d)
+        parse_settings(ScenarioConfig, d, "scenario")
 
 
 @pytest.mark.parametrize("field,value", [

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 import oracles
-from risalloc import (Allocation, Beamformers, PhaseConfig, RATE_FLOOR,
-                      alpha_mean_throughput, alpha_utility, expand_columns,
-                      mrt_beamformers, objective_value_and_gradients,
+from risalloc import (Allocation, RATE_FLOOR, alpha_mean_throughput, alpha_utility,
+                      expand_columns, mrt_beamformers, objective_value_and_gradients,
                       sum_utility, user_rates)
 from risalloc.metrics import _objective
 
@@ -17,30 +16,12 @@ def test_expand_columns_replication():
     assert out.tolist()[0][:3] == [0.2, 0.2, 0.2]
 
 
-def test_phaseconfig_bounds():
-    PhaseConfig(np.array([0.0, np.pi])).validate()
-    with pytest.raises(ValueError):
-        PhaseConfig(np.array([-0.1])).validate()
-    with pytest.raises(ValueError):
-        PhaseConfig(np.array([np.pi + 0.1])).validate()
-
-
 def test_allocation_validation():
     Allocation(np.array([[0.5, 0.5], [0.5, 0.4]])).validate()
     with pytest.raises(ValueError):
         Allocation(np.array([[-0.1, 0.0]])).validate()
     with pytest.raises(ValueError):
         Allocation(np.array([[0.6], [0.6]])).validate()  # column sum > 1
-    with pytest.raises(ValueError):
-        Allocation(np.array([[0.5, 0.5]]), mode="binary").validate()
-    Allocation(np.array([[1.0, 0.0]]), mode="binary").validate()
-
-
-def test_beamformer_norm_validation():
-    w = np.array([[1.0 + 0j, 0.0], [0.0, 1.0 + 0j]])
-    Beamformers(w).validate(tx_power_watts=2.0)
-    with pytest.raises(ValueError):
-        Beamformers(w).validate(tx_power_watts=8.0)
 
 
 def test_zero_shares_sever_surface():

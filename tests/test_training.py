@@ -22,7 +22,7 @@ def test_loss_single_sample_is_negated_utility():
     rng = np.random.default_rng(1)
     theta = rng.uniform(0, np.pi, size=4)
     xi_raw = rng.uniform(0, 1, size=(2, 2))
-    loss = nn_loss(theta, xi_raw, [s.channels], [s.w], alpha=1.0,
+    loss = nn_loss(theta[None], xi_raw[None], [s.channels], [s.w], alpha=1.0,
                    noise_linear=NOISE)
     util = sum_utility(s.channels, PhaseConfig(theta), project_feasible(xi_raw),
                        s.w, alpha=1.0, noise_linear=NOISE)
@@ -33,7 +33,7 @@ def test_loss_batch_mean_of_duplicates():
     s = toy_sample(2)
     theta = np.full(4, 0.3)
     xi = np.full((2, 2), 0.4)
-    one = nn_loss(theta, xi, [s.channels], [s.w], 2.0, NOISE)
+    one = nn_loss(theta[None], xi[None], [s.channels], [s.w], 2.0, NOISE)
     three = nn_loss(np.tile(theta, (3, 1)), np.tile(xi, (3, 1, 1)),
                     [s.channels] * 3, [s.w] * 3, 2.0, NOISE)
     assert three == pytest.approx(one, rel=1e-12)
