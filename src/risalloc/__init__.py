@@ -20,8 +20,7 @@ from .dataio import (DatasetChecksumError, DatasetError, DatasetManifest,
                      DatasetTruncationError, DatasetVersionError, Sample,
                      generate_dataset, load_dataset, make_sample, sample_seed,
                      train_val_split)
-from .features import (PcaModel, feature_dimension, feature_matrix,
-                       flatten_features, pca_fit, pca_transform)
+from .features import PcaModel, feature_matrix, flatten_features, pca_fit, pca_transform
 from .geometry import Deployment, deploy, deploy_blockages, deploy_ues, is_blocked
 from .metrics import (RATE_FLOOR, Allocation, Beamformers, PhaseConfig,
                       alpha_mean_throughput, alpha_utility, expand_columns,

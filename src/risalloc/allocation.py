@@ -33,10 +33,7 @@ def _project_columns(x: np.ndarray):
 
 def project_feasible(xi_raw: np.ndarray) -> Allocation:
     """Nearest feasible relaxed allocation, column by column."""
-    arr = np.asarray(xi_raw, dtype=float)
-    if arr.ndim != 2:
-        raise ValueError("expected a 2-D users-by-columns array")
-    proj, _, _ = _project_columns(arr)
+    proj, _, _ = _project_columns(xi_raw)
     return Allocation(proj)
 
 

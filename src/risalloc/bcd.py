@@ -12,7 +12,6 @@ their gradients. The accepted trial's gradients drive the next step.
 
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass, field
 
@@ -44,13 +43,6 @@ class BcdTrace:
 
     objectives: list = field(default_factory=list)
     seconds: list = field(default_factory=list)
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["iteration", "objective", "seconds"])
-            for i, (obj, sec) in enumerate(zip(self.objectives, self.seconds)):
-                writer.writerow([i, repr(float(obj)), repr(float(sec))])
 
 
 def objective_value_and_gradients(ch: ChannelSet, theta, xi, w, alpha: float,

@@ -2,10 +2,10 @@
 
 Tractable only for toy sizes by design: the evaluation count is checked
 against a budget up front and the search refuses to start when it would
-exceed it. Surfaces with more than four elements share one phase per column
-to keep the grid enumerable. Each hard assignment scores its whole phase
-grid in calls of the objective kernel in ``metrics``, at most _CHUNK
-configurations per call, so memory stays bounded whatever the budget.
+exceed it. Surfaces with more than _PER_ELEMENT_MAX elements share one phase
+per column to keep the grid enumerable. Each hard assignment scores its
+whole phase grid in calls of the objective kernel in ``metrics``, at most
+_CHUNK configurations per call, so memory stays bounded whatever the budget.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from .channel import ChannelSet
 from .metrics import Allocation, PhaseConfig, _objective, expand_columns
 
 _CHUNK = 4096  # phase configurations scored per kernel call
+_PER_ELEMENT_MAX = 4  # largest surface whose elements each get their own phase
 
 
 class BudgetExceededError(RuntimeError):
@@ -33,7 +34,7 @@ class BudgetExceededError(RuntimeError):
 def enumeration_count(num_users: int, num_columns: int, num_elements: int, nu: int) -> int:
     """Configurations the search would visit (exact integer): each column
     goes to one user or stays off."""
-    slots = num_elements if num_elements <= 4 else num_columns
+    slots = num_elements if num_elements <= _PER_ELEMENT_MAX else num_columns
     return (num_users + 1) ** num_columns * nu ** slots
 
 
@@ -57,7 +58,7 @@ def brute_force(ch: ChannelSet, w, alpha: float, noise_linear: float, nu: int,
     if count > budget:
         raise BudgetExceededError(count, budget)
 
-    per_element = L2 <= 4
+    per_element = L2 <= _PER_ELEMENT_MAX
     slots = L2 if per_element else L
     grid = np.array([0.0]) if nu == 1 else np.linspace(0.0, np.pi, nu)
     n_phases = nu ** slots
@@ -72,12 +73,11 @@ def brute_force(ch: ChannelSet, w, alpha: float, noise_linear: float, nu: int,
         for c, a in enumerate(assign):
             if a < K:
                 xi[a, c] = 1.0
-        mask = expand_columns(xi)
         for start in range(0, n_phases, _CHUNK):
             j = np.arange(start, min(start + _CHUNK, n_phases))
             phases = grid[j[:, None] // place % nu]
-            thetas = phases if per_element else np.repeat(phases, L, axis=1)
-            values = _objective(*inputs, thetas, mask, noise_linear, alpha)
+            thetas = phases if per_element else expand_columns(phases)
+            values = _objective(*inputs, thetas, xi, noise_linear, alpha)
             best = int(np.argmax(values))  # first of equals inside a chunk, strict > across
             if best_utility is None or values[best] > best_utility:
                 best_utility = values[best]

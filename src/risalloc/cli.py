@@ -26,7 +26,7 @@ from .bcd import BcdOptions, bcd_optimize
 from .brute import BudgetExceededError, brute_force
 from .config import ConfigError, ScenarioConfig, desk_config, full_scale_config, parse_settings
 from .dataio import DatasetError, generate_dataset, load_dataset, train_val_split
-from .features import feature_dimension, flatten_features, pca_transform
+from .features import flatten_features, pca_transform
 from .metrics import alpha_mean_throughput, alpha_utility, sum_utility, user_rates
 from .mlp import CheckpointError, load_checkpoint, mlp_forward, parameter_count, save_checkpoint
 from .training import TrainOptions, train
@@ -183,7 +183,9 @@ def cmd_bcd(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    trace.to_csv(out / "trace.csv")
+    _write_csv(out / "trace.csv", ["iteration", "objective", "seconds"],
+               [[i, _fmt(obj), _fmt(sec)]
+                for i, (obj, sec) in enumerate(zip(trace.objectives, trace.seconds))])
     result = {
         "alpha": args.alpha,
         "sample_index": args.index,
@@ -220,7 +222,7 @@ def _load_model_for(schemes, model_path, ch):
         raise ConfigError("checkpoint includes dimensionality reduction; use scheme \"nn+pca\"")
     arch = model.arch
     widths = [("input features", arch.input_dim if pca is None else pca.input_dim,
-               feature_dimension(ch.num_users, ch.num_antennas, ch.num_elements)),
+               flatten_features(ch).size),
               ("phase_dim", arch.phase_dim, ch.num_elements),
               ("alloc_users", arch.alloc_users, ch.num_users),
               ("alloc_cols", arch.alloc_cols, ch.side)]
@@ -262,7 +264,11 @@ def cmd_compare(args) -> int:
         raise DatasetError(f"split {args.split!r} is empty")
 
     schemes = args.scheme or ["uniform", "bcd"]  # the parser's choices refused unknown names
-    model, pca = _load_model_for(schemes, args.model, split[0].channels)
+    ch = split[0].channels
+    if "uniform" in schemes and ch.num_users > ch.side:
+        raise ConfigError(f"scheme uniform gives each user whole columns and needs K <= L, "
+                          f"but the dataset has K = {ch.num_users} users and L = {ch.side} columns")
+    model, pca = _load_model_for(schemes, args.model, ch)
     solver = load_config_file(args.config)[1] if args.config else BcdOptions()
     opts = _with_flags(solver, {"--seed": ("seed", args.seed)})
 

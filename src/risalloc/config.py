@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass, fields
 
 SPEED_OF_LIGHT = 3.0e8  # free-space propagation speed, m/s
 MAX_DIST_2D = 5000.0    # ground distance ceiling of the channel model's pathloss laws, m
+ENV_HEIGHT = 1.0        # effective environment height of the pathloss breakpoint, m
 # Ceiling on blockage_density * area_km2, the expected blockages per drop:
 # is_blocked loops in Python over every rectangle on every link.
 MAX_EXPECTED_BLOCKAGES = 1e6
@@ -43,6 +44,8 @@ def _is_finite(v) -> bool:
 POSITIVE = (lambda v: v > 0, "positive")
 NON_NEGATIVE = (lambda v: v >= 0, "non-negative")
 AT_LEAST_ONE = (lambda v: v >= 1, ">= 1")
+_HEIGHT = (lambda v: ENV_HEIGHT < v <= MAX_DIST_2D,
+           f"in ({ENV_HEIGHT:g}, {MAX_DIST_2D:g}] m, above the environment height")
 _POINT = (lambda v: isinstance(v, (list, tuple)) and len(v) == 3 and all(map(_is_finite, v)),
           "three finite numbers")
 _TYPES = {"int": (is_int, "an integer"), "float": (_is_finite, "a finite number"),
@@ -92,7 +95,8 @@ class ScenarioConfig:
     ``ris_side`` elements. Users drop uniformly over the
     ``area_side`` x ``area_side`` square with x, y >= 0, so everything stays
     on the same side of the transmitter and the surface. Every link the
-    channel model synthesises must span at most MAX_DIST_2D on the ground.
+    channel model synthesises must span at most MAX_DIST_2D on the ground,
+    and every antenna height must lie in (ENV_HEIGHT, MAX_DIST_2D].
     """
 
     bs_position: tuple = (0.0, 0.0, 10.0)
@@ -119,12 +123,17 @@ class ScenarioConfig:
                      ue_density=NON_NEGATIVE, blockage_density=NON_NEGATIVE,
                      blockage_mean_length=POSITIVE, blockage_mean_width=POSITIVE,
                      carrier_freq=POSITIVE, bandwidth=POSITIVE, shadow_sigma=NON_NEGATIVE,
-                     ue_height=POSITIVE, bs_height=POSITIVE)
+                     ue_height=_HEIGHT, bs_height=_HEIGHT)
         # keep positions hashable and JSON-friendly
         object.__setattr__(self, "bs_position", tuple(float(v) for v in self.bs_position))
         object.__setattr__(self, "ris_position", tuple(float(v) for v in self.ris_position))
         if abs(self.bs_height - self.bs_position[2]) > 1e-9:
             raise ConfigError("bs_height must match the z coordinate of bs_position")
+        if not _HEIGHT[0](self.ris_position[2]):
+            raise ConfigError(f"the z coordinate of ris_position must be {_HEIGHT[1]}, "
+                              f"got {self.ris_position[2]!r}")
+        if self.ris_position == self.bs_position:
+            raise ConfigError("ris_position must differ from bs_position")
         for name, derived in (("tx_power", "tx_power_watts"), ("noise_power", "noise_watts"),
                               ("area_side", "area_km2")):
             try:

@@ -62,13 +62,12 @@ class DatasetManifest:
     n_val: int
     master_seed: int
     sample_count: int
-    format_version: int = FORMAT_VERSION
 
     def to_json(self) -> str:
         body = {"config": self.config.to_dict(), "n_train": self.n_train,
                 "n_val": self.n_val, "master_seed": self.master_seed,
                 "sample_count": self.sample_count,
-                "format_version": self.format_version}
+                "format_version": FORMAT_VERSION}
         return json.dumps(body, indent=2, sort_keys=True) + "\n"
 
     @classmethod

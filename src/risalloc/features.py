@@ -13,13 +13,6 @@ from .channel import ChannelSet
 KAISER_TIE_GUARD = 1e-9
 
 
-def feature_dimension(num_users: int, num_antennas: int, num_elements: int) -> int:
-    """Real feature length: 2 (KN + K L^2 + L^2 N)."""
-    return 2 * (num_users * num_antennas
-                + num_users * num_elements
-                + num_elements * num_antennas)
-
-
 def flatten_features(ch: ChannelSet) -> np.ndarray:
     """Real feature vector: [Re, Im] of h_direct, then g_ris, then h_rb,
     each flattened row-major."""

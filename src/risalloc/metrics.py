@@ -8,7 +8,6 @@ are ``user_rates`` and ``sum_utility`` here and
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,18 +76,20 @@ def expand_columns(xi) -> np.ndarray:
     return np.repeat(arr, reps, axis=arr.ndim - 1)
 
 
-def _objective(g_ris, h_rb, h_direct, w, theta, mask, noise_linear: float,
+def _objective(g_ris, h_rb, h_direct, w, theta, xi, noise_linear: float,
                alpha: float | None = None, grads: bool = False):
     """Rates (Q, K) when alpha is None, else utilities (Q,); grads=True adds
     the exact gradients wrt phases (Q, L2) and column shares (Q, K, L).
 
     Inputs broadcast over a leading batch shape (Q,), absent for one
     instance: g_ris (Q, K, L2), h_rb (Q, L2, N), h_direct and w (Q, K, N),
-    theta (Q, L2), element mask (Q, K, L2). Users pinned at the rate floor
-    contribute zero gradient, so an all-zero allocation zeroes dtheta.
+    theta (Q, L2), column shares xi (Q, K, L), spread onto the elements by
+    expand_columns. Users pinned at the rate floor contribute zero gradient,
+    so an all-zero allocation zeroes dtheta.
     """
     if noise_linear < 0 or (grads and noise_linear == 0):
         raise ValueError("noise power must be non-negative, and positive for gradients")
+    mask = expand_columns(xi)
     phase = np.exp(1j * theta)
     e = (g_ris * (mask * phase[..., None, :])) @ h_rb + h_direct  # e_k: user k's effective row
     S = e @ w.swapaxes(-1, -2)  # S[k, i] = e_k . w_i
@@ -113,7 +114,7 @@ def _objective(g_ris, h_rb, h_direct, w, theta, mask, noise_linear: float,
     B = w @ h_rb.swapaxes(-1, -2)                         # B[i, l] = (h_rb w_i)_l
     C = g_ris * phase[..., None, :] * ((G * np.conj(S)) @ B)  # (Q, K, L2)
     dtheta = -2.0 * np.imag((mask * C).sum(axis=-2))
-    L = math.isqrt(C.shape[-1])
+    L = np.shape(xi)[-1]
     dxi = 2.0 * np.real(C).reshape(C.shape[:-1] + (L, L)).sum(axis=-1)
     return values, dtheta, dxi
 
@@ -124,8 +125,8 @@ def _single(ch: ChannelSet, w, theta, xi):
     theta (Q, L2) or xi (Q, K, L)."""
     theta = theta.theta if isinstance(theta, PhaseConfig) else np.asarray(theta, dtype=float)
     theta = theta if theta.ndim == 2 else theta.reshape(-1)
-    mask = expand_columns(xi.xi if isinstance(xi, Allocation) else xi)
-    return ch.g_ris, ch.h_rb, ch.h_direct, w, theta, mask
+    xi = xi.xi if isinstance(xi, Allocation) else xi
+    return ch.g_ris, ch.h_rb, ch.h_direct, w, theta, xi
 
 
 def user_rates(ch: ChannelSet, theta, xi, w, noise_linear: float) -> np.ndarray:

@@ -26,6 +26,9 @@ from .features import PcaModel
 from .serial import decode_named_arrays, encode_named_arrays
 
 BN_EPS = 1e-8
+ADAM_BETA1 = 0.9    # first-moment decay
+ADAM_BETA2 = 0.999  # second-moment decay
+ADAM_EPS = 1e-8
 # running = (1 - momentum) * running + momentum * batch, biased batch variance
 BN_MOMENTUM = 0.1
 
@@ -240,18 +243,15 @@ def mlp_backward(model: MlpModel, cache: dict, dtheta, dxi) -> np.ndarray:
 
 @dataclass
 class AdamState:
-    """First/second moment vectors and the step counter."""
+    """First/second moment vectors, the learning rate in effect, and the step counter."""
 
     m: np.ndarray
     v: np.ndarray
+    learning_rate: float
     step: int = 0
-    learning_rate: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
-def init_adam(model: MlpModel, learning_rate: float = 0.01) -> AdamState:
+def init_adam(model: MlpModel, learning_rate: float) -> AdamState:
     return AdamState(m=np.zeros_like(model.params), v=np.zeros_like(model.params),
                      learning_rate=learning_rate)
 
@@ -265,14 +265,14 @@ def adam_step(model: MlpModel, grad: np.ndarray, state: AdamState):
     """
     state.step += 1
     t = state.step
-    c1 = 1.0 - state.beta1 ** t
-    c2 = 1.0 - state.beta2 ** t
-    state.m *= state.beta1
-    state.m += (1.0 - state.beta1) * grad
-    state.v *= state.beta2
-    state.v += (1.0 - state.beta2) * grad * grad
+    c1 = 1.0 - ADAM_BETA1 ** t
+    c2 = 1.0 - ADAM_BETA2 ** t
+    state.m *= ADAM_BETA1
+    state.m += (1.0 - ADAM_BETA1) * grad
+    state.v *= ADAM_BETA2
+    state.v += (1.0 - ADAM_BETA2) * grad * grad
     denom = np.sqrt(np.divide(state.v, c2, out=grad), out=grad)
-    denom += state.eps
+    denom += ADAM_EPS
     model.params -= state.learning_rate * (state.m / c1) / denom
     return model, state
 

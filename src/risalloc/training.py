@@ -16,7 +16,7 @@ import numpy as np
 from .allocation import _project_columns, project_feasible_with_vjp
 from .config import AT_LEAST_ONE, NON_NEGATIVE, POSITIVE, ConfigError, check_fields
 from .features import PcaModel, feature_matrix, pca_fit, pca_transform
-from .metrics import _objective, expand_columns
+from .metrics import _objective
 from .mlp import (LAYER_RULES, MlpArch, MlpModel, adam_step, init_adam, init_model, mlp_backward,
                   mlp_forward)
 
@@ -48,7 +48,7 @@ def nn_loss(theta_batch, xi_batch, ch_batch, w_batch, alpha: float,
     raw shares are projected first, as in nn_loss_and_grads."""
     xi, *inputs = _batch(theta_batch, xi_batch, ch_batch, w_batch)
     proj, _, _ = _project_columns(xi)
-    return _mean_loss(_objective(*inputs, expand_columns(proj), noise_linear, alpha))
+    return _mean_loss(_objective(*inputs, proj, noise_linear, alpha))
 
 
 def nn_loss_and_grads(theta_batch, xi_batch, ch_batch, w_batch, alpha: float,
@@ -61,7 +61,7 @@ def nn_loss_and_grads(theta_batch, xi_batch, ch_batch, w_batch, alpha: float,
     """
     xi, *inputs = _batch(theta_batch, xi_batch, ch_batch, w_batch)
     proj, vjp = project_feasible_with_vjp(xi)
-    values, g_theta, g_xi = _objective(*inputs, expand_columns(proj), noise_linear, alpha, grads=True)
+    values, g_theta, g_xi = _objective(*inputs, proj, noise_linear, alpha, grads=True)
     Q = len(values)
     return _mean_loss(values), -g_theta / Q, -vjp(g_xi) / Q
 
@@ -76,8 +76,8 @@ class PlateauScheduler:
     signals stop.
     """
 
-    def __init__(self, learning_rate: float, decay: float = 0.33,
-                 lr_patience: int = 10, stop_patience: int = 40):
+    def __init__(self, learning_rate: float, decay: float, lr_patience: int,
+                 stop_patience: int):
         self.check(decay, lr_patience, stop_patience)
         self.learning_rate = learning_rate
         self.decay = decay
@@ -123,8 +123,8 @@ class TrainOptions:
     lr_patience: int = 10
     stop_patience: int = 40
     use_pca: bool = True
-    hidden: tuple = (500, 450, 400, 300)
-    dropout_rate: float = 0.5
+    hidden: tuple = MlpArch.hidden
+    dropout_rate: float = MlpArch.dropout_rate
     seed: int = 0
 
     def __post_init__(self):
@@ -192,7 +192,6 @@ def train(train_samples, val_samples, noise_linear: float,
                         [v.copy() for v in model.bn_var])
 
     best_state = snapshot()
-    best_val = np.inf
     best_epoch = -1
     history = []
     n = len(train_samples)
@@ -222,9 +221,8 @@ def train(train_samples, val_samples, noise_linear: float,
         improved, _, stop = sched.update(val_loss)
         if improved:
             best_state = snapshot()
-            best_val = val_loss
             best_epoch = epoch
         if stop:
             break
 
-    return TrainResult(best_state, pca, history, best_epoch, best_val)
+    return TrainResult(best_state, pca, history, best_epoch, sched.best)

@@ -13,7 +13,7 @@ import numpy as np
 
 from risalloc import BcdOptions, ChannelSet, sum_utility
 from risalloc.allocation import _project_columns
-from risalloc.metrics import _objective, expand_columns
+from risalloc.metrics import _objective
 
 
 def toy_channels(num_users=2, num_antennas=2, side=2, seed=0, scale=1.0):
@@ -156,27 +156,26 @@ def bcd_serial(ch, w, alpha, noise, options=None, fixed_alloc=None):
     theta = rng.uniform(0.0, np.pi, size=ch.num_elements)
     xi = np.full((K, L), 1.0 / K) if fixed_alloc is None else np.array(fixed_alloc.xi, dtype=float)
 
-    def value_of(th, mask):
-        return float(_objective(ch.g_ris, ch.h_rb, ch.h_direct, w, th, mask, noise, alpha))
+    def value_of(th, x):
+        return float(_objective(ch.g_ris, ch.h_rb, ch.h_direct, w, th, x, noise, alpha))
 
     def grads(th, x):
-        _, dtheta, dxi = _objective(ch.g_ris, ch.h_rb, ch.h_direct, w, th, expand_columns(x),
-                                    noise, alpha, grads=True)
+        _, dtheta, dxi = _objective(ch.g_ris, ch.h_rb, ch.h_direct, w, th, x, noise, alpha,
+                                    grads=True)
         return dtheta, dxi
 
-    obj = value_of(theta, expand_columns(xi))
+    obj = value_of(theta, xi)
     objectives = [obj]
     for _ in range(opts.max_outer_iters):
-        mask = expand_columns(xi)
         for _ in range(opts.inner_steps_per_block):
             theta, obj, _ = line_ascend_serial(
                 theta, grads(theta, xi)[0], lambda t: np.clip(t, 0.0, np.pi),
-                lambda t: value_of(t, mask), obj, opts.step_size)
+                lambda t: value_of(t, xi), obj, opts.step_size)
         if fixed_alloc is None:
             for _ in range(opts.inner_steps_per_block):
                 xi, obj, _ = line_ascend_serial(
                     xi, grads(theta, xi)[1], lambda x: _project_columns(x)[0],
-                    lambda x: value_of(theta, expand_columns(x)), obj, opts.step_size)
+                    lambda x: value_of(theta, x), obj, opts.step_size)
         objectives.append(obj)
         if abs(obj - objectives[-2]) <= opts.tol * max(1.0, abs(objectives[-2])):
             break

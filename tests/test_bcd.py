@@ -161,21 +161,6 @@ def test_bcd_aborts_on_non_finite_channels():
         bcd_optimize(ch, w, 1.0, NOISE, BcdOptions(seed=0))
 
 
-def test_trace_csv_format(tmp_path):
-    ch = oracles.toy_channels(seed=57)
-    w = mrt_beamformers(ch, 1.0).w
-    _, _, trace = bcd_optimize(ch, w, 1.0, NOISE,
-                               BcdOptions(max_outer_iters=3, tol=1e-12, seed=6))
-    path = tmp_path / "trace.csv"
-    trace.to_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "iteration,objective,seconds"
-    assert len(lines) == len(trace.objectives) + 1
-    first = lines[1].split(",")
-    assert first[0] == "0"
-    assert float(first[1]) == pytest.approx(trace.objectives[0])
-
-
 @pytest.mark.parametrize("block,sign,step0,first,trials", [
     (0, 1.0, 0.1, 1, 1),      # accepted at the first trial
     (1, 1.0, 100.0, 6, 4),    # inside the first call, columns on the simplex face

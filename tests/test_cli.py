@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 import risalloc
-from risalloc import (BcdOptions, MlpArch, ScenarioConfig, TrainOptions, feature_dimension,
-                      init_model, load_checkpoint, load_dataset, save_checkpoint)
+from risalloc import (BcdOptions, MlpArch, ScenarioConfig, TrainOptions, init_model,
+                      load_checkpoint, load_dataset, save_checkpoint)
 from risalloc.cli import main
 from risalloc.serial import decode_named_arrays, encode_named_arrays
 
@@ -95,6 +95,16 @@ def test_generate_rejects_empty(tmp_path, cfg_path, capsys):
                  id="blockage_density-too-many"),
     pytest.param(lambda d: d.update(ris_position=[1e4, 0, 10]), "ris_position",
                  id="ris_position-out-of-range"),
+    pytest.param(lambda d: d.update(ue_height=0.5), "ue_height", id="ue_height-below-environment"),
+    pytest.param(lambda d: d.update(ue_height=1.0), "ue_height", id="ue_height-at-environment"),
+    pytest.param(lambda d: d.update(ris_position=[25, 25, 0.5]), "ris_position",
+                 id="ris_position-below-environment"),
+    pytest.param(lambda d: d.update(bs_height=1e200, bs_position=[0, 0, 1e200]), "bs_height",
+                 id="bs_height-too-high"),
+    pytest.param(lambda d: d.update(ris_position=[25, 25, 5000.5]), "ris_position",
+                 id="ris_position-too-high"),
+    pytest.param(lambda d: d.update(ris_position=d["bs_position"]), "ris_position",
+                 id="ris_position-at-bs_position"),
 ])
 def test_scenario_field_errors(tmp_path, capsys, mutate, needle):
     scen = tiny_scenario().to_dict()
@@ -170,7 +180,10 @@ def test_bcd_outputs(tmp_path, dataset, cfg_path):
     assert rc == 0
     lines = (out / "trace.csv").read_text().splitlines()
     assert lines[0] == "iteration,objective,seconds"
-    objs = [float(row.split(",")[1]) for row in lines[1:]]
+    rows = [line.split(",") for line in lines[1:]]
+    assert [int(row[0]) for row in rows] == list(range(len(rows)))
+    assert repr(float(rows[0][1])) == rows[0][1]   # shortest round-trip decimal
+    objs = [float(row[1]) for row in rows]
     assert len(objs) >= 2
     assert all(b >= a - 1e-9 for a, b in zip(objs, objs[1:]))
     result = json.loads((out / "result.json").read_text())
@@ -240,7 +253,7 @@ def test_train_no_pca_uses_raw_width(tmp_path, dataset, cfg_path):
     assert rc == 0
     model, pca, meta = load_checkpoint(ckpt)
     assert pca is None
-    assert model.arch.input_dim == feature_dimension(2, 2, 4)
+    assert model.arch.input_dim == 2 * (2 * 2 + 2 * 4 + 4 * 2)
     assert meta["alpha"] == 2.0
 
 
@@ -461,6 +474,20 @@ def test_compare_empty_split(tmp_path, cfg_path, capsys):
     rc = main(["compare", "--data", str(ds), "--split", "val",
                "--out", str(tmp_path / "c.csv")])
     assert rc == 3
+
+
+def test_compare_uniform_needs_no_more_users_than_columns(tmp_path, capsys):
+    cfg = write_config(tmp_path / "three.json",
+                       scenario=ScenarioConfig(n_bs_antennas=2, ris_side=2, num_ues=3))
+    ds = tmp_path / "ds"
+    assert main(["generate", "--config", cfg, "--n-train", "2", "--n-val", "1",
+                 "--out", str(ds)]) == 0
+    out = tmp_path / "c.csv"
+    assert main(["compare", "--data", str(ds), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "uniform" in err and "K = 3" in err and "L = 2" in err
+    assert not out.exists()
+    assert main(["compare", "--data", str(ds), "--scheme", "bcd", "--out", str(out)]) == 0
 
 
 def test_unknown_scheme_rejected_by_parser(dataset, tmp_path, capsys):

@@ -2,14 +2,18 @@ import numpy as np
 import pytest
 
 import oracles
-from risalloc import (ChannelSet, feature_dimension, feature_matrix,
-                      flatten_features, pca_fit, pca_transform)
+from risalloc import ChannelSet, feature_matrix, flatten_features, pca_fit, pca_transform
 
 
 def test_feature_dimension_formula():
-    assert feature_dimension(3, 4, 400) == 5624   # 2*(12 + 1200 + 1600)
-    assert feature_dimension(2, 2, 4) == 2 * (4 + 8 + 8)
-    assert feature_dimension(3, 4, 64) == 920
+    def width(K, N, L2):
+        return flatten_features(ChannelSet(
+            np.zeros((K, N), complex), np.zeros((K, L2), complex), np.zeros((L2, N), complex),
+            np.ones((K, 2), bool), np.zeros((K, 2), bool), False)).size
+
+    assert width(3, 4, 400) == 5624   # 2*(12 + 1200 + 1600)
+    assert width(2, 2, 4) == 2 * (4 + 8 + 8)
+    assert width(3, 4, 64) == 920
 
 
 def test_flatten_order_and_blocks():
@@ -22,7 +26,7 @@ def test_flatten_order_and_blocks():
         clamped=np.zeros((K, 2), bool),
         bs_ris_clamped=False)
     v = flatten_features(ch)
-    assert v.shape == (feature_dimension(K, N, L2),)
+    assert v.shape == (2 * (K * N + K * L2 + L2 * N),)
     kn, kl, ln = K * N, K * L2, L2 * N
     assert np.all(v[:kn] == 1.0) and np.all(v[kn:2 * kn] == 2.0)
     assert np.all(v[2 * kn:2 * kn + kl] == 3.0)
@@ -47,7 +51,7 @@ def test_flatten_zero_and_real_channels():
 def test_feature_matrix_stacks():
     chs = [oracles.toy_channels(seed=s) for s in range(3)]
     X = feature_matrix(chs)
-    assert X.shape == (3, feature_dimension(2, 2, 4))
+    assert X.shape == (3, 2 * (2 * 2 + 2 * 4 + 4 * 2))
     assert np.allclose(X[1], flatten_features(chs[1]))
 
 

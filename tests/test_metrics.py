@@ -145,8 +145,8 @@ def test_value_only_path_matches_gradient_path(alpha):
     xi[0] = 0.0                                  # no surface share at all
     stacked = [np.stack(arrs) for arrs in ([c.g_ris for c in chs], [c.h_rb for c in chs],
                                            [c.h_direct for c in chs], ws)]
-    values = _objective(*stacked, theta, expand_columns(xi), 0.05, alpha)
-    grad_values, _, _ = _objective(*stacked, theta, expand_columns(xi), 0.05, alpha, grads=True)
+    values = _objective(*stacked, theta, xi, 0.05, alpha)
+    grad_values, _, _ = _objective(*stacked, theta, xi, 0.05, alpha, grads=True)
     assert values.tobytes() == grad_values.tobytes()
     for q in range(4):
         value, _, _ = objective_value_and_gradients(chs[q], theta[q], xi[q], ws[q], alpha, 0.05)

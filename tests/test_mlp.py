@@ -184,7 +184,7 @@ def test_backward_requires_train_cache():
 def test_adam_zero_gradient_is_noop():
     model = tiny_model(seed=4)
     before = copy.deepcopy(model.weights)
-    state = init_adam(model)
+    state = init_adam(model, 0.01)
     adam_step(model, np.zeros_like(model.params), state)
     for wa, wb in zip(before, model.weights):
         assert np.array_equal(wa, wb)

@@ -95,9 +95,9 @@ def test_scheduler_decay_and_stop_timing():
 
 def test_scheduler_validation():
     with pytest.raises(ValueError):
-        PlateauScheduler(0.01, lr_patience=0)
+        PlateauScheduler(0.01, decay=0.33, lr_patience=0, stop_patience=40)
     with pytest.raises(ValueError):
-        PlateauScheduler(0.01, decay=1.0)
+        PlateauScheduler(0.01, decay=1.0, lr_patience=10, stop_patience=40)
 
 
 @pytest.mark.parametrize("bad", [
