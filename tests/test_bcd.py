@@ -1,13 +1,16 @@
+import json
+
 import numpy as np
 import pytest
 
 import oracles
-from risalloc import (Allocation, BcdOptions, bcd_optimize, binarize, brute_force,
-                      desk_config, make_sample, mrt_beamformers,
+from risalloc import (Allocation, BcdOptions, ScenarioConfig, bcd_optimize, binarize,
+                      brute_force, desk_config, load_dataset, make_sample, mrt_beamformers,
                       objective_value_and_gradients, sample_seed, sum_utility,
                       uniform_contiguous)
 from risalloc.allocation import _project_columns
 from risalloc.bcd import _line_ascend
+from risalloc.cli import main
 
 NOISE = 0.05
 
@@ -159,6 +162,28 @@ def test_bcd_aborts_on_non_finite_channels():
     w = mrt_beamformers(oracles.toy_channels(seed=56), 1.0).w
     with np.errstate(invalid="ignore"), pytest.raises(RuntimeError):
         bcd_optimize(ch, w, 1.0, NOISE, BcdOptions(seed=0))
+
+
+def test_trace_csv_format(tmp_path):
+    scenario = ScenarioConfig(n_bs_antennas=2, ris_side=2, num_ues=2)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"scenario": scenario.to_dict()}))
+    data = tmp_path / "ds"
+    assert main(["generate", "--config", str(cfg), "--n-train", "1", "--n-val", "1",
+                 "--seed", "57", "--out", str(data)]) == 0
+    out = tmp_path / "run"
+    assert main(["bcd", "--data", str(data), "--max-outer-iters", "3", "--tol", "1e-12",
+                 "--seed", "6", "--out", str(out)]) == 0
+    samples, manifest = load_dataset(data)
+    _, _, trace = bcd_optimize(samples[0].channels, samples[0].w, 1.0,
+                               manifest.config.noise_watts,
+                               BcdOptions(max_outer_iters=3, tol=1e-12, seed=6))
+    lines = (out / "trace.csv").read_text().strip().splitlines()
+    assert lines[0] == "iteration,objective,seconds"
+    assert len(lines) == len(trace.objectives) + 1
+    first = lines[1].split(",")
+    assert first[0] == "0"
+    assert float(first[1]) == pytest.approx(trace.objectives[0])
 
 
 @pytest.mark.parametrize("block,sign,step0,first,trials", [
