@@ -50,7 +50,7 @@ print(f"rounded utility  {rounded:.6f}")
 print("rounded column assignment (row = user):")
 print(hard.xi.astype(int))
 
-theta_b, alloc_b, best = brute_force(ch, w, ALPHA, NOISE, nu=8, budget=10_000_000)
+theta_b, alloc_b, best = brute_force(ch, w, ALPHA, NOISE, nu=8)
 print(f"\nexhaustive optimum over the discrete grid: {best:.6f}")
 print(f"rounded ascent sits at {100.0 * rounded / best:.1f}% of it")
 print("(above 100% is possible: the ascent tunes phases continuously,")

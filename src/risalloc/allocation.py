@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import ChannelSet
+from .config import ConfigError
 from .metrics import Allocation, Beamformers
 
 
@@ -80,7 +81,8 @@ def uniform_contiguous(num_users: int, num_columns: int) -> Allocation:
     if num_users < 1 or num_columns < 1:
         raise ValueError("user and column counts must be >= 1")
     if num_users > num_columns:
-        raise ValueError("more users than columns; the contiguous split is undefined")
+        raise ConfigError(f"the uniform split gives each user whole columns and needs K <= L, "
+                          f"got K = {num_users} users and L = {num_columns} columns")
     share = num_columns // num_users
     xi = np.zeros((num_users, num_columns))
     for k in range(num_users):

@@ -19,6 +19,7 @@ from .metrics import Allocation, PhaseConfig, _objective, expand_columns
 
 _CHUNK = 4096  # phase configurations scored per kernel call
 _PER_ELEMENT_MAX = 4  # largest surface whose elements each get their own phase
+DEFAULT_BUDGET = 10_000_000  # evaluations allowed when the caller names no budget
 
 
 class BudgetExceededError(RuntimeError):
@@ -39,7 +40,7 @@ def enumeration_count(num_users: int, num_columns: int, num_elements: int, nu: i
 
 
 def brute_force(ch: ChannelSet, w, alpha: float, noise_linear: float, nu: int,
-                budget: int = 10_000_000):
+                budget: int = DEFAULT_BUDGET):
     """Grid-search every hard assignment and quantized phase combination.
 
     Each column goes to one user or stays off. Phases come from nu evenly

@@ -23,8 +23,9 @@ import numpy as np
 
 from .allocation import binarize, project_feasible, uniform_contiguous
 from .bcd import BcdOptions, bcd_optimize
-from .brute import BudgetExceededError, brute_force
-from .config import ConfigError, ScenarioConfig, desk_config, full_scale_config, parse_settings
+from .brute import DEFAULT_BUDGET, BudgetExceededError, brute_force
+from .config import (AT_LEAST_ONE, NON_NEGATIVE, POSITIVE, ConfigError, ScenarioConfig,
+                     check_value, desk_config, full_scale_config, parse_settings)
 from .dataio import DatasetError, generate_dataset, load_dataset, train_val_split
 from .features import flatten_features, pca_transform
 from .metrics import alpha_mean_throughput, alpha_utility, sum_utility, user_rates
@@ -39,6 +40,7 @@ EXIT_BUDGET = 4
 _PROFILES = {"desk": desk_config, "full": full_scale_config}
 _NN_SCHEMES = ("nn", "nn+pca")
 _ALL_SCHEMES = ("uniform", "bcd", "nn", "nn+pca", "brute")
+_SECTIONS = {"scenario": ScenarioConfig, "bcd": BcdOptions, "training": TrainOptions}
 
 
 def _fmt(x) -> str:
@@ -49,10 +51,10 @@ def _fmt(x) -> str:
 def load_config_file(path):
     """Parse the harness config file.
 
-    Returns (ScenarioConfig, BcdOptions, TrainOptions). The file is a JSON
-    object with a mandatory "scenario" section (every scenario field) and
-    optional "bcd" / "training" sections holding solver and trainer
-    options; options a section leaves out keep their defaults.
+    Returns the ScenarioConfig, BcdOptions and TrainOptions keyed by type.
+    The file is a JSON object with a mandatory "scenario" section (every
+    scenario field) and optional "bcd" / "training" sections holding solver
+    and trainer options; options a section leaves out keep their defaults.
     """
     try:
         body = json.loads(Path(path).read_bytes().decode("utf-8"))
@@ -65,20 +67,22 @@ def load_config_file(path):
             f"{path} is not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}") from exc
     if not isinstance(body, dict):
         raise ConfigError(f"{path} must hold a JSON object")
-    unknown = sorted(set(body) - {"scenario", "bcd", "training"})
+    unknown = sorted(set(body) - set(_SECTIONS))
     if unknown:
         raise ConfigError(f"unknown config section(s): {', '.join(unknown)}")
     if "scenario" not in body:
         raise ConfigError(f"{path} is missing the \"scenario\" section")
-    return (parse_settings(ScenarioConfig, body["scenario"], "scenario"),
-            parse_settings(BcdOptions, body.get("bcd", {}), "bcd", complete=False),
-            parse_settings(TrainOptions, body.get("training", {}), "training", complete=False))
+    return {cls: parse_settings(cls, body.get(name, {}), name, complete=cls is ScenarioConfig)
+            for name, cls in _SECTIONS.items()}
 
 
-def _with_flags(options, flags: dict):
-    """Options from the config file (or the defaults) with the flags given
-    on top; ``flags`` maps each flag to (field, value or None if absent)."""
-    for flag, (name, value) in flags.items():
+def _options(args, cls, flags: dict):
+    """The settings of type ``cls`` a command runs with: the type's defaults,
+    then the config file's section, then the flags given. ``flags`` maps each
+    flag to its field, which is also the flag's parser dest (None if absent)."""
+    options = load_config_file(args.config)[cls] if args.config else cls()
+    for flag, name in flags.items():
+        value = getattr(args, name)
         if value is not None:
             try:
                 options = dataclasses.replace(options, **{name: value})
@@ -102,11 +106,10 @@ def _per_sample_seed(seed: int, index: int) -> int:
 # ---------------------------------------------------------------- generate
 
 def cmd_generate(args) -> int:
-    config = load_config_file(args.config)[0] if args.config else _PROFILES[args.profile]()
+    config = _options(args, ScenarioConfig, {}) if args.config else _PROFILES[args.profile]()
     if args.n_train < 0 or args.n_val < 0 or args.n_train + args.n_val < 1:
         raise ConfigError("need --n-train/--n-val with at least one sample in total")
-    if args.seed < 0:
-        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
+    check_value("--seed", args.seed, "int", NON_NEGATIVE)
     out = Path(args.out)
     manifest = generate_dataset(config, args.n_train, args.n_val, args.seed, out)
     digest = hashlib.sha256()
@@ -129,12 +132,9 @@ def cmd_train(args) -> int:
         raise DatasetError(f"training needs at least 2 training samples and 1 validation sample, "
                            f"got {len(train_s)} and {len(val_s)}")
 
-    training = load_config_file(args.config)[2] if args.config else TrainOptions()
-    opts = _with_flags(training, {
-        "--alpha": ("alpha", args.alpha), "--lr": ("learning_rate", args.lr),
-        "--batch-size": ("batch_size", args.batch_size), "--seed": ("seed", args.seed),
-        "--max-epochs": ("max_epochs", args.max_epochs),
-        "--no-pca": ("use_pca", False if args.no_pca else None)})
+    opts = _options(args, TrainOptions, {
+        "--alpha": "alpha", "--lr": "learning_rate", "--batch-size": "batch_size",
+        "--seed": "seed", "--max-epochs": "max_epochs", "--no-pca": "use_pca"})
 
     result = train(train_s, val_s, manifest.config.noise_watts, opts)
 
@@ -161,20 +161,14 @@ def cmd_train(args) -> int:
 
 # --------------------------------------------------------------------- bcd
 
-def _require_positive_alpha(alpha: float) -> None:
-    if not alpha > 0:
-        raise ConfigError(f"--alpha must be positive, got {alpha}")
-
-
 def cmd_bcd(args) -> int:
-    _require_positive_alpha(args.alpha)
+    check_value("--alpha", args.alpha, "float", POSITIVE)
     samples, manifest = load_dataset(args.data)
     if not 0 <= args.index < len(samples):
         raise DatasetError(
             f"sample index {args.index} out of range for {len(samples)} records")
-    solver = load_config_file(args.config)[1] if args.config else BcdOptions()
-    opts = _with_flags(solver, {"--tol": ("tol", args.tol), "--seed": ("seed", args.seed),
-                                "--max-outer-iters": ("max_outer_iters", args.max_outer_iters)})
+    opts = _options(args, BcdOptions, {"--tol": "tol", "--seed": "seed",
+                                       "--max-outer-iters": "max_outer_iters"})
 
     s = samples[args.index]
     noise = manifest.config.noise_watts
@@ -233,13 +227,13 @@ def _load_model_for(schemes, model_path, ch):
     return model, pca
 
 
-def _solve_sample(scheme, sample, index, alpha, noise, opts, model, pca, nu, budget):
-    """Run one scheme on one drop; returns (theta, allocation)."""
+def _solve_sample(scheme, sample, index, alpha, noise, opts, model, pca, nu, budget, fixed):
+    """Run one scheme on one drop, "uniform" pinned to ``fixed``; returns (theta, allocation)."""
     ch, w = sample.channels, sample.w
     if scheme in ("uniform", "bcd"):
-        fixed = uniform_contiguous(ch.num_users, ch.side) if scheme == "uniform" else None
         per = dataclasses.replace(opts, seed=_per_sample_seed(opts.seed, index))
-        theta, xi, _ = bcd_optimize(ch, w, alpha, noise, per, fixed_alloc=fixed)
+        theta, xi, _ = bcd_optimize(ch, w, alpha, noise, per,
+                                    fixed_alloc=fixed if scheme == "uniform" else None)
         return theta, xi
     if scheme in _NN_SCHEMES:
         z = flatten_features(ch)
@@ -252,11 +246,9 @@ def _solve_sample(scheme, sample, index, alpha, noise, opts, model, pca, nu, bud
 
 
 def cmd_compare(args) -> int:
-    _require_positive_alpha(args.alpha)
-    if args.nu < 1:
-        raise ConfigError(f"--nu must be >= 1, got {args.nu}")
-    if args.budget < 0:
-        raise ConfigError(f"--budget must be non-negative, got {args.budget}")
+    check_value("--alpha", args.alpha, "float", POSITIVE)
+    check_value("--nu", args.nu, "int", AT_LEAST_ONE)
+    check_value("--budget", args.budget, "int", NON_NEGATIVE)
     samples, manifest = load_dataset(args.data)
     train_s, val_s = train_val_split(samples, manifest)
     split = {"val": val_s, "train": train_s, "all": samples}[args.split]
@@ -265,12 +257,9 @@ def cmd_compare(args) -> int:
 
     schemes = args.scheme or ["uniform", "bcd"]  # the parser's choices refused unknown names
     ch = split[0].channels
-    if "uniform" in schemes and ch.num_users > ch.side:
-        raise ConfigError(f"scheme uniform gives each user whole columns and needs K <= L, "
-                          f"but the dataset has K = {ch.num_users} users and L = {ch.side} columns")
+    fixed = uniform_contiguous(ch.num_users, ch.side) if "uniform" in schemes else None
     model, pca = _load_model_for(schemes, args.model, ch)
-    solver = load_config_file(args.config)[1] if args.config else BcdOptions()
-    opts = _with_flags(solver, {"--seed": ("seed", args.seed)})
+    opts = _options(args, BcdOptions, {"--seed": "seed"})
 
     noise = manifest.config.noise_watts
     bandwidth = manifest.config.bandwidth
@@ -280,7 +269,7 @@ def cmd_compare(args) -> int:
         for i, sample in enumerate(split):
             tic = time.perf_counter()
             theta, alloc = _solve_sample(scheme, sample, i, args.alpha, noise,
-                                         opts, model, pca, args.nu, args.budget)
+                                         opts, model, pca, args.nu, args.budget, fixed)
             seconds.append(time.perf_counter() - tic)
             rates = user_rates(sample.channels, theta, alloc, sample.w, noise)
             utils.append(float(np.sum(alpha_utility(rates, args.alpha))))
@@ -328,17 +317,19 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--out", required=True, help="checkpoint output path")
     t.add_argument("--config", help="JSON config file; its training section applies")
     t.add_argument("--alpha", type=float, help="fairness order (default 1)")
-    t.add_argument("--lr", type=float, help="initial learning rate (default 0.01)")
+    t.add_argument("--lr", type=float, dest="learning_rate", metavar="LR",
+                   help="initial learning rate (default 0.01)")
     t.add_argument("--batch-size", type=int, help="mini-batch size (default 20)")
     t.add_argument("--max-epochs", type=int, help="epoch cap (default 200)")
     t.add_argument("--seed", type=int, help="training seed (default 0)")
-    t.add_argument("--no-pca", action="store_true",
+    t.add_argument("--no-pca", action="store_const", const=False, dest="use_pca",
                    help="train on raw features without dimensionality reduction")
 
     b = sub.add_parser("bcd", help="run the iterative solver on one sample")
     b.add_argument("--data", required=True, help="dataset directory")
     b.add_argument("--index", type=int, default=0, help="sample index (default 0)")
-    b.add_argument("--alpha", type=float, default=1.0, help="fairness order (default 1)")
+    b.add_argument("--alpha", type=float, default=TrainOptions.alpha,
+                   help="fairness order (default 1)")
     b.add_argument("--tol", type=float, help="relative stopping tolerance (default 1e-5)")
     b.add_argument("--max-outer-iters", type=int, help="outer iteration cap (default 200)")
     b.add_argument("--seed", type=int, help="phase init seed (default 0)")
@@ -351,13 +342,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="scheme to run; repeatable (default: uniform, bcd); "
                         "one of " + ", ".join(_ALL_SCHEMES))
     c.add_argument("--model", help="checkpoint for the nn / nn+pca schemes")
-    c.add_argument("--alpha", type=float, default=1.0, help="fairness order (default 1)")
+    c.add_argument("--alpha", type=float, default=TrainOptions.alpha,
+                   help="fairness order (default 1)")
     c.add_argument("--split", choices=("val", "train", "all"), default="val",
                    help="dataset slice to evaluate (default val)")
     c.add_argument("--nu", type=int, default=8, help="phase levels for brute (default 8)")
-    c.add_argument("--budget", type=int, default=10_000_000,
+    c.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                    help="evaluation budget for brute (default 1e7)")
-    c.add_argument("--seed", type=int, default=0, help="solver seed (default 0)")
+    c.add_argument("--seed", type=int, help="solver seed (default 0)")
     c.add_argument("--config", help="JSON config file; its bcd section applies")
     c.add_argument("--out", required=True, help="output CSV path")
     return p

@@ -40,7 +40,7 @@ def _is_finite(v) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
 
 
-# rules for check_fields: (predicate, wording), the predicate seeing a value of the field's type
+# rules for check_value: (predicate, wording), the predicate seeing a value of the field's type
 POSITIVE = (lambda v: v > 0, "positive")
 NON_NEGATIVE = (lambda v: v >= 0, "non-negative")
 AT_LEAST_ONE = (lambda v: v >= 1, ">= 1")
@@ -52,19 +52,21 @@ _TYPES = {"int": (is_int, "an integer"), "float": (_is_finite, "a finite number"
           "bool": (lambda v: isinstance(v, bool), "true or false")}
 
 
-def check_fields(settings, **rules) -> None:
-    """The one check of a settings dataclass, run by its ``__post_init__``.
+def check_value(name: str, value, kind: str, rule=None) -> None:
+    """The one check of a setting: ``value`` must hold type ``kind`` (an
+    ``"int"`` an integer, a ``"float"`` a finite number, a ``"bool"`` true or
+    false; other kinds are not checked), then satisfy ``rule``, if any."""
+    for ok, wording in filter(None, (_TYPES.get(kind), rule)):
+        if not ok(value):
+            raise ConfigError(f"{name} must be {wording}, got {value!r}")
 
-    Every field must hold its annotated type (an ``int`` field an integer, a
-    ``float`` field a finite number, a ``bool`` field true or false), then
-    satisfy the rule given for it by name, if any.
-    """
+
+def check_fields(settings, **rules) -> None:
+    """Run by a settings dataclass's ``__post_init__``: every field against
+    its annotated type and the rule given for it by name."""
     for f in fields(settings):
-        value = getattr(settings, f.name)
-        kind = _TYPES.get(getattr(f.type, "__name__", f.type))
-        for ok, wording in filter(None, (kind, rules.get(f.name))):
-            if not ok(value):
-                raise ConfigError(f"{f.name} must be {wording}, got {value!r}")
+        check_value(f.name, getattr(settings, f.name), getattr(f.type, "__name__", f.type),
+                    rules.get(f.name))
 
 
 def parse_settings(cls, data, section: str, complete: bool = True):

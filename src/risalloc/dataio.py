@@ -22,7 +22,7 @@ from .allocation import mrt_beamformers
 from .channel import ChannelSet, synth_channels
 from .config import ConfigError, ScenarioConfig, is_int, parse_settings
 from .geometry import Deployment, deploy
-from .serial import decode_named_arrays, encode_named_arrays
+from .serial import decode_named_arrays, encode_named_arrays, misfits
 
 FORMAT_VERSION = 1
 _MAGIC = b"RISD"
@@ -125,16 +125,23 @@ def _sample_arrays(s: Sample) -> dict:
     }
 
 
+def _record_layout(config: ScenarioConfig) -> dict:
+    """(shape, complex) of every array a record of this scenario holds;
+    None stands for the blockage count, which varies by drop."""
+    K, N, L2 = config.num_ues, config.n_bs_antennas, config.total_elements
+    return {"ue_positions": ((K, 3), False), "blockages": ((None, 5), False),
+            "h_direct": ((K, N), True), "g_ris": ((K, L2), True), "h_rb": ((L2, N), True),
+            "los_flags": ((K, 2), False), "clamped": ((K, 2), False),
+            "bs_ris_clamped": ((1,), False), "w": ((K, N), True)}
+
+
 def _sample_from_arrays(seed: int, arrays: dict) -> Sample:
-    try:
-        dep = Deployment(arrays["ue_positions"], arrays["blockages"])
-        ch = ChannelSet(arrays["h_direct"], arrays["g_ris"], arrays["h_rb"],
-                        arrays["los_flags"].astype(bool),
-                        arrays["clamped"].astype(bool),
-                        bool(arrays["bs_ris_clamped"][0]))
-        return Sample(seed, dep, ch, arrays["w"])
-    except KeyError as exc:
-        raise DatasetError(f"record is missing array {exc}") from exc
+    dep = Deployment(arrays["ue_positions"], arrays["blockages"])
+    ch = ChannelSet(arrays["h_direct"], arrays["g_ris"], arrays["h_rb"],
+                    arrays["los_flags"].astype(bool),
+                    arrays["clamped"].astype(bool),
+                    bool(arrays["bs_ris_clamped"][0]))
+    return Sample(seed, dep, ch, arrays["w"])
 
 
 def generate_dataset(config: ScenarioConfig, n_train: int, n_val: int,
@@ -166,9 +173,9 @@ def load_dataset(path):
 
     Raises DatasetVersionError / DatasetTruncationError /
     DatasetChecksumError for the three distinct failure modes, and
-    DatasetError when a record's seed is not master seed + index, an array
-    holds NaN or infinity, or the manifest's split sizes do not partition
-    the records.
+    DatasetError when a record's seed is not master seed + index, its arrays
+    do not fit the manifest's scenario or hold NaN or infinity, or the
+    manifest's split sizes do not partition the records.
     """
     path = Path(path)
     manifest_path = path / "manifest.json"
@@ -176,6 +183,7 @@ def load_dataset(path):
     if not manifest_path.exists() or not records_path.exists():
         raise DatasetError(f"{path} does not contain manifest.json and records.bin")
     manifest = DatasetManifest.from_json(manifest_path.read_bytes())
+    layout = _record_layout(manifest.config)
 
     blob = records_path.read_bytes()
     if blob[:4] != _MAGIC:
@@ -208,6 +216,10 @@ def load_dataset(path):
             arrays = decode_named_arrays(payload)
         except ValueError as exc:
             raise DatasetError(f"record {len(samples)}: {exc}") from exc
+        bad = misfits(arrays, layout)
+        if bad:
+            raise DatasetError(f"record {len(samples)}: arrays {bad} are missing, extra, "
+                               "misshaped or of the wrong kind for the manifest's scenario")
         samples.append(_sample_from_arrays(int(seed), arrays))
 
     if len(samples) != manifest.sample_count:

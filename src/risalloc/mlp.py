@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import AT_LEAST_ONE, check_fields, is_int, parse_settings
 from .features import PcaModel
-from .serial import decode_named_arrays, encode_named_arrays
+from .serial import decode_named_arrays, encode_named_arrays, misfits
 
 BN_EPS = 1e-8
 ADAM_BETA1 = 0.9    # first-moment decay
@@ -352,12 +352,10 @@ def _parse_checkpoint(blob: bytes):
 
     # the metadata is outside the CRC, so the model's arrays are checked against it
     arch = parse_settings(MlpArch, meta["arch"], "checkpoint arch")
-    expected = dict(_layout(arch))
+    expected = {name: (shape, False) for name, shape in _layout(arch)}
     for i, h in enumerate(arch.hidden):
-        expected[f"bn_mean.{i}"] = expected[f"bn_var.{i}"] = (h,)
-    model_names = {n for n in arrays if not n.startswith("pca.")}
-    bad = sorted(n for n in expected.keys() | model_names if n not in arrays
-                 or arrays[n].shape != expected.get(n) or np.iscomplexobj(arrays[n]))
+        expected[f"bn_mean.{i}"] = expected[f"bn_var.{i}"] = ((h,), False)
+    bad = misfits({n: a for n, a in arrays.items() if not n.startswith("pca.")}, expected)
     if bad:
         raise CheckpointError(f"checkpoint arrays {bad} are missing, extra or misshaped")
 

@@ -67,3 +67,15 @@ def decode_named_arrays(payload: bytes) -> dict:
     if pos != len(mv):
         raise ValueError("trailing bytes after the last array")
     return arrays
+
+
+def misfits(arrays: dict, layout: dict) -> list:
+    """Sorted names of the arrays missing from, extra to or not fitting
+    ``layout``, which maps each name to (shape, is_complex); a None
+    dimension takes any length."""
+    def fits(name):
+        (shape, is_complex), arr = layout[name], arrays[name]
+        return (arr.ndim == len(shape) and np.iscomplexobj(arr) == is_complex
+                and all(want in (None, got) for want, got in zip(shape, arr.shape)))
+    return sorted(n for n in layout.keys() | arrays.keys()
+                  if n not in layout or n not in arrays or not fits(n))

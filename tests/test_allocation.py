@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from risalloc import (binarize, mrt_beamformers, project_feasible,
+from risalloc import (ConfigError, binarize, mrt_beamformers, project_feasible,
                       project_feasible_with_vjp, uniform_contiguous)
 from risalloc.allocation import _project_columns
 
@@ -74,7 +74,7 @@ def test_uniform_contiguous_patterns():
     assert c.xi.tolist() == [[1, 1, 1, 1]]
     for out in (a, b, c):
         assert np.all((out.xi == 0.0) | (out.xi == 1.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="uniform.*K = 5.*L = 4"):
         uniform_contiguous(5, 4)
 
 

@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 import risalloc
-from risalloc import (BcdOptions, MlpArch, ScenarioConfig, TrainOptions, init_model,
+from risalloc import (BcdOptions, DatasetError, MlpArch, ScenarioConfig, TrainOptions, init_model,
                       load_checkpoint, load_dataset, save_checkpoint)
-from risalloc.cli import main
+from risalloc.brute import DEFAULT_BUDGET
+from risalloc.cli import build_parser, main
 from risalloc.serial import decode_named_arrays, encode_named_arrays
 
 
@@ -344,6 +345,43 @@ def test_compare_scheme_pca_mismatch(tmp_path, dataset, cfg_path, capsys):
     assert rc == 2
 
 
+def test_compare_takes_the_solver_seed_from_config_unless_flagged(tmp_path, dataset):
+    seeded = write_config(tmp_path / "seeded.json", bcd={"max_outer_iters": 30, "seed": 5})
+    plain = write_config(tmp_path / "plain.json", bcd={"max_outer_iters": 30})
+
+    def table(config, *flags):
+        out = tmp_path / "cmp.csv"
+        assert main(["compare", "--data", str(dataset), "--config", config, "--scheme", "bcd",
+                     *flags, "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    from_file = table(seeded)
+    assert from_file == table(plain, "--seed", "5")
+    assert table(seeded, "--seed", "0") == table(plain)
+    assert from_file != table(plain)
+
+
+def test_help_defaults_match_the_library():
+    """Each "(default X)" a flag's help prints is the value the command runs
+    with when the flag is absent: the settings field the flag sets, or else
+    the parser default, which for --alpha and --budget is a library value."""
+    settings = {"train": TrainOptions(), "bcd": BcdOptions(), "compare": BcdOptions()}
+    commands = build_parser()._subparsers._group_actions[0].choices
+    checked = 0
+    for command, parser in commands.items():
+        for action in parser._actions:
+            text = (action.help or "").partition("(default ")[2].partition(")")[0]
+            if text:
+                runs = (getattr(settings[command], action.dest) if action.default is None
+                        else action.default)
+                assert text == runs or float(text) == runs, (command, action.dest, text, runs)
+                checked += 1
+    assert checked == 19
+    assert commands["bcd"].get_default("alpha") == TrainOptions.alpha
+    assert commands["compare"].get_default("alpha") == TrainOptions.alpha
+    assert commands["compare"].get_default("budget") == DEFAULT_BUDGET
+
+
 def test_compare_brute_tiny(tmp_path, dataset, cfg_path):
     out = tmp_path / "cmp.csv"
     rc = main(["compare", "--data", str(dataset), "--config", cfg_path,
@@ -370,6 +408,9 @@ def test_compare_brute_budget_refusal(tmp_path, dataset, capsys):
     ("compare", ["--seed", "-3"]),
     ("train", ["--lr", "nan"]),
     ("bcd", ["--max-outer-iters", "0"]),
+    ("bcd", ["--alpha", "inf"]),
+    ("compare", ["--alpha", "nan"]),
+    ("compare", ["--alpha", "inf"]),
 ])
 def test_out_of_domain_flags_are_config_errors(tmp_path, dataset, capsys, command, flags):
     rc = main([command, "--data", str(dataset), *flags, "--out", str(tmp_path / "o")])
@@ -436,21 +477,50 @@ def test_manifest_split_sizes_checked(tmp_path, dataset, capsys):
     assert "split sizes" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["train", "compare"])
-def test_non_finite_dataset_is_data_error(tmp_path, dataset, cfg_path, capsys, command):
-    # a NaN written before the CRC was computed passes the CRC check
+def _rewrite_record(dataset, index, edit):
+    """Apply ``edit`` to record ``index``'s arrays and store it with a fresh CRC."""
     rec = dataset / "records.bin"
     blob = rec.read_bytes()
-    length, seed, _ = struct.unpack_from("<QQI", blob, 8)
-    arrays = decode_named_arrays(blob[28:28 + length])
-    arrays["g_ris"][0, 0] = np.nan
+    pos = 8
+    for _ in range(index):
+        pos += 20 + struct.unpack_from("<Q", blob, pos)[0]
+    length, seed, _ = struct.unpack_from("<QQI", blob, pos)
+    arrays = decode_named_arrays(blob[pos + 20:pos + 20 + length])
+    edit(arrays)
     payload = encode_named_arrays(arrays)
-    rec.write_bytes(blob[:8] + struct.pack("<QQI", len(payload), seed, zlib.crc32(payload))
-                    + payload + blob[28 + length:])
+    rec.write_bytes(blob[:pos] + struct.pack("<QQI", len(payload), seed, zlib.crc32(payload))
+                    + payload + blob[pos + 20 + length:])
+
+
+@pytest.mark.parametrize("command", ["train", "compare"])
+def test_non_finite_dataset_is_data_error(tmp_path, dataset, cfg_path, capsys, command):
+    def put_nan(arrays):  # a NaN written before the CRC was computed passes the CRC check
+        arrays["g_ris"][0, 0] = np.nan
+
+    _rewrite_record(dataset, 0, put_nan)
     flags = {"train": ["--config", cfg_path, "--out", str(tmp_path / "m.ckpt")],
              "compare": ["--out", str(tmp_path / "c.csv")]}[command]
     assert main([command, "--data", str(dataset)] + flags) == 3
     assert "'g_ris' holds non-finite values" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit,names", [
+    pytest.param(lambda a: a.update(g_ris=a["g_ris"][:, :1], h_rb=a["h_rb"][:1]),
+                 "'g_ris', 'h_rb'", id="smaller-surface"),
+    pytest.param(lambda a: a.pop("w"), "'w'", id="missing"),
+    pytest.param(lambda a: a.update(extra=np.zeros(3)), "'extra'", id="extra"),
+    pytest.param(lambda a: a.update(h_direct=a["h_direct"].real), "'h_direct'", id="real-valued"),
+])
+@pytest.mark.parametrize("command", ["train", "bcd", "compare"])
+def test_record_that_does_not_fit_its_manifest_is_data_error(tmp_path, dataset, cfg_path, capsys,
+                                                              edit, names, command):
+    _rewrite_record(dataset, 1, edit)
+    with pytest.raises(DatasetError, match=f"record 1: arrays \\[{names}\\]"):
+        load_dataset(dataset)
+    flags = {"train": ["--config", cfg_path], "bcd": ["--index", "1"],
+             "compare": ["--split", "all"]}[command]
+    assert main([command, "--data", str(dataset), *flags, "--out", str(tmp_path / "o")]) == 3
+    assert f"record 1: arrays [{names}]" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("array", ["weights", "pca"])
