@@ -21,12 +21,14 @@ def _project_columns(x: np.ndarray):
     x = np.asarray(x, dtype=float)
     K = x.shape[-2]
     clipped = np.maximum(x, 0.0)
-    on_simplex = clipped.sum(axis=-2) > 1.0
+    on_simplex = np.add.reduce(clipped, -2) > 1.0
     srt = np.sort(x, axis=-2)[..., ::-1, :]
-    css = srt.cumsum(axis=-2) - 1.0
-    meets = srt - css / np.arange(1, K + 1)[:, None] > 0
+    rows = np.arange(K)[:, None]
+    level = (srt.cumsum(axis=-2) - 1.0) / (rows + 1)  # the threshold if the top k + 1 stay
+    meets = srt - level > 0
     rho = K - 1 - meets[..., ::-1, :].argmax(axis=-2, keepdims=True)  # last index meeting it
-    tau = np.take_along_axis(css, rho, axis=-2) / (rho + 1.0)
+    # tau = level at rho, gathered column by column
+    tau = level.swapaxes(-1, -2)[(rows == rho).swapaxes(-1, -2)].reshape(rho.shape)
     z = np.maximum(x - tau, 0.0)
     face = on_simplex[..., None, :]
     return np.where(face, z, clipped), on_simplex, np.where(face, z > 0, x > 0.0)

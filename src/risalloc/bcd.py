@@ -8,6 +8,9 @@ objective kernel in ``metrics`` by its gradient path,
 ``objective_value_and_gradients``: once at the starting point, then once
 or twice per step, each call scoring a stack of line-search trials with
 their gradients. The accepted trial's gradients drive the next step.
+The channel products are bound once per solve, and each block binds the
+factor its sweep leaves fixed: the element mask while the phases move,
+the phase factors while the shares move.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 from .allocation import _project_columns
 from .channel import ChannelSet
 from .config import AT_LEAST_ONE, NON_NEGATIVE, POSITIVE, check_fields
-from .metrics import Allocation, PhaseConfig, _objective, _single
+from .metrics import Allocation, PhaseConfig, _bind, _evaluate, _single
 
 
 @dataclass(frozen=True)
@@ -46,15 +49,20 @@ class BcdTrace:
 
 
 def objective_value_and_gradients(ch: ChannelSet, theta, xi, w, alpha: float,
-                                  noise_linear: float):
+                                  noise_linear: float, bound=None):
     """Objective plus exact gradients wrt phases and column shares; users
     pinned at the rate floor contribute zero gradient.
 
     Scores one instance, or a stack of trials when theta is (Q, L2) or xi
     is (Q, K, L): the value is then a (Q,) array instead of a float, and
-    the gradients gain the leading Q axis.
+    the gradients gain the leading Q axis. ``bound`` is ch and w bound by
+    ``metrics._bind`` with grads=True, possibly with a block factor;
+    without it the call binds them itself.
     """
-    value, dtheta, dxi = _objective(*_single(ch, w, theta, xi), noise_linear, alpha, grads=True)
+    g_ris, h_rb, h_direct, w, theta, xi = _single(ch, w, theta, xi)
+    if bound is None:
+        bound = _bind(g_ris, h_rb, h_direct, w, grads=True)
+    value, dtheta, dxi = _evaluate(bound, theta, xi, noise_linear, alpha, grads=True)
     return (float(value) if np.ndim(value) == 0 else value), dtheta, dxi
 
 
@@ -73,9 +81,9 @@ def _line_ascend(x, f_x, grads, block, project, score, ladder, first):
             continue
         trials = project(x + np.multiply.outer(ladder[lo:hi], grads[block]))
         values, *trial_grads = score(trials)
-        accepted = np.flatnonzero(values >= f_x)
-        if accepted.size:
-            i = accepted[0]
+        accepted = values >= f_x
+        i = int(accepted.argmax())  # the first accepted trial, if any
+        if accepted[i]:
             return trials[i].copy(), float(values[i]), [g[i].copy() for g in trial_grads], lo + i + 1
     return x, f_x, grads, len(ladder)
 
@@ -103,10 +111,12 @@ def bcd_optimize(ch: ChannelSet, w, alpha: float, noise_linear: float,
         xi = np.array(fixed_alloc.xi, dtype=float)
     ladder = np.cumprod([opts.step_size] + [0.5] * 29)  # the floats a halving loop gives
 
-    def score(th, x):
-        return objective_value_and_gradients(ch, th, x, w, alpha, noise_linear)
+    problem = _bind(ch.g_ris, ch.h_rb, ch.h_direct, w, grads=True)
 
-    obj, *grads = score(theta, xi)
+    def score(th, x, bound):
+        return objective_value_and_gradients(ch, th, x, w, alpha, noise_linear, bound)
+
+    obj, *grads = score(theta, xi, problem)
     if not np.isfinite(obj):
         raise RuntimeError("objective is not finite at the starting point")
     trace = BcdTrace(objectives=[obj], seconds=[0.0])
@@ -115,16 +125,18 @@ def bcd_optimize(ch: ChannelSet, w, alpha: float, noise_linear: float,
     for outer in range(1, opts.max_outer_iters + 1):
         tic = time.perf_counter()
 
+        shares_fixed = problem.with_shares(xi)
         for _ in range(opts.inner_steps_per_block):
             theta, obj, grads, used[0] = _line_ascend(
                 theta, obj, grads, 0, lambda t: np.clip(t, 0.0, np.pi),
-                lambda t: score(t, xi), ladder, used[0])
+                lambda t: score(t, xi, shares_fixed), ladder, used[0])
 
         if fixed_alloc is None:
+            phases_fixed = problem.with_phases(theta)
             for _ in range(opts.inner_steps_per_block):
                 xi, obj, grads, used[1] = _line_ascend(
                     xi, obj, grads, 1, lambda x: _project_columns(x)[0],
-                    lambda x: score(theta, x), ladder, used[1])
+                    lambda x: score(theta, x, phases_fixed), ladder, used[1])
 
         trace.objectives.append(obj)
         trace.seconds.append(time.perf_counter() - tic)

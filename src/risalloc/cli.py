@@ -30,7 +30,7 @@ from .dataio import DatasetError, generate_dataset, load_dataset, train_val_spli
 from .features import flatten_features, pca_transform
 from .metrics import alpha_mean_throughput, alpha_utility, sum_utility, user_rates
 from .mlp import CheckpointError, load_checkpoint, mlp_forward, parameter_count, save_checkpoint
-from .training import TrainOptions, train
+from .training import TrainOptions, nn_loss, train
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -98,6 +98,39 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
+def _out_dir(path) -> Path:
+    """An --out directory, checked before any work: the path and its
+    nearest existing ancestor must be directories."""
+    out = Path(path)
+    first = next(p for p in (out, *out.parents) if p.exists())
+    if not first.is_dir():
+        raise ConfigError(f"--out: {first} exists and is not a directory")
+    return out
+
+
+def _check_out_file(path, sidecar_suffix: str) -> None:
+    """An --out file and its sidecar (path + sidecar_suffix), checked before
+    any work: neither may be a directory, and their directory must exist."""
+    for p in (Path(path), Path(str(path) + sidecar_suffix)):
+        if p.is_dir():
+            raise ConfigError(f"--out: {p} is a directory")
+    if not Path(path).parent.is_dir():
+        raise ConfigError(f"--out: {Path(path).parent} is not an existing directory")
+
+
+def _check_alpha(alpha: float, samples, noise: float) -> None:
+    """Refuse an alpha whose utility overflows on these samples: the loss
+    at the uniform shares with every phase at zero must be finite. The
+    loader refuses non-finite arrays, so a non-finite loss comes from alpha."""
+    ch = samples[0].channels
+    Q, K = len(samples), ch.num_users
+    with np.errstate(over="ignore"):
+        loss = nn_loss(np.zeros((Q, ch.num_elements)), np.full((Q, K, ch.side), 1.0 / K),
+                       [s.channels for s in samples], [s.w for s in samples], alpha, noise)
+    if not np.isfinite(loss):
+        raise ConfigError(f"--alpha {alpha!r} overflows the fairness utility on this data")
+
+
 def _per_sample_seed(seed: int, index: int) -> int:
     """Independent solver stream per (run seed, sample index)."""
     return int(np.random.SeedSequence([seed, index]).generate_state(1, dtype=np.uint64)[0])
@@ -110,7 +143,7 @@ def cmd_generate(args) -> int:
     if args.n_train < 0 or args.n_val < 0 or args.n_train + args.n_val < 1:
         raise ConfigError("need --n-train/--n-val with at least one sample in total")
     check_value("--seed", args.seed, "int", NON_NEGATIVE)
-    out = Path(args.out)
+    out = _out_dir(args.out)
     manifest = generate_dataset(config, args.n_train, args.n_val, args.seed, out)
     digest = hashlib.sha256()
     digest.update((out / "manifest.json").read_bytes())
@@ -126,6 +159,7 @@ def cmd_generate(args) -> int:
 # ------------------------------------------------------------------- train
 
 def cmd_train(args) -> int:
+    _check_out_file(args.out, ".history.csv")
     samples, manifest = load_dataset(args.data)
     train_s, val_s = train_val_split(samples, manifest)
     if len(train_s) < 2 or not val_s:
@@ -135,6 +169,7 @@ def cmd_train(args) -> int:
     opts = _options(args, TrainOptions, {
         "--alpha": "alpha", "--lr": "learning_rate", "--batch-size": "batch_size",
         "--seed": "seed", "--max-epochs": "max_epochs", "--no-pca": "use_pca"})
+    _check_alpha(opts.alpha, samples, manifest.config.noise_watts)
 
     result = train(train_s, val_s, manifest.config.noise_watts, opts)
 
@@ -163,19 +198,20 @@ def cmd_train(args) -> int:
 
 def cmd_bcd(args) -> int:
     check_value("--alpha", args.alpha, "float", POSITIVE)
+    out = _out_dir(args.out)
     samples, manifest = load_dataset(args.data)
     if not 0 <= args.index < len(samples):
         raise DatasetError(
             f"sample index {args.index} out of range for {len(samples)} records")
+    s = samples[args.index]
+    noise = manifest.config.noise_watts
+    _check_alpha(args.alpha, [s], noise)
     opts = _options(args, BcdOptions, {"--tol": "tol", "--seed": "seed",
                                        "--max-outer-iters": "max_outer_iters"})
 
-    s = samples[args.index]
-    noise = manifest.config.noise_watts
     theta, xi, trace = bcd_optimize(s.channels, s.w, args.alpha, noise, opts)
     hard = binarize(xi.xi)
 
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "trace.csv", ["iteration", "objective", "seconds"],
                [[i, _fmt(obj), _fmt(sec)]
@@ -249,6 +285,7 @@ def cmd_compare(args) -> int:
     check_value("--alpha", args.alpha, "float", POSITIVE)
     check_value("--nu", args.nu, "int", AT_LEAST_ONE)
     check_value("--budget", args.budget, "int", NON_NEGATIVE)
+    _check_out_file(args.out, ".timing.csv")
     samples, manifest = load_dataset(args.data)
     train_s, val_s = train_val_split(samples, manifest)
     split = {"val": val_s, "train": train_s, "all": samples}[args.split]
@@ -262,6 +299,7 @@ def cmd_compare(args) -> int:
     opts = _options(args, BcdOptions, {"--seed": "seed"})
 
     noise = manifest.config.noise_watts
+    _check_alpha(args.alpha, split, noise)
     bandwidth = manifest.config.bandwidth
     rows, timing_rows = [], []
     for scheme in schemes:

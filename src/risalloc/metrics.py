@@ -4,11 +4,13 @@ The objective lives in one private kernel, ``_objective``, over stacked
 instances, with a value-only and a gradient path. Its one-channel callers
 are ``user_rates`` and ``sum_utility`` here and
 ``bcd.objective_value_and_gradients``, which also scores stacks of trials.
+``_objective`` binds its problem (``_bind``) and evaluates it
+(``_evaluate``); the solver binds once per solve and reuses the binding.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -76,6 +78,40 @@ def expand_columns(xi) -> np.ndarray:
     return np.repeat(arr, reps, axis=arr.ndim - 1)
 
 
+@dataclass(slots=True)
+class _Bound:
+    """The kernel's inputs bound to one problem (a channel, or a stack of
+    them) with the products that no phase or share changes, plus at most
+    one block's fixed factor. Built by _bind, then with_shares for a block
+    that moves only the phases, or with_phases for one that moves only the
+    shares."""
+
+    g_ris: np.ndarray
+    h_rb: np.ndarray
+    h_direct: np.ndarray
+    w_t: np.ndarray                    # w^T: S = e @ w_t
+    own: np.ndarray | None             # (K, K) selector of each user's own beam
+    B: np.ndarray | None               # B[i, l] = (h_rb w_i)_l
+    mask: np.ndarray | None = None     # expand_columns(xi) for fixed shares
+    phase: np.ndarray | None = None    # e^{j theta} for fixed phases
+    g_phase: np.ndarray | None = None  # g_ris e^{j theta} for fixed phases
+
+    def with_shares(self, xi) -> "_Bound":
+        return replace(self, mask=expand_columns(xi))
+
+    def with_phases(self, theta) -> "_Bound":
+        phase = np.exp(1j * theta)
+        return replace(self, phase=phase, g_phase=self.g_ris * phase[..., None, :])
+
+
+def _bind(g_ris, h_rb, h_direct, w, grads: bool = False) -> _Bound:
+    """Bind one problem for _evaluate; own and B, which only the gradient
+    path reads, are built when grads is True. Shapes as in _objective."""
+    own = np.eye(w.shape[-2], dtype=bool) if grads else None
+    B = w @ h_rb.swapaxes(-1, -2) if grads else None
+    return _Bound(g_ris, h_rb, h_direct, w.swapaxes(-1, -2), own, B)
+
+
 def _objective(g_ris, h_rb, h_direct, w, theta, xi, noise_linear: float,
                alpha: float | None = None, grads: bool = False):
     """Rates (Q, K) when alpha is None, else utilities (Q,); grads=True adds
@@ -87,35 +123,44 @@ def _objective(g_ris, h_rb, h_direct, w, theta, xi, noise_linear: float,
     expand_columns. Users pinned at the rate floor contribute zero gradient,
     so an all-zero allocation zeroes dtheta.
     """
+    return _evaluate(_bind(g_ris, h_rb, h_direct, w, grads), theta, xi, noise_linear, alpha, grads)
+
+
+def _evaluate(b: _Bound, theta, xi, noise_linear: float, alpha: float | None = None,
+              grads: bool = False):
+    """The one body of _objective, on a bound problem; a block factor bound
+    into b stands in for the mask or phase factors theta or xi would give."""
     if noise_linear < 0 or (grads and noise_linear == 0):
         raise ValueError("noise power must be non-negative, and positive for gradients")
-    mask = expand_columns(xi)
-    phase = np.exp(1j * theta)
-    e = (g_ris * (mask * phase[..., None, :])) @ h_rb + h_direct  # e_k: user k's effective row
-    S = e @ w.swapaxes(-1, -2)  # S[k, i] = e_k . w_i
+    mask = expand_columns(xi) if b.mask is None else b.mask
+    phase = np.exp(1j * theta) if b.phase is None else b.phase
+    # e_k: user k's effective row
+    e = (b.g_ris * (mask * phase[..., None, :])) @ b.h_rb + b.h_direct
+    S = e @ b.w_t  # S[k, i] = e_k . w_i
     P = np.abs(S) ** 2
     num = P.diagonal(axis1=-2, axis2=-1)
-    den = P.sum(axis=-1) - num + noise_linear
+    den = np.add.reduce(P, -1) - num + noise_linear
     sig = num / den
     K = S.shape[-1]
-    rates = np.log2(1.0 + sig) / K
+    gain = 1.0 + sig
+    rates = np.log2(gain) / K
     if alpha is None:
         return rates
-    values = alpha_utility(rates, alpha).sum(axis=-1)
+    values = np.add.reduce(alpha_utility(rates, alpha), -1)
     if not grads:
         return values
 
     floored = np.maximum(rates, RATE_FLOOR)
     du_drate = np.where(rates > RATE_FLOOR, floored ** (-alpha), 0.0)
-    drate_dsinr = 1.0 / (K * _LN2 * (1.0 + sig))
+    drate_dsinr = 1.0 / (K * _LN2 * gain)
     q = (du_drate * drate_dsinr / den)[..., :, None]
     # dU/d|S_ki|^2: q_k on the diagonal, -q_k * SINR_k off it
-    G = np.where(np.eye(K, dtype=bool), q, -q * sig[..., :, None])
-    B = w @ h_rb.swapaxes(-1, -2)                         # B[i, l] = (h_rb w_i)_l
-    C = g_ris * phase[..., None, :] * ((G * np.conj(S)) @ B)  # (Q, K, L2)
-    dtheta = -2.0 * np.imag((mask * C).sum(axis=-2))
+    G = np.where(b.own, q, -q * sig[..., :, None])
+    g_phase = b.g_ris * phase[..., None, :] if b.g_phase is None else b.g_phase
+    C = g_phase * ((G * np.conj(S)) @ b.B)  # (Q, K, L2)
+    dtheta = -2.0 * np.imag(np.add.reduce(mask * C, -2))
     L = np.shape(xi)[-1]
-    dxi = 2.0 * np.real(C).reshape(C.shape[:-1] + (L, L)).sum(axis=-1)
+    dxi = 2.0 * np.add.reduce(np.real(C).reshape(C.shape[:-1] + (L, L)), -1)
     return values, dtheta, dxi
 
 

@@ -411,11 +411,36 @@ def test_compare_brute_budget_refusal(tmp_path, dataset, capsys):
     ("bcd", ["--alpha", "inf"]),
     ("compare", ["--alpha", "nan"]),
     ("compare", ["--alpha", "inf"]),
+    ("bcd", ["--alpha", "1e308"]),        # finite, but the utility overflows
+    ("compare", ["--alpha", "1e308"]),
+    ("train", ["--alpha", "1e308"]),
 ])
 def test_out_of_domain_flags_are_config_errors(tmp_path, dataset, capsys, command, flags):
     rc = main([command, "--data", str(dataset), *flags, "--out", str(tmp_path / "o")])
     assert rc == 2
     assert flags[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,out", [
+    ("generate", "file"),             # a directory command given a file
+    ("bcd", "file"),
+    ("bcd", "file/solve"),            # or a path below a file
+    ("train", "dir"),                 # a file command given a directory
+    ("compare", "dir"),
+    ("compare", "t.csv"),             # whose sidecar t.csv.timing.csv is a directory
+    ("train", "dir/missing/m.ckpt"),  # or a file in no directory
+])
+def test_out_of_the_wrong_kind_is_a_config_error(tmp_path, dataset, capsys, command, out):
+    (tmp_path / "file").write_text("keep")
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "t.csv.timing.csv").mkdir()
+    source = (["--n-train", "1", "--n-val", "1"] if command == "generate"
+              else ["--data", str(dataset)])
+    rc = main([command, *source, "--out", str(tmp_path / out)])
+    assert rc == 2
+    assert "--out" in capsys.readouterr().err
+    assert (tmp_path / "file").read_text() == "keep" and not any((tmp_path / "dir").iterdir())
+    assert not (tmp_path / "t.csv").exists()
 
 
 @pytest.mark.parametrize("corrupt", [

@@ -1,5 +1,6 @@
 """Property tests for the column projection, the rounding to a hard
-assignment and the scenario range check, over inputs hypothesis draws."""
+assignment, the scenario range check and the bound objective kernel, over
+inputs hypothesis draws."""
 
 import math
 
@@ -14,6 +15,7 @@ from risalloc import ConfigError, ScenarioConfig, binarize, deploy  # noqa: E402
 from risalloc.allocation import _project_columns  # noqa: E402
 from risalloc.channel import _check_distances, _link_geometry  # noqa: E402
 from risalloc.config import MAX_DIST_2D  # noqa: E402
+from risalloc.metrics import _bind, _evaluate, _objective  # noqa: E402
 
 # the same examples on every run, and no example database written to disk
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None)
@@ -79,3 +81,36 @@ def test_accepted_scenarios_keep_every_link_in_the_pathloss_range(area_side, bs_
     for a, b in links:
         d2d, d3d, _ = _link_geometry(a, b)
         _check_distances(d2d, d3d)
+
+
+def _same_bits(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@DETERMINISTIC
+@given(K=st.integers(1, 4), N=st.integers(1, 3), L=st.integers(1, 4), Q=st.integers(1, 5),
+       alpha=st.sampled_from([0.5, 1.0, 2.0]), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_bound_kernel_with_a_block_factor_matches_the_objective_bit_for_bit(K, N, L, Q, alpha,
+                                                                           seed, data):
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    g_ris, h_rb, h_direct, w = draw(K, L * L), draw(L * L, N), draw(K, N), draw(K, N)
+    # users with no direct path and no share sit at the rate floor
+    h_direct[data.draw(arrays(bool, K))] = 0.0
+    theta = rng.uniform(0.0, np.pi, size=(Q, L * L))
+    xi = rng.uniform(size=(Q, K, L))
+    xi /= np.maximum(xi.sum(axis=-2, keepdims=True), 1.0)
+    xi[..., data.draw(arrays(bool, L))] = 0.0
+    problem = _bind(g_ris, h_rb, h_direct, w, grads=True)
+    kernel = (g_ris, h_rb, h_direct, w)
+
+    # a phase block: the shares, and so the element mask, stay fixed
+    got = _evaluate(problem.with_shares(xi[0]), theta, xi[0], 0.05, alpha, grads=True)
+    _same_bits(got, _objective(*kernel, theta, xi[0], 0.05, alpha, grads=True))
+    # a share block: the phases, and so e^{j theta} and g_ris e^{j theta}, stay fixed
+    got = _evaluate(problem.with_phases(theta[0]), theta[0], xi, 0.05, alpha, grads=True)
+    _same_bits(got, _objective(*kernel, theta[0], xi, 0.05, alpha, grads=True))
