@@ -6,22 +6,41 @@ import numpy as np
 
 from .channel import ChannelSet
 from .config import ConfigError
-from .metrics import Allocation, Beamformers
+from .metrics import _FEAS_EPS, Allocation, Beamformers
 
 
-def _project_columns(x: np.ndarray):
+def _simplex_columns(x: np.ndarray):
     """Projection of every column (axis -2) onto {z in [0,1]^K : sum z <= 1}.
 
     The box bound is implied, so the set is the solid unit simplex: columns
     whose clipped entries sum to at most 1 are only clipped, the rest all
     go to the face at once by the sort-based threshold (Duchi et al., ICML
     2008; Condat, Math. Prog. 2016). Returns (projection, per-column simplex
-    flag, active-entry mask); the last two feed the training pullback.
+    flag).
+
+    With entries beyond about 1e15 the threshold's ``cumsum - 1`` loses the
+    1, and a face column can come out off the face, even with a share above
+    1. Such columns are projected again from their entries minus the
+    column's largest, floored at -2 (an entry 1 or more below the largest is
+    never kept), where the arithmetic is exact enough; every other column
+    keeps the bits of the one-pass threshold.
     """
     x = np.asarray(x, dtype=float)
-    K = x.shape[-2]
     clipped = np.maximum(x, 0.0)
     on_simplex = np.add.reduce(clipped, -2) > 1.0
+    z = _face(x)
+    missed = on_simplex & (np.abs(np.add.reduce(z, -2) - 1.0) > _FEAS_EPS)
+    if missed.any():
+        cols = x.swapaxes(-1, -2)[missed]  # (M, K), one row per missed column
+        with np.errstate(over="ignore"):  # x - top below -1.8e308 is floored anyway
+            shifted = np.maximum(cols - cols.max(axis=1, keepdims=True), -2.0)
+        z.swapaxes(-1, -2)[missed] = _face(shifted.T).T
+    return np.where(on_simplex[..., None, :], z, clipped), on_simplex
+
+
+def _face(x):
+    """max(x - tau, 0) per column, tau the sort-based threshold of the face."""
+    K = x.shape[-2]
     srt = np.sort(x, axis=-2)[..., ::-1, :]
     rows = np.arange(K)[:, None]
     level = (srt.cumsum(axis=-2) - 1.0) / (rows + 1)  # the threshold if the top k + 1 stay
@@ -29,15 +48,19 @@ def _project_columns(x: np.ndarray):
     rho = K - 1 - meets[..., ::-1, :].argmax(axis=-2, keepdims=True)  # last index meeting it
     # tau = level at rho, gathered column by column
     tau = level.swapaxes(-1, -2)[(rows == rho).swapaxes(-1, -2)].reshape(rho.shape)
-    z = np.maximum(x - tau, 0.0)
-    face = on_simplex[..., None, :]
-    return np.where(face, z, clipped), on_simplex, np.where(face, z > 0, x > 0.0)
+    return np.maximum(x - tau, 0.0)
+
+
+def _project_columns(x: np.ndarray):
+    """_simplex_columns plus the active-entry mask (projected entry > 0)
+    that the training pullback reads: (projection, simplex flag, mask)."""
+    proj, on_simplex = _simplex_columns(x)
+    return proj, on_simplex, proj > 0.0
 
 
 def project_feasible(xi_raw: np.ndarray) -> Allocation:
     """Nearest feasible relaxed allocation, column by column."""
-    proj, _, _ = _project_columns(xi_raw)
-    return Allocation(proj)
+    return Allocation(_simplex_columns(xi_raw)[0])
 
 
 def project_feasible_with_vjp(xi_raw: np.ndarray):

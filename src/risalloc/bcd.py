@@ -5,9 +5,13 @@ fixed allocation was supplied), taking a handful of gradient steps per block
 with a halving line search that never accepts a decrease, so the objective
 trace is monotone up to float noise. Every evaluation goes through the
 objective kernel in ``metrics`` by its gradient path,
-``objective_value_and_gradients``: once at the starting point, then once
-or twice per step, each call scoring a stack of line-search trials with
-their gradients. The accepted trial's gradients drive the next step.
+``objective_value_and_gradients``: once at the starting point, then about
+once per step, each call scoring a stack of line-search trials with their
+gradients. The first stack holds one trial more than the block's previous
+search needed; the rest of the ladder is scored only when none of those is
+accepted. The accepted trial's gradients drive the next step. A block's
+sweep ends early at a fixed point: once a search leaves its point unchanged
+to the bit, every later step would repeat the same call on the same inputs.
 The channel products are bound once per solve, and each block binds the
 factor its sweep leaves fixed: the element mask while the phases move,
 the phase factors while the shares move.
@@ -20,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocation import _project_columns
+from .allocation import _simplex_columns
 from .channel import ChannelSet
 from .config import AT_LEAST_ONE, NON_NEGATIVE, POSITIVE, check_fields
 from .metrics import Allocation, PhaseConfig, _bind, _evaluate, _single
@@ -57,10 +61,11 @@ def objective_value_and_gradients(ch: ChannelSet, theta, xi, w, alpha: float,
     is (Q, K, L): the value is then a (Q,) array instead of a float, and
     the gradients gain the leading Q axis. ``bound`` is ch and w bound by
     ``metrics._bind`` with grads=True, possibly with a block factor;
-    without it the call binds them itself.
+    without it the call binds them itself. With ``bound``, theta and xi
+    must already be float arrays, as the solver passes them.
     """
-    g_ris, h_rb, h_direct, w, theta, xi = _single(ch, w, theta, xi)
     if bound is None:
+        g_ris, h_rb, h_direct, w, theta, xi = _single(ch, w, theta, xi)
         bound = _bind(g_ris, h_rb, h_direct, w, grads=True)
     value, dtheta, dxi = _evaluate(bound, theta, xi, noise_linear, alpha, grads=True)
     return (float(value) if np.ndim(value) == 0 else value), dtheta, dxi
@@ -86,6 +91,32 @@ def _line_ascend(x, f_x, grads, block, project, score, ladder, first):
         if accepted[i]:
             return trials[i].copy(), float(values[i]), [g[i].copy() for g in trial_grads], lo + i + 1
     return x, f_x, grads, len(ladder)
+
+
+def _clip_phases(trials):
+    """Clip a fresh stack of phase trials into [0, pi], in place; np.clip's
+    wrapper costs more than the two ufuncs."""
+    return np.minimum(np.maximum(trials, 0.0, out=trials), np.pi, out=trials)
+
+
+def _ascend_block(x, f_x, grads, block, project, score, ladder, steps, used):
+    """Up to ``steps`` line searches on one block. Returns (point, value,
+    gradients, trials the last search used).
+
+    Each search's first stack holds one trial more than the previous one
+    needed, so a search that needs one more trial than the last still
+    costs one kernel call. The sweep stops as soon as a search leaves its
+    point unchanged: every later search would score the same trials from
+    the same point and gradients.
+    """
+    for _ in range(steps):
+        y, f_y, grads, used = _line_ascend(x, f_x, grads, block, project, score, ladder,
+                                           min(used + 1, len(ladder)))
+        fixed_point = f_y == f_x and np.array_equal(y, x)  # the floats first: cheap
+        x, f_x = y, f_y
+        if fixed_point:
+            break
+    return x, f_x, grads, used
 
 
 def bcd_optimize(ch: ChannelSet, w, alpha: float, noise_linear: float,
@@ -126,17 +157,16 @@ def bcd_optimize(ch: ChannelSet, w, alpha: float, noise_linear: float,
         tic = time.perf_counter()
 
         shares_fixed = problem.with_shares(xi)
-        for _ in range(opts.inner_steps_per_block):
-            theta, obj, grads, used[0] = _line_ascend(
-                theta, obj, grads, 0, lambda t: np.clip(t, 0.0, np.pi),
-                lambda t: score(t, xi, shares_fixed), ladder, used[0])
+        theta, obj, grads, used[0] = _ascend_block(
+            theta, obj, grads, 0, _clip_phases, lambda t: score(t, xi, shares_fixed),
+            ladder, opts.inner_steps_per_block, used[0])
 
         if fixed_alloc is None:
             phases_fixed = problem.with_phases(theta)
-            for _ in range(opts.inner_steps_per_block):
-                xi, obj, grads, used[1] = _line_ascend(
-                    xi, obj, grads, 1, lambda x: _project_columns(x)[0],
-                    lambda x: score(theta, x, phases_fixed), ladder, used[1])
+            xi, obj, grads, used[1] = _ascend_block(
+                xi, obj, grads, 1, lambda x: _simplex_columns(x)[0],
+                lambda x: score(theta, x, phases_fixed),
+                ladder, opts.inner_steps_per_block, used[1])
 
         trace.objectives.append(obj)
         trace.seconds.append(time.perf_counter() - tic)

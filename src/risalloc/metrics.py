@@ -146,11 +146,11 @@ def _evaluate(b: _Bound, theta, xi, noise_linear: float, alpha: float | None = N
     rates = np.log2(gain) / K
     if alpha is None:
         return rates
-    values = np.add.reduce(alpha_utility(rates, alpha), -1)
+    floored = np.maximum(rates, RATE_FLOOR)
+    values = np.add.reduce(_floored_utility(floored, alpha), -1)
     if not grads:
         return values
 
-    floored = np.maximum(rates, RATE_FLOOR)
     du_drate = np.where(rates > RATE_FLOOR, floored ** (-alpha), 0.0)
     drate_dsinr = 1.0 / (K * _LN2 * gain)
     q = (du_drate * drate_dsinr / den)[..., :, None]
@@ -185,14 +185,17 @@ def alpha_utility(r, alpha: float):
     Rates are floored at RATE_FLOOR first so the value stays finite.
     Vectorizes over arrays.
     """
+    out = _floored_utility(np.maximum(np.asarray(r, dtype=float), RATE_FLOOR), alpha)
+    return float(out) if out.ndim == 0 else out
+
+
+def _floored_utility(r, alpha: float):
+    """alpha_utility of rates already floored at RATE_FLOOR."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    r = np.maximum(np.asarray(r, dtype=float), RATE_FLOOR)
     if alpha == 1.0:
-        out = np.log(r)
-    else:
-        out = r ** (1.0 - alpha) / (1.0 - alpha)
-    return float(out) if out.ndim == 0 else out
+        return np.log(r)
+    return r ** (1.0 - alpha) / (1.0 - alpha)
 
 
 def sum_utility(ch: ChannelSet, theta, xi, w, alpha: float, noise_linear: float) -> float:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocation import _project_columns, project_feasible_with_vjp
+from .allocation import _simplex_columns, project_feasible_with_vjp
 from .config import AT_LEAST_ONE, NON_NEGATIVE, POSITIVE, ConfigError, check_fields
 from .features import PcaModel, feature_matrix, pca_fit, pca_transform
 from .metrics import _objective
@@ -47,7 +47,7 @@ def nn_loss(theta_batch, xi_batch, ch_batch, w_batch, alpha: float,
     """Mean negated utility over the batch, by the kernel's value-only path;
     raw shares are projected first, as in nn_loss_and_grads."""
     xi, *inputs = _batch(theta_batch, xi_batch, ch_batch, w_batch)
-    proj, _, _ = _project_columns(xi)
+    proj = _simplex_columns(xi)[0]
     return _mean_loss(_objective(*inputs, proj, noise_linear, alpha))
 
 

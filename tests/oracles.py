@@ -87,12 +87,27 @@ def total_utility(ch, theta, mask, w, alpha, noise):
     return total
 
 
+def _face_column(v):
+    """max(v - tau, 0) for one column, tau the sort-based threshold of the
+    simplex face; None when no index meets the threshold."""
+    srt = np.sort(v)[::-1]
+    css = np.cumsum(srt) - 1.0
+    meet = np.nonzero(srt - css / np.arange(1, v.size + 1) > 0)[0]
+    if meet.size == 0:
+        return None
+    rho = meet[-1]
+    return np.maximum(v - css[rho] / (rho + 1.0), 0.0)
+
+
 def project_columns(x):
     """Column-by-column projection onto the solid unit simplex.
 
     Over-full columns go to the simplex face one at a time by the
-    sort-based threshold. Returns (projection, per-column simplex flag,
-    active-entry mask), the layout of the library's vectorised projection.
+    sort-based threshold. A column whose threshold loses its precision
+    (no index meets it, or the result misses the face by more than 1e-9)
+    is projected again from its entries minus its largest, floored at -2.
+    Returns (projection, per-column simplex flag, active-entry mask), the
+    layout of the library's vectorised projection.
     """
     x = np.asarray(x, dtype=float)
     out = np.clip(x, 0.0, None)
@@ -100,11 +115,12 @@ def project_columns(x):
     on_simplex = out.sum(axis=0) > 1.0
     for c in np.nonzero(on_simplex)[0]:
         v = x[:, c]
-        srt = np.sort(v)[::-1]
-        css = np.cumsum(srt) - 1.0
-        rho = np.nonzero(srt - css / np.arange(1, v.size + 1) > 0)[0][-1]
-        out[:, c] = np.maximum(v - css[rho] / (rho + 1.0), 0.0)
-        active[:, c] = out[:, c] > 0
+        z = _face_column(v)
+        if z is None or abs(z.sum() - 1.0) > 1e-9:
+            with np.errstate(over="ignore"):
+                z = _face_column(np.maximum(v - v.max(), -2.0))
+        out[:, c] = z
+        active[:, c] = z > 0
     return out, on_simplex, active
 
 

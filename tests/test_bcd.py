@@ -8,6 +8,7 @@ from risalloc import (Allocation, BcdOptions, ScenarioConfig, bcd_optimize, bina
                       brute_force, desk_config, load_dataset, make_sample, mrt_beamformers,
                       objective_value_and_gradients, sample_seed, sum_utility,
                       uniform_contiguous)
+from risalloc import bcd as bcd_module
 from risalloc.allocation import _project_columns
 from risalloc.bcd import _line_ascend
 from risalloc.cli import main
@@ -243,3 +244,28 @@ def test_bcd_matches_serial_reference_on_a_desk_sample():
     config = desk_config()
     s = make_sample(config, sample_seed(0, 3))
     _check_against_serial(s.channels, s.w, 1.0, config.noise_watts, uniform_contiguous(3, 8))
+
+
+def test_bcd_line_searches_cost_about_one_kernel_call(monkeypatch):
+    # criterion 04's 40 solves; a nominal search is one of the inner steps of
+    # each block of each outer iteration
+    calls = []
+    kernel = bcd_module.objective_value_and_gradients
+    monkeypatch.setattr(bcd_module, "objective_value_and_gradients",
+                        lambda *args: calls.append(None) or kernel(*args))
+    total_calls = total_searches = 0
+    for seed in range(4000, 4020):
+        ch = oracles.toy_channels(num_users=2, num_antennas=2, side=3, seed=seed)
+        w = mrt_beamformers(ch, 1.0).w
+        for fixed, blocks in ((None, 2), (uniform_contiguous(2, 3), 1)):
+            calls.clear()
+            solve = bcd_optimize(ch, w, 0.5, NOISE, fixed_alloc=fixed)
+            searches = (len(solve[2].objectives) - 1) * BcdOptions().inner_steps_per_block * blocks
+            total_calls += len(calls)
+            total_searches += searches
+            if seed == 4007 and fixed is None:
+                # this solve reaches a fixed point, where each block's sweep ends
+                # early; the serial solver, which never stops early, agrees
+                assert len(calls) < searches
+                assert _same_solve(solve, oracles.bcd_serial(ch, w, 0.5, NOISE))
+    assert total_calls <= 1.1 * total_searches

@@ -1,11 +1,13 @@
-"""Property tests for the column projection, the rounding to a hard
-assignment, the scenario range check and the bound objective kernel, over
-inputs hypothesis draws."""
+"""Property tests for the column projection (at every finite scale), the
+rounding to a hard assignment, the scenario range check and the bound
+objective kernel, over inputs hypothesis draws."""
 
 import math
 
 import numpy as np
 import pytest
+
+import oracles
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -42,6 +44,26 @@ def test_projection_is_feasible_idempotent_and_nearest(data):
     y = u / np.maximum(u.sum(axis=-2, keepdims=True), 1.0)
     _feasible(y)
     assert np.all(((x - p) * (y - p)).sum(axis=-2) <= 1e-9)
+
+
+# anywhere up to 1e300, and near-ties at magnitudes where cumsum - 1 loses the 1
+_LARGE = st.one_of(st.floats(-1e300, 1e300, allow_nan=False),
+                   st.builds(lambda base, offset: base + offset,
+                             st.sampled_from([1e15, 4e15, 3e16, 1e17, 1e300]),
+                             st.floats(-20.0, 20.0)))
+
+
+@DETERMINISTIC
+@given(arrays(float, array_shapes(min_dims=2, max_dims=3, max_side=5), elements=_LARGE))
+def test_projection_of_large_entries_is_feasible_and_matches_the_reference(x):
+    p, on_simplex, active = _project_columns(x)
+    _feasible(p)
+    assert np.all(np.abs(p.sum(axis=-2)[on_simplex] - 1.0) <= 1e-9)  # face columns stay on it
+    np.testing.assert_allclose(_project_columns(p)[0], p, rtol=0, atol=1e-12)
+    flat = x.reshape(-1, *x.shape[-2:])
+    got = [a.reshape(len(flat), *a.shape[x.ndim - 2:]) for a in (p, on_simplex, active)]
+    for q in range(len(flat)):
+        _same_bits([a[q] for a in got], oracles.project_columns(flat[q]))
 
 
 @DETERMINISTIC
