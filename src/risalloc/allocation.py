@@ -26,15 +26,18 @@ def _simplex_columns(x: np.ndarray):
     keeps the bits of the one-pass threshold.
     """
     x = np.asarray(x, dtype=float)
-    clipped = np.maximum(x, 0.0)
-    on_simplex = np.add.reduce(clipped, -2) > 1.0
-    z = _face(x)
-    missed = on_simplex & (np.abs(np.add.reduce(z, -2) - 1.0) > _FEAS_EPS)
-    if missed.any():
-        cols = x.swapaxes(-1, -2)[missed]  # (M, K), one row per missed column
-        with np.errstate(over="ignore"):  # x - top below -1.8e308 is floored anyway
+    # sums past the float range are inf, which still flags the column and,
+    # through the threshold, sends it to the exact second pass; and x - top
+    # below -1.8e308 is floored anyway
+    with np.errstate(over="ignore"):
+        clipped = np.maximum(x, 0.0)
+        on_simplex = np.add.reduce(clipped, -2) > 1.0
+        z = _face(x)
+        missed = on_simplex & (np.abs(np.add.reduce(z, -2) - 1.0) > _FEAS_EPS)
+        if missed.any():
+            cols = x.swapaxes(-1, -2)[missed]  # (M, K), one row per missed column
             shifted = np.maximum(cols - cols.max(axis=1, keepdims=True), -2.0)
-        z.swapaxes(-1, -2)[missed] = _face(shifted.T).T
+            z.swapaxes(-1, -2)[missed] = _face(shifted.T).T
     return np.where(on_simplex[..., None, :], z, clipped), on_simplex
 
 
@@ -49,13 +52,6 @@ def _face(x):
     # tau = level at rho, gathered column by column
     tau = level.swapaxes(-1, -2)[(rows == rho).swapaxes(-1, -2)].reshape(rho.shape)
     return np.maximum(x - tau, 0.0)
-
-
-def _project_columns(x: np.ndarray):
-    """_simplex_columns plus the active-entry mask (projected entry > 0)
-    that the training pullback reads: (projection, simplex flag, mask)."""
-    proj, on_simplex = _simplex_columns(x)
-    return proj, on_simplex, proj > 0.0
 
 
 def project_feasible(xi_raw: np.ndarray) -> Allocation:
@@ -73,7 +69,8 @@ def project_feasible_with_vjp(xi_raw: np.ndarray):
     that landed on the simplex face.
     """
     x = np.asarray(xi_raw, dtype=float)
-    proj, on_simplex, active = _project_columns(x)
+    proj, on_simplex = _simplex_columns(x)
+    active = proj > 0.0
     face = on_simplex[..., None, :]
     counts = np.maximum(active.sum(axis=-2, keepdims=True), 1)
 

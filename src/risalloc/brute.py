@@ -32,11 +32,16 @@ class BudgetExceededError(RuntimeError):
         self.budget = budget
 
 
+def _phase_slots(num_columns: int, num_elements: int) -> int:
+    """Phases the search picks: one per element up to _PER_ELEMENT_MAX
+    elements, one per column beyond."""
+    return num_elements if num_elements <= _PER_ELEMENT_MAX else num_columns
+
+
 def enumeration_count(num_users: int, num_columns: int, num_elements: int, nu: int) -> int:
     """Configurations the search would visit (exact integer): each column
     goes to one user or stays off."""
-    slots = num_elements if num_elements <= _PER_ELEMENT_MAX else num_columns
-    return (num_users + 1) ** num_columns * nu ** slots
+    return (num_users + 1) ** num_columns * nu ** _phase_slots(num_columns, num_elements)
 
 
 def brute_force(ch: ChannelSet, w, alpha: float, noise_linear: float, nu: int,
@@ -59,29 +64,23 @@ def brute_force(ch: ChannelSet, w, alpha: float, noise_linear: float, nu: int,
     if count > budget:
         raise BudgetExceededError(count, budget)
 
-    per_element = L2 <= _PER_ELEMENT_MAX
-    slots = L2 if per_element else L
+    slots = _phase_slots(L, L2)
     grid = np.array([0.0]) if nu == 1 else np.linspace(0.0, np.pi, nu)
     n_phases = nu ** slots
     place = nu ** np.arange(slots - 1, -1, -1)  # grid index of slot s is digit s of j in base nu
     inputs = ch.g_ris, ch.h_rb, ch.h_direct, w
+    users = np.arange(K)[:, None]
 
-    best_utility = None
-    best_theta = None
-    best_alloc = None
+    best = None  # (utility, theta, xi)
     for assign in itertools.product(range(K + 1), repeat=L):  # K = "off", sorts last
-        xi = np.zeros((K, L))
-        for c, a in enumerate(assign):
-            if a < K:
-                xi[a, c] = 1.0
+        xi = (users == assign).astype(float)
         for start in range(0, n_phases, _CHUNK):
             j = np.arange(start, min(start + _CHUNK, n_phases))
             phases = grid[j[:, None] // place % nu]
-            thetas = phases if per_element else expand_columns(phases)
+            thetas = phases if slots == L2 else expand_columns(phases)
             values = _objective(*inputs, thetas, xi, noise_linear, alpha)
-            best = int(np.argmax(values))  # first of equals inside a chunk, strict > across
-            if best_utility is None or values[best] > best_utility:
-                best_utility = values[best]
-                best_theta = thetas[best]
-                best_alloc = Allocation(xi)
-    return PhaseConfig(best_theta), best_alloc, float(best_utility)
+            top = int(np.argmax(values))  # first of equals inside a chunk, strict > across
+            if best is None or values[top] > best[0]:
+                best = values[top], thetas[top], xi
+    utility, theta, xi = best
+    return PhaseConfig(theta), Allocation(xi), float(utility)

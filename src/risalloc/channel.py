@@ -47,10 +47,6 @@ class ChannelSet:
         return int(self.h_direct.shape[0])
 
     @property
-    def num_antennas(self) -> int:
-        return int(self.h_direct.shape[1])
-
-    @property
     def num_elements(self) -> int:
         return int(self.h_rb.shape[0])
 

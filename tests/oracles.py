@@ -12,7 +12,7 @@ import itertools
 import numpy as np
 
 from risalloc import BcdOptions, ChannelSet, sum_utility
-from risalloc.allocation import _project_columns
+from risalloc.allocation import _simplex_columns
 from risalloc.metrics import _objective
 
 
@@ -106,21 +106,24 @@ def project_columns(x):
     sort-based threshold. A column whose threshold loses its precision
     (no index meets it, or the result misses the face by more than 1e-9)
     is projected again from its entries minus its largest, floored at -2.
-    Returns (projection, per-column simplex flag, active-entry mask), the
-    layout of the library's vectorised projection.
+    Returns (projection, per-column simplex flag, active-entry mask): the
+    library's vectorised projection returns the first two, and its pullback
+    takes the mask as projection > 0.
     """
     x = np.asarray(x, dtype=float)
     out = np.clip(x, 0.0, None)
     active = x > 0.0
-    on_simplex = out.sum(axis=0) > 1.0
-    for c in np.nonzero(on_simplex)[0]:
-        v = x[:, c]
-        z = _face_column(v)
-        if z is None or abs(z.sum() - 1.0) > 1e-9:
-            with np.errstate(over="ignore"):
+    # a sum past the float range is inf: the column is still over-full, and
+    # its first-pass result misses the face and goes to the second pass
+    with np.errstate(over="ignore"):
+        on_simplex = out.sum(axis=0) > 1.0
+        for c in np.nonzero(on_simplex)[0]:
+            v = x[:, c]
+            z = _face_column(v)
+            if z is None or abs(z.sum() - 1.0) > 1e-9:
                 z = _face_column(np.maximum(v - v.max(), -2.0))
-        out[:, c] = z
-        active[:, c] = z > 0
+            out[:, c] = z
+            active[:, c] = z > 0
     return out, on_simplex, active
 
 
@@ -190,7 +193,7 @@ def bcd_serial(ch, w, alpha, noise, options=None, fixed_alloc=None):
         if fixed_alloc is None:
             for _ in range(opts.inner_steps_per_block):
                 xi, obj, _ = line_ascend_serial(
-                    xi, grads(theta, xi)[1], lambda x: _project_columns(x)[0],
+                    xi, grads(theta, xi)[1], lambda x: _simplex_columns(x)[0],
                     lambda x: value_of(theta, x), obj, opts.step_size)
         objectives.append(obj)
         if abs(obj - objectives[-2]) <= opts.tol * max(1.0, abs(objectives[-2])):

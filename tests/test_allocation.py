@@ -4,7 +4,7 @@ import pytest
 import oracles
 from risalloc import (ConfigError, binarize, mrt_beamformers, project_feasible,
                       project_feasible_with_vjp, uniform_contiguous)
-from risalloc.allocation import _project_columns
+from risalloc.allocation import _simplex_columns
 
 
 def test_projection_frozen_examples():
@@ -125,11 +125,13 @@ def _same_bits(got, want):
     np.random.default_rng(5).normal(0.3, 1.5, size=(4, 6)),
 ])
 def test_vectorised_projection_matches_per_column_reference(raw):
-    assert _same_bits(_project_columns(raw), oracles.project_columns(raw))
+    proj, on_simplex = _simplex_columns(raw)
+    assert _same_bits((proj, on_simplex, proj > 0.0), oracles.project_columns(raw))
 
 
 def test_stacked_projection_matches_per_sample_reference():
     stack = np.random.default_rng(6).normal(0.4, 1.0, size=(7, 3, 4))
-    proj, on_simplex, active = _project_columns(stack)
+    proj, on_simplex = _simplex_columns(stack)
+    active = proj > 0.0
     for q in range(stack.shape[0]):
         assert _same_bits((proj[q], on_simplex[q], active[q]), oracles.project_columns(stack[q]))

@@ -9,7 +9,7 @@ from risalloc import (Allocation, BcdOptions, ScenarioConfig, bcd_optimize, bina
                       objective_value_and_gradients, sample_seed, sum_utility,
                       uniform_contiguous)
 from risalloc import bcd as bcd_module
-from risalloc.allocation import _project_columns
+from risalloc.allocation import _simplex_columns
 from risalloc.bcd import _line_ascend
 from risalloc.cli import main
 
@@ -201,7 +201,7 @@ def test_stacked_line_search_matches_serial(block, sign, step0, first, trials):
     point = [np.random.default_rng(0).uniform(0.0, np.pi, 9), np.full((2, 3), 0.5)]
     f_x, *grads = objective_value_and_gradients(ch, *point, w, 0.5, NOISE)
     grads[block] = sign * grads[block]
-    project = [lambda t: np.clip(t, 0.0, np.pi), lambda x: _project_columns(x)[0]][block]
+    project = [lambda t: np.clip(t, 0.0, np.pi), lambda x: _simplex_columns(x)[0]][block]
 
     def at(z):
         return [z, point[1]] if block == 0 else [point[0], z]
@@ -218,7 +218,7 @@ def test_stacked_line_search_matches_serial(block, sign, step0, first, trials):
     g_ref = grads if trials == 30 else objective_value_and_gradients(ch, *at(ref), w, 0.5, NOISE)[1:]
     assert all(a.tobytes() == b.tobytes() for a, b in zip(g_got, g_ref))
     if block == 1 and sign > 0:
-        assert _project_columns(point[1] + ladder[trials - 1] * grads[1])[1].any()
+        assert _simplex_columns(point[1] + ladder[trials - 1] * grads[1])[1].any()
 
 
 def _same_solve(got, ref):
@@ -227,45 +227,63 @@ def _same_solve(got, ref):
         (ref[0].tobytes(), ref[1].tobytes(), ref[2])
 
 
-def _check_against_serial(ch, w, alpha, noise, fixed):
-    assert _same_solve(bcd_optimize(ch, w, alpha, noise), oracles.bcd_serial(ch, w, alpha, noise))
-    assert _same_solve(bcd_optimize(ch, w, alpha, noise, fixed_alloc=fixed),
-                       oracles.bcd_serial(ch, w, alpha, noise, fixed_alloc=fixed))
+def _criterion_04_instance(seed):
+    ch = oracles.toy_channels(num_users=2, num_antennas=2, side=3, seed=seed)
+    return ch, mrt_beamformers(ch, 1.0).w
+
+
+@pytest.fixture(scope="module")
+def criterion_04_solves():
+    """Criterion 04's 40 solves at default options, run once for the tests
+    below: seed -> (fixed allocation, solve, kernel calls it made) for the
+    free and then the pinned allocation."""
+    calls = []
+    kernel = bcd_module.objective_value_and_gradients
+    solves = {}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bcd_module, "objective_value_and_gradients",
+                      lambda *args: calls.append(None) or kernel(*args))
+        for seed in range(4000, 4020):
+            ch, w = _criterion_04_instance(seed)
+            solves[seed] = []
+            for fixed in (None, uniform_contiguous(2, 3)):
+                calls.clear()
+                solve = bcd_optimize(ch, w, 0.5, NOISE, fixed_alloc=fixed)
+                solves[seed].append((fixed, solve, len(calls)))
+    return solves
 
 
 @pytest.mark.parametrize("seed", range(4000, 4020))
-def test_bcd_matches_serial_reference_on_criterion_04_seeds(seed):
+def test_bcd_matches_serial_reference_on_criterion_04_seeds(criterion_04_solves, seed):
     # default options, as criterion 04 runs them; 12 of these 20 seeds use the full budget
-    ch = oracles.toy_channels(num_users=2, num_antennas=2, side=3, seed=seed)
-    _check_against_serial(ch, mrt_beamformers(ch, 1.0).w, 0.5, NOISE, uniform_contiguous(2, 3))
+    ch, w = _criterion_04_instance(seed)
+    for fixed, solve, _ in criterion_04_solves[seed]:
+        assert _same_solve(solve, oracles.bcd_serial(ch, w, 0.5, NOISE, fixed_alloc=fixed))
 
 
 def test_bcd_matches_serial_reference_on_a_desk_sample():
     config = desk_config()
     s = make_sample(config, sample_seed(0, 3))
-    _check_against_serial(s.channels, s.w, 1.0, config.noise_watts, uniform_contiguous(3, 8))
+    for fixed in (None, uniform_contiguous(3, 8)):
+        assert _same_solve(
+            bcd_optimize(s.channels, s.w, 1.0, config.noise_watts, fixed_alloc=fixed),
+            oracles.bcd_serial(s.channels, s.w, 1.0, config.noise_watts, fixed_alloc=fixed))
 
 
-def test_bcd_line_searches_cost_about_one_kernel_call(monkeypatch):
+def test_bcd_line_searches_cost_about_one_kernel_call(criterion_04_solves):
     # criterion 04's 40 solves; a nominal search is one of the inner steps of
     # each block of each outer iteration
-    calls = []
-    kernel = bcd_module.objective_value_and_gradients
-    monkeypatch.setattr(bcd_module, "objective_value_and_gradients",
-                        lambda *args: calls.append(None) or kernel(*args))
     total_calls = total_searches = 0
-    for seed in range(4000, 4020):
-        ch = oracles.toy_channels(num_users=2, num_antennas=2, side=3, seed=seed)
-        w = mrt_beamformers(ch, 1.0).w
-        for fixed, blocks in ((None, 2), (uniform_contiguous(2, 3), 1)):
-            calls.clear()
-            solve = bcd_optimize(ch, w, 0.5, NOISE, fixed_alloc=fixed)
+    for seed, runs in criterion_04_solves.items():
+        for fixed, solve, calls in runs:
+            blocks = 2 if fixed is None else 1
             searches = (len(solve[2].objectives) - 1) * BcdOptions().inner_steps_per_block * blocks
-            total_calls += len(calls)
+            total_calls += calls
             total_searches += searches
             if seed == 4007 and fixed is None:
                 # this solve reaches a fixed point, where each block's sweep ends
                 # early; the serial solver, which never stops early, agrees
-                assert len(calls) < searches
+                assert calls < searches
+                ch, w = _criterion_04_instance(seed)
                 assert _same_solve(solve, oracles.bcd_serial(ch, w, 0.5, NOISE))
     assert total_calls <= 1.1 * total_searches

@@ -6,6 +6,7 @@ from risalloc import (ChannelSet, Deployment, Sample, ScenarioConfig, TrainOptio
                       bcd_optimize, breakpoint_distance, brute_force, mrt_beamformers,
                       pathloss_umi_los, pathloss_umi_nlos, steering_vector_upa,
                       synth_channels, train)
+from risalloc.channel import bs_panel_shape
 
 H_BS, H_UE, FC = 10.0, 1.5, 28.0
 
@@ -195,3 +196,8 @@ def test_surface_side():
 def test_column_solvers_reject_non_square_surface(solve):
     with pytest.raises(ValueError, match="square"):
         solve(_six_element_sample(0))
+
+
+@pytest.mark.parametrize("n,shape", [(4, (2, 2)), (5, (1, 5)), (10, (2, 5))])
+def test_bs_panel_shape_is_the_most_square_factorization(n, shape):
+    assert bs_panel_shape(n) == shape

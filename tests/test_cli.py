@@ -135,6 +135,19 @@ def test_config_unknown_section(tmp_path, capsys):
     assert "solver" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("body,needle", [
+    ([{"scenario": {}}], "must hold a JSON object"),
+    ({"bcd": {}}, 'missing the "scenario" section'),
+], ids=["array", "no-scenario"])
+def test_config_shape_errors(tmp_path, capsys, body, needle):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(body))
+    rc = main(["generate", "--config", str(path), "--n-train", "1",
+               "--n-val", "0", "--out", str(tmp_path / "ds")])
+    assert rc == 2
+    assert needle in capsys.readouterr().err
+
+
 def test_config_missing_file(tmp_path, capsys):
     rc = main(["generate", "--config", str(tmp_path / "absent.json"),
                "--n-train", "1", "--n-val", "0", "--out", str(tmp_path / "ds")])
@@ -343,6 +356,16 @@ def test_compare_scheme_pca_mismatch(tmp_path, dataset, cfg_path, capsys):
     rc = main(["compare", "--data", str(dataset), "--scheme", "nn",
                "--model", str(ckpt), "--out", str(tmp_path / "c.csv")])
     assert rc == 2
+
+
+def test_compare_pca_scheme_needs_a_pca_checkpoint(tmp_path, dataset, cfg_path, capsys):
+    ckpt = tmp_path / "raw.ckpt"
+    assert main(["train", "--data", str(dataset), "--config", cfg_path, "--no-pca",
+                 "--max-epochs", "2", "--out", str(ckpt)]) == 0
+    rc = main(["compare", "--data", str(dataset), "--scheme", "nn+pca",
+               "--model", str(ckpt), "--out", str(tmp_path / "c.csv")])
+    assert rc == 2
+    assert "holds no dimensionality reduction" in capsys.readouterr().err
 
 
 def test_compare_takes_the_solver_seed_from_config_unless_flagged(tmp_path, dataset):

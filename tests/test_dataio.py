@@ -8,6 +8,7 @@ from risalloc import (DatasetChecksumError, DatasetError, DatasetManifest,
                       DatasetTruncationError, DatasetVersionError,
                       ScenarioConfig, deploy, desk_config, generate_dataset,
                       load_dataset, make_sample, sample_seed, train_val_split)
+from risalloc.serial import decode_named_arrays, encode_named_arrays
 
 
 def small_config():
@@ -188,3 +189,16 @@ def test_manifest_malformed():
             DatasetManifest.from_json(broken)
     with pytest.raises(DatasetVersionError):
         DatasetManifest.from_json(m.to_json().replace('"format_version": 1', '"format_version": 2'))
+
+
+# u32 count, u16 name length, the name "a", then the kind byte at offset 7
+@pytest.mark.parametrize("corrupt,needle", [
+    (lambda blob: blob[:-1], "mid-record"),
+    (lambda blob: blob[:7] + b"\x02" + blob[8:], "unknown array kind 2"),
+    (lambda blob: blob + b"\x00", "trailing bytes"),
+], ids=["cut", "kind", "trailing"])
+def test_codec_rejects_malformed_blocks(corrupt, needle):
+    blob = encode_named_arrays({"a": np.arange(3.0)})
+    assert decode_named_arrays(blob)["a"].tolist() == [0.0, 1.0, 2.0]
+    with pytest.raises(ValueError, match=needle):
+        decode_named_arrays(corrupt(blob))

@@ -22,6 +22,8 @@ def test_allocation_validation():
         Allocation(np.array([[-0.1, 0.0]])).validate()
     with pytest.raises(ValueError):
         Allocation(np.array([[0.6], [0.6]])).validate()  # column sum > 1
+    with pytest.raises(ValueError, match="2-D"):
+        Allocation(np.zeros(3))
 
 
 def test_zero_shares_sever_surface():

@@ -5,7 +5,7 @@ import oracles
 from risalloc import (Deployment, PhaseConfig, PlateauScheduler, Sample,
                       TrainOptions, mrt_beamformers, nn_loss, nn_loss_and_grads,
                       objective_value_and_gradients, project_feasible,
-                      project_feasible_with_vjp, sum_utility, train)
+                      project_feasible_with_vjp, sum_utility, train, training)
 
 NOISE = 0.05
 
@@ -149,6 +149,20 @@ def test_train_seed_changes_trajectory():
     r1, _, _ = _fit(seed=0, epochs=4)
     r2, _, _ = _fit(seed=1, epochs=4)
     assert r1.history != r2.history
+
+
+def test_train_skips_a_trailing_batch_of_one(monkeypatch):
+    # 5 samples in batches of 2: two steps an epoch, the lone fifth sample
+    # has no batch statistics and is left out
+    events = []
+    for name in ("_epoch_rng", "adam_step"):
+        real = getattr(training, name)
+        monkeypatch.setattr(training, name,
+                            lambda *args, name=name, real=real: events.append(name) or real(*args))
+    result = train([toy_sample(seed) for seed in range(5)], [toy_sample(5)], NOISE,
+                   TrainOptions(batch_size=2, max_epochs=3, hidden=(4,), use_pca=False))
+    assert len(result.history) == 3
+    assert events == ["_epoch_rng", "adam_step", "adam_step"] * 3
 
 
 def test_train_requires_minimum_samples():
