@@ -24,7 +24,7 @@ import numpy as np
 from .allocation import binarize, project_feasible, uniform_contiguous
 from .bcd import BcdOptions, bcd_optimize
 from .brute import DEFAULT_BUDGET, BudgetExceededError, brute_force
-from .config import (AT_LEAST_ONE, NON_NEGATIVE, POSITIVE, ConfigError, ScenarioConfig,
+from .config import (AT_LEAST_ONE, NON_NEGATIVE, ConfigError, ScenarioConfig,
                      check_value, desk_config, full_scale_config, parse_settings)
 from .dataio import DatasetError, generate_dataset, load_dataset, train_val_split
 from .features import flatten_features, pca_transform
@@ -171,7 +171,11 @@ def cmd_train(args) -> int:
         "--seed": "seed", "--max-epochs": "max_epochs", "--no-pca": "use_pca"})
     _check_alpha(opts.alpha, samples, manifest.config.noise_watts)
 
-    result = train(train_s, val_s, manifest.config.noise_watts, opts)
+    try:
+        result = train(train_s, val_s, manifest.config.noise_watts, opts)
+    except FloatingPointError as exc:  # raised by the optimizer, before any output
+        raise ConfigError(
+            f"--alpha {opts.alpha!r} overflows training on this data: {exc}") from None
 
     metadata = {"alpha": opts.alpha, "seed": opts.seed, "use_pca": opts.use_pca,
                 "best_epoch": result.best_epoch,
@@ -197,7 +201,7 @@ def cmd_train(args) -> int:
 # --------------------------------------------------------------------- bcd
 
 def cmd_bcd(args) -> int:
-    check_value("--alpha", args.alpha, "float", POSITIVE)
+    alpha = _options(args, TrainOptions, {"--alpha": "alpha"}).alpha
     out = _out_dir(args.out)
     samples, manifest = load_dataset(args.data)
     if not 0 <= args.index < len(samples):
@@ -205,11 +209,11 @@ def cmd_bcd(args) -> int:
             f"sample index {args.index} out of range for {len(samples)} records")
     s = samples[args.index]
     noise = manifest.config.noise_watts
-    _check_alpha(args.alpha, [s], noise)
+    _check_alpha(alpha, [s], noise)
     opts = _options(args, BcdOptions, {"--tol": "tol", "--seed": "seed",
                                        "--max-outer-iters": "max_outer_iters"})
 
-    theta, xi, trace = bcd_optimize(s.channels, s.w, args.alpha, noise, opts)
+    theta, xi, trace = bcd_optimize(s.channels, s.w, alpha, noise, opts)
     hard = binarize(xi.xi)
 
     out.mkdir(parents=True, exist_ok=True)
@@ -217,12 +221,12 @@ def cmd_bcd(args) -> int:
                [[i, _fmt(obj), _fmt(sec)]
                 for i, (obj, sec) in enumerate(zip(trace.objectives, trace.seconds))])
     result = {
-        "alpha": args.alpha,
+        "alpha": alpha,
         "sample_index": args.index,
         "seed": opts.seed,
         "outer_iterations": len(trace.objectives) - 1,
-        "utility_relaxed": sum_utility(s.channels, theta, xi, s.w, args.alpha, noise),
-        "utility_binary": sum_utility(s.channels, theta, hard, s.w, args.alpha, noise),
+        "utility_relaxed": sum_utility(s.channels, theta, xi, s.w, alpha, noise),
+        "utility_binary": sum_utility(s.channels, theta, hard, s.w, alpha, noise),
         "theta": theta.theta.tolist(),
         "xi": xi.xi.tolist(),
         "xi_binary": hard.xi.tolist(),
@@ -282,7 +286,7 @@ def _solve_sample(scheme, sample, index, alpha, noise, opts, model, pca, nu, bud
 
 
 def cmd_compare(args) -> int:
-    check_value("--alpha", args.alpha, "float", POSITIVE)
+    alpha = _options(args, TrainOptions, {"--alpha": "alpha"}).alpha
     check_value("--nu", args.nu, "int", AT_LEAST_ONE)
     check_value("--budget", args.budget, "int", NON_NEGATIVE)
     _check_out_file(args.out, ".timing.csv")
@@ -299,22 +303,22 @@ def cmd_compare(args) -> int:
     opts = _options(args, BcdOptions, {"--seed": "seed"})
 
     noise = manifest.config.noise_watts
-    _check_alpha(args.alpha, split, noise)
+    _check_alpha(alpha, split, noise)
     bandwidth = manifest.config.bandwidth
     rows, timing_rows = [], []
     for scheme in schemes:
         utils, throughputs, sum_rates, seconds = [], [], [], []
         for i, sample in enumerate(split):
             tic = time.perf_counter()
-            theta, alloc = _solve_sample(scheme, sample, i, args.alpha, noise,
+            theta, alloc = _solve_sample(scheme, sample, i, alpha, noise,
                                          opts, model, pca, args.nu, args.budget, fixed)
             seconds.append(time.perf_counter() - tic)
             rates = user_rates(sample.channels, theta, alloc, sample.w, noise)
-            utils.append(float(np.sum(alpha_utility(rates, args.alpha))))
-            throughputs.append(alpha_mean_throughput(rates, args.alpha, bandwidth))
+            utils.append(float(np.sum(alpha_utility(rates, alpha))))
+            throughputs.append(alpha_mean_throughput(rates, alpha, bandwidth))
             sum_rates.append(bandwidth * float(rates.sum()))
         n_params = parameter_count(model.arch) if scheme in _NN_SCHEMES else ""
-        rows.append([scheme, len(split), _fmt(args.alpha), _fmt(np.mean(utils)),
+        rows.append([scheme, len(split), _fmt(alpha), _fmt(np.mean(utils)),
                      _fmt(np.mean(throughputs)), _fmt(np.mean(sum_rates)), n_params])
         timing_rows.append([scheme, _fmt(np.mean(seconds))])
         print(f"{scheme}: mean utility {_fmt(np.mean(utils))}, "
@@ -366,12 +370,11 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bcd", help="run the iterative solver on one sample")
     b.add_argument("--data", required=True, help="dataset directory")
     b.add_argument("--index", type=int, default=0, help="sample index (default 0)")
-    b.add_argument("--alpha", type=float, default=TrainOptions.alpha,
-                   help="fairness order (default 1)")
+    b.add_argument("--alpha", type=float, help="fairness order (default 1)")
     b.add_argument("--tol", type=float, help="relative stopping tolerance (default 1e-5)")
     b.add_argument("--max-outer-iters", type=int, help="outer iteration cap (default 200)")
     b.add_argument("--seed", type=int, help="phase init seed (default 0)")
-    b.add_argument("--config", help="JSON config file; its bcd section applies")
+    b.add_argument("--config", help="JSON config file; its bcd section and training alpha apply")
     b.add_argument("--out", required=True, help="output directory for trace.csv + result.json")
 
     c = sub.add_parser("compare", help="benchmark schemes on a dataset split")
@@ -380,15 +383,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="scheme to run; repeatable (default: uniform, bcd); "
                         "one of " + ", ".join(_ALL_SCHEMES))
     c.add_argument("--model", help="checkpoint for the nn / nn+pca schemes")
-    c.add_argument("--alpha", type=float, default=TrainOptions.alpha,
-                   help="fairness order (default 1)")
+    c.add_argument("--alpha", type=float, help="fairness order (default 1)")
     c.add_argument("--split", choices=("val", "train", "all"), default="val",
                    help="dataset slice to evaluate (default val)")
     c.add_argument("--nu", type=int, default=8, help="phase levels for brute (default 8)")
     c.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                    help="evaluation budget for brute (default 1e7)")
     c.add_argument("--seed", type=int, help="solver seed (default 0)")
-    c.add_argument("--config", help="JSON config file; its bcd section applies")
+    c.add_argument("--config", help="JSON config file; its bcd section and training alpha apply")
     c.add_argument("--out", required=True, help="output CSV path")
     return p
 

@@ -202,5 +202,5 @@ def desk_config() -> ScenarioConfig:
 
 
 def full_scale_config() -> ScenarioConfig:
-    """Full-scale profile (20x20 surface); heavy for PCA and exhaustive search."""
+    """Full-scale profile (20x20 surface); heavy for exhaustive search."""
     return ScenarioConfig()

@@ -173,19 +173,20 @@ def load_dataset(path):
 
     Raises DatasetVersionError / DatasetTruncationError /
     DatasetChecksumError for the three distinct failure modes, and
-    DatasetError when a record's seed is not master seed + index, its arrays
-    do not fit the manifest's scenario or hold NaN or infinity, or the
-    manifest's split sizes do not partition the records.
+    DatasetError when either file cannot be read, a record's seed is not
+    master seed + index, its arrays do not fit the manifest's scenario or
+    hold NaN or infinity, or the manifest's split sizes do not partition the
+    records.
     """
     path = Path(path)
-    manifest_path = path / "manifest.json"
-    records_path = path / "records.bin"
-    if not manifest_path.exists() or not records_path.exists():
-        raise DatasetError(f"{path} does not contain manifest.json and records.bin")
-    manifest = DatasetManifest.from_json(manifest_path.read_bytes())
+    try:
+        manifest_bytes = (path / "manifest.json").read_bytes()
+        blob = (path / "records.bin").read_bytes()
+    except OSError as exc:
+        raise DatasetError(f"cannot read dataset {path}: {exc}") from exc
+    manifest = DatasetManifest.from_json(manifest_bytes)
     layout = _record_layout(manifest.config)
 
-    blob = records_path.read_bytes()
     if blob[:4] != _MAGIC:
         raise DatasetVersionError("records.bin does not start with the dataset magic")
     if len(blob) < 8:

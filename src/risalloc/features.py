@@ -34,7 +34,7 @@ class PcaModel:
 
     axes is (D, D_T) with orthonormal columns ordered by decreasing
     eigenvalue; eigenvalues holds the full descending spectrum of the
-    feature correlation matrix.
+    feature correlation matrix, exactly zero past its first n entries.
     """
 
     feature_mean: np.ndarray
@@ -66,13 +66,12 @@ def pca_fit(features: np.ndarray) -> PcaModel:
     scale = X.std(axis=0, ddof=1)
     scale = np.where(scale == 0.0, 1.0, scale)
     Z = (X - mean) / scale
-    corr = (Z.T @ Z) / (n - 1)
-    evals, evecs = np.linalg.eigh(corr)
-    order = np.argsort(evals)[::-1]
-    evals = evals[order]
-    evecs = evecs[:, order]
+    # eigenpairs of the correlation Z'Z / (n - 1) without forming it: the squared
+    # singular values of Z / sqrt(n - 1), descending, and its right singular vectors
+    _, s, vt = np.linalg.svd(Z / np.sqrt(n - 1), full_matrices=False)
+    evals = np.pad(s * s, (0, X.shape[1] - s.size))  # rank <= min(n - 1, D)
     keep = max(1, int(np.sum(evals > 1.0 + KAISER_TIE_GUARD)))
-    return PcaModel(mean, scale, evecs[:, :keep], evals)
+    return PcaModel(mean, scale, vt[:keep].T, evals)
 
 
 def pca_transform(model: PcaModel, features: np.ndarray) -> np.ndarray:

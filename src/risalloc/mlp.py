@@ -262,6 +262,7 @@ def adam_step(model: MlpModel, grad: np.ndarray, state: AdamState):
     Gradients here point up the objective's descent direction (they come
     from a loss), so parameters move against them. ``grad`` is overwritten
     with the update's denominator, which saves a parameter-sized buffer.
+    A gradient whose square overflows raises FloatingPointError.
     """
     state.step += 1
     t = state.step
@@ -270,7 +271,8 @@ def adam_step(model: MlpModel, grad: np.ndarray, state: AdamState):
     state.m *= ADAM_BETA1
     state.m += (1.0 - ADAM_BETA1) * grad
     state.v *= ADAM_BETA2
-    state.v += (1.0 - ADAM_BETA2) * grad * grad
+    with np.errstate(over="raise"):
+        state.v += (1.0 - ADAM_BETA2) * grad * grad
     denom = np.sqrt(np.divide(state.v, c2, out=grad), out=grad)
     denom += ADAM_EPS
     model.params -= state.learning_rate * (state.m / c1) / denom
@@ -321,8 +323,11 @@ def save_checkpoint(path, model: MlpModel, pca: PcaModel | None = None,
 
 def load_checkpoint(path):
     """Read a checkpoint back; returns (model, pca_or_None, metadata)."""
-    with open(path, "rb") as f:
-        blob = f.read()
+    try:
+        with open(path, "rb") as f:
+            blob = f.read()
+    except OSError as exc:
+        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     if blob[:4] != CHECKPOINT_MAGIC:
         raise CheckpointError("not a model checkpoint file")
     try:
@@ -346,6 +351,8 @@ def _parse_checkpoint(blob: bytes):
     payload = memoryview(blob)[pos:pos + payload_len]  # no copy of the payload
     if len(payload) != payload_len:
         raise CheckpointError("checkpoint payload truncated")
+    if pos + payload_len != len(blob):
+        raise CheckpointError("trailing bytes after the checkpoint payload")
     if zlib.crc32(payload) != crc:
         raise CheckpointError("checkpoint payload failed its checksum")
     arrays = decode_named_arrays(payload)

@@ -4,7 +4,9 @@ Everything here is written with explicit loops, on purpose: the library is
 vectorized, so agreement between the two is a meaningful check rather than
 the same code evaluated twice. The column projection, the exhaustive
 search loop and the serial bcd solver keep the arithmetic of the library's
-batched versions, so those are compared with them bit for bit.
+batched versions, so those are compared with them bit for bit. The PCA
+reference takes the other route to the same components: it forms and
+eigendecomposes the correlation matrix that the library's SVD never builds.
 """
 
 import itertools
@@ -13,6 +15,7 @@ import numpy as np
 
 from risalloc import BcdOptions, ChannelSet, sum_utility
 from risalloc.allocation import _simplex_columns
+from risalloc.features import KAISER_TIE_GUARD
 from risalloc.metrics import _objective
 
 
@@ -85,6 +88,19 @@ def total_utility(ch, theta, mask, w, alpha, noise):
     for k in range(w.shape[0]):
         total += utility_value(rate_value(ch, theta, mask, w, k, noise), alpha)
     return total
+
+
+def pca_reference(features):
+    """Principal components the direct way: eigendecompose the D x D
+    correlation matrix of the standardized features, sorted descending.
+    Returns (eigenvalues, the axes the Kaiser rule keeps)."""
+    X = np.asarray(features, dtype=float)
+    scale = X.std(axis=0, ddof=1)
+    Z = (X - X.mean(axis=0)) / np.where(scale == 0.0, 1.0, scale)
+    evals, evecs = np.linalg.eigh(Z.T @ Z / (X.shape[0] - 1))
+    order = np.argsort(evals)[::-1]
+    keep = max(1, int(np.sum(evals > 1.0 + KAISER_TIE_GUARD)))
+    return evals[order], evecs[:, order[:keep]]
 
 
 def _face_column(v):

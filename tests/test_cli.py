@@ -138,7 +138,9 @@ def test_config_unknown_section(tmp_path, capsys):
 @pytest.mark.parametrize("body,needle", [
     ([{"scenario": {}}], "must hold a JSON object"),
     ({"bcd": {}}, 'missing the "scenario" section'),
-], ids=["array", "no-scenario"])
+    ({"scenario": []}, "scenario must be a JSON object"),
+    ({"scenario": tiny_scenario().to_dict(), "training": 5}, "training must be a JSON object"),
+], ids=["array", "no-scenario", "scenario-array", "training-number"])
 def test_config_shape_errors(tmp_path, capsys, body, needle):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(body))
@@ -384,24 +386,45 @@ def test_compare_takes_the_solver_seed_from_config_unless_flagged(tmp_path, data
     assert from_file != table(plain)
 
 
+def test_bcd_and_compare_take_alpha_from_config_unless_flagged(tmp_path, dataset):
+    weighted = write_config(tmp_path / "weighted.json", training={"alpha": 2},
+                            bcd={"max_outer_iters": 30})
+    plain = write_config(tmp_path / "plain.json", bcd={"max_outer_iters": 30})
+
+    def table(config, *flags):
+        out = tmp_path / "cmp.csv"
+        assert main(["compare", "--data", str(dataset), "--config", config, "--scheme", "uniform",
+                     "--scheme", "bcd", *flags, "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    from_file = table(weighted)
+    assert from_file == table(plain, "--alpha", "2")
+    assert table(weighted, "--alpha", "1") == table(plain)
+    assert from_file != table(plain)
+    assert main(["bcd", "--data", str(dataset), "--config", weighted,
+                 "--out", str(tmp_path / "solve")]) == 0
+    assert json.loads((tmp_path / "solve" / "result.json").read_text())["alpha"] == 2.0
+
+
 def test_help_defaults_match_the_library():
     """Each "(default X)" a flag's help prints is the value the command runs
-    with when the flag is absent: the settings field the flag sets, or else
-    the parser default, which for --alpha and --budget is a library value."""
-    settings = {"train": TrainOptions(), "bcd": BcdOptions(), "compare": BcdOptions()}
+    with when the flag is absent: the settings field the flag sets (bcd and
+    compare take --alpha from TrainOptions), or else the parser default,
+    which for --budget is a library value."""
+    solver = (BcdOptions(), TrainOptions())
+    settings = {"train": (TrainOptions(),), "bcd": solver, "compare": solver}
     commands = build_parser()._subparsers._group_actions[0].choices
     checked = 0
     for command, parser in commands.items():
         for action in parser._actions:
             text = (action.help or "").partition("(default ")[2].partition(")")[0]
             if text:
-                runs = (getattr(settings[command], action.dest) if action.default is None
-                        else action.default)
+                runs = (next(getattr(s, action.dest) for s in settings[command]
+                             if hasattr(s, action.dest))
+                        if action.default is None else action.default)
                 assert text == runs or float(text) == runs, (command, action.dest, text, runs)
                 checked += 1
     assert checked == 19
-    assert commands["bcd"].get_default("alpha") == TrainOptions.alpha
-    assert commands["compare"].get_default("alpha") == TrainOptions.alpha
     assert commands["compare"].get_default("budget") == DEFAULT_BUDGET
 
 
@@ -470,6 +493,7 @@ def test_out_of_the_wrong_kind_is_a_config_error(tmp_path, dataset, capsys, comm
     lambda blob: blob[:8],                                  # cut inside the header
     lambda blob: blob[:12] + b"X" + blob[13:],              # metadata no longer JSON
     lambda blob: blob.replace(b'"arch"', b'"arcX"', 1),     # metadata key missing
+    lambda blob: blob + bytes(22),                          # bytes after the payload
 ])
 def test_malformed_checkpoint_is_data_error(tmp_path, dataset, capsys, corrupt):
     ckpt = tmp_path / "model.ckpt"
@@ -480,6 +504,34 @@ def test_malformed_checkpoint_is_data_error(tmp_path, dataset, capsys, corrupt):
                "--out", str(tmp_path / "c.csv")])
     assert rc == 3
     assert "checkpoint" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model", ["missing.ckpt", "dir"])
+def test_unreadable_checkpoint_is_data_error(tmp_path, dataset, capsys, model):
+    (tmp_path / "dir").mkdir()
+    rc = main(["compare", "--data", str(dataset), "--scheme", "nn", "--model",
+               str(tmp_path / model), "--out", str(tmp_path / "c.csv")])
+    assert rc == 3
+    assert "cannot read checkpoint" in capsys.readouterr().err
+    assert not (tmp_path / "c.csv").exists()
+
+
+def test_unreadable_records_are_data_error(tmp_path, dataset, capsys):
+    (dataset / "records.bin").unlink()
+    (dataset / "records.bin").mkdir()
+    rc = main(["compare", "--data", str(dataset), "--out", str(tmp_path / "c.csv")])
+    assert rc == 3
+    assert "cannot read dataset" in capsys.readouterr().err
+
+
+def test_training_that_overflows_at_large_alpha_is_a_config_error(tmp_path, capsys):
+    data, ckpt = tmp_path / "ds", tmp_path / "m.ckpt"
+    assert main(["generate", "--profile", "desk", "--n-train", "2", "--n-val", "2",
+                 "--out", str(data)]) == 0
+    rc = main(["train", "--data", str(data), "--alpha", "300", "--out", str(ckpt)])
+    assert rc == 2
+    assert "--alpha" in capsys.readouterr().err
+    assert not ckpt.exists() and not Path(str(ckpt) + ".history.csv").exists()
 
 
 @pytest.mark.parametrize("field,edited", [("alloc_users", 3), ("phase_dim", 5)])

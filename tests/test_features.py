@@ -138,3 +138,29 @@ def test_pca_batch_and_single_row_agree():
     batch = pca_transform(model, X)
     single = pca_transform(model, X[4])
     assert np.allclose(batch[4], single)
+
+
+def _correlated(n, d, seed):
+    """Rows driven by a few shared factors, so several components exceed 1."""
+    rng = np.random.default_rng(seed)
+    factors = rng.normal(size=(n, 4)) * np.array([6.0, 4.0, 3.0, 2.0])
+    return factors @ rng.normal(size=(4, d)) + rng.normal(size=(n, d))
+
+
+@pytest.mark.parametrize("n,d", [(30, 90), (200, 40)], ids=["n<D", "n>=D"])
+def test_pca_matches_the_correlation_eigendecomposition(n, d):
+    X = _correlated(n, d, seed=n)
+    model = pca_fit(X)
+    evals, axes = oracles.pca_reference(X)
+    assert model.eigenvalues.shape == (d,)
+    assert model.retained == axes.shape[1] > 1
+    assert np.max(np.abs(model.eigenvalues - evals)) <= 1e-10
+    signs = np.sign(np.sum(model.axes * axes, axis=0))
+    assert np.max(np.abs(model.axes * signs - axes)) <= 1e-10
+
+
+def test_pca_spectrum_is_exactly_zero_past_the_rows():
+    n = 12
+    model = pca_fit(_correlated(n, 50, seed=8))
+    assert np.all(model.eigenvalues[n:] == 0.0)
+    assert np.all(model.eigenvalues[:n - 1] > 0.0)
