@@ -29,6 +29,9 @@ BN_EPS = 1e-8
 ADAM_BETA1 = 0.9    # first-moment decay
 ADAM_BETA2 = 0.999  # second-moment decay
 ADAM_EPS = 1e-8
+# entries per Adam block: 256 KiB per float64 array, so a block's five arrays
+# (parameters, gradient, two moments, scratch) fit together in one L2 cache
+_ADAM_BLOCK = 1 << 15
 # running = (1 - momentum) * running + momentum * batch, biased batch variance
 BN_MOMENTUM = 0.1
 
@@ -200,7 +203,8 @@ def mlp_backward(model: MlpModel, cache: dict, dtheta, dxi) -> np.ndarray:
 
     dtheta is (Q, L2) against the scaled phase output, dxi is (Q, K, L)
     against the share output. The cache must come from a train-mode
-    forward pass. Returns a vector laid out like ``model.params``.
+    forward pass. Returns a vector laid out like ``model.params``. The
+    gradient with respect to the network input is never formed.
     """
     if not cache["train_mode"]:
         raise ValueError("backward needs a train-mode forward cache")
@@ -235,7 +239,8 @@ def mlp_backward(model: MlpModel, cache: dict, dtheta, dxi) -> np.ndarray:
         dpre = dr * (layer["pre"] > 0)
         np.matmul(layer["input"].T, dpre, out=g["weights"][v])
         dpre.sum(axis=0, out=g["biases"][v])
-        da = dpre @ model.weights[v].T
+        if v > 0:
+            da = dpre @ model.weights[v].T
     return grad
 
 
@@ -262,20 +267,40 @@ def adam_step(model: MlpModel, grad: np.ndarray, state: AdamState):
     Gradients here point up the objective's descent direction (they come
     from a loss), so parameters move against them. ``grad`` is overwritten
     with the update's denominator, which saves a parameter-sized buffer.
-    A gradient whose square overflows raises FloatingPointError.
+
+    The update runs over the flat vectors ``_ADAM_BLOCK`` entries at a
+    time, so each block's parameters, gradient, moments and scratch stay in
+    a core's L2 cache through all of its passes. Each entry sees the same
+    operations in the same order as a whole-vector update, so the result is
+    bit for bit the same.
+
+    A gradient whose scaled square ``(1 - beta2) * g * g`` overflows (or
+    that pushes the second moment past the largest float) raises
+    FloatingPointError. The raise comes mid-update: the blocks before the
+    offending one are fully updated, its first moment is too, and the step
+    counter has advanced, so the model and ``state`` are left part-updated
+    and must be discarded.
     """
     state.step += 1
     t = state.step
     c1 = 1.0 - ADAM_BETA1 ** t
     c2 = 1.0 - ADAM_BETA2 ** t
-    state.m *= ADAM_BETA1
-    state.m += (1.0 - ADAM_BETA1) * grad
-    state.v *= ADAM_BETA2
-    with np.errstate(over="raise"):
-        state.v += (1.0 - ADAM_BETA2) * grad * grad
-    denom = np.sqrt(np.divide(state.v, c2, out=grad), out=grad)
-    denom += ADAM_EPS
-    model.params -= state.learning_rate * (state.m / c1) / denom
+    lr = state.learning_rate
+    n = model.params.size
+    scratch = np.empty(min(_ADAM_BLOCK, n))
+    for start in range(0, n, _ADAM_BLOCK):
+        span = slice(start, start + _ADAM_BLOCK)
+        p, g, m, v = model.params[span], grad[span], state.m[span], state.v[span]
+        s = scratch[:g.size]
+        m *= ADAM_BETA1
+        m += np.multiply(1.0 - ADAM_BETA1, g, out=s)
+        v *= ADAM_BETA2
+        with np.errstate(over="raise"):
+            v += np.multiply(np.multiply(1.0 - ADAM_BETA2, g, out=s), g, out=s)
+        np.divide(v, c2, out=g)
+        np.sqrt(g, out=g)
+        g += ADAM_EPS
+        p -= np.divide(np.multiply(lr, np.divide(m, c1, out=s), out=s), g, out=s)
     return model, state
 
 

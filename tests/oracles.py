@@ -7,6 +7,8 @@ search loop and the serial bcd solver keep the arithmetic of the library's
 batched versions, so those are compared with them bit for bit. The PCA
 reference takes the other route to the same components: it forms and
 eigendecomposes the correlation matrix that the library's SVD never builds.
+The Adam reference is the whole-vector update that the library runs in
+cache-sized blocks, with the same operations in the same order.
 """
 
 import itertools
@@ -17,6 +19,7 @@ from risalloc import BcdOptions, ChannelSet, sum_utility
 from risalloc.allocation import _simplex_columns
 from risalloc.features import KAISER_TIE_GUARD
 from risalloc.metrics import _objective
+from risalloc.mlp import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 
 
 def toy_channels(num_users=2, num_antennas=2, side=2, seed=0, scale=1.0):
@@ -101,6 +104,20 @@ def pca_reference(features):
     order = np.argsort(evals)[::-1]
     keep = max(1, int(np.sum(evals > 1.0 + KAISER_TIE_GUARD)))
     return evals[order], evecs[:, order[:keep]]
+
+
+def adam_reference(params, grad, m, v, step, learning_rate):
+    """One Adam update over whole vectors, in place on params, m and v, in
+    the library's order and association. ``step`` is the step number after
+    the update (1 on the first call)."""
+    c1 = 1.0 - ADAM_BETA1 ** step
+    c2 = 1.0 - ADAM_BETA2 ** step
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grad
+    v *= ADAM_BETA2
+    with np.errstate(over="raise"):
+        v += (1.0 - ADAM_BETA2) * grad * grad
+    params -= learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 def _face_column(v):

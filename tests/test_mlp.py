@@ -7,11 +7,12 @@ import zlib
 import numpy as np
 import pytest
 
+import oracles
 from risalloc import (CheckpointError, MlpArch, adam_step, first_layer_weight_count,
                       init_adam, init_model, load_checkpoint, mlp_backward,
                       mlp_forward, param_views, parameter_count, pca_fit,
                       save_checkpoint)
-from risalloc.mlp import BN_MOMENTUM
+from risalloc.mlp import BN_MOMENTUM, _ADAM_BLOCK
 from risalloc.serial import encode_named_arrays
 
 TINY = MlpArch(input_dim=3, phase_dim=4, alloc_users=2, alloc_cols=2,
@@ -236,6 +237,57 @@ def test_adam_flat_step_matches_per_tensor_reference():
                 p -= 0.005 * (m / c1) / (np.sqrt(v / c2) + 1e-8)
     assert np.array_equal(model.params, ref.params)
     assert np.array_equal(state.m, moments["m"]) and np.array_equal(state.v, moments["v"])
+
+
+def model_of_size(n, seed=0):
+    """A model with exactly ``n`` parameters: one hidden unit, one phase
+    element, one share, and n - 7 inputs."""
+    arch = MlpArch(input_dim=n - 7, phase_dim=1, alloc_users=1, alloc_cols=1, hidden=(1,))
+    model = init_model(arch, seed=seed)
+    assert model.params.size == n
+    return model
+
+
+def spread_gradient(rng, n):
+    """Random signs with magnitudes spread log-uniformly over 1e-6 ... 1."""
+    return rng.choice([-1.0, 1.0], size=n) * 10.0 ** rng.uniform(-6.0, 0.0, size=n)
+
+
+@pytest.mark.parametrize("n", [5 * _ADAM_BLOCK // 2, _ADAM_BLOCK, _ADAM_BLOCK // 3])
+def test_blocked_adam_matches_the_whole_vector_update(n):
+    model = model_of_size(n, seed=9)
+    params = model.params.copy()
+    m, v = np.zeros(n), np.zeros(n)
+    state = init_adam(model, learning_rate=0.003)
+    rng = np.random.default_rng(n)
+    for t in range(1, 4):
+        grad = spread_gradient(rng, n)
+        adam_step(model, grad.copy(), state)
+        oracles.adam_reference(params, grad, m, v, t, 0.003)
+        assert np.array_equal(model.params, params)
+        assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
+
+
+@pytest.mark.parametrize("index", [0, -1])
+def test_adam_raises_when_the_scaled_square_overflows(index):
+    n = 5 * _ADAM_BLOCK // 2
+    rng = np.random.default_rng(31)
+    # (1 - beta2) * 1e154 * 1e154 = 1e305 is finite; 1e160 overflows
+    for big, raises in ((1e154, False), (1e160, True)):
+        model = model_of_size(n, seed=10)
+        params = model.params.copy()
+        state = init_adam(model, learning_rate=0.003)
+        grad = spread_gradient(rng, n)
+        grad[index] = big
+        if raises:
+            with pytest.raises(FloatingPointError):
+                adam_step(model, grad.copy(), state)
+            with pytest.raises(FloatingPointError):
+                oracles.adam_reference(params, grad, np.zeros(n), np.zeros(n), 1, 0.003)
+        else:
+            adam_step(model, grad.copy(), state)
+            oracles.adam_reference(params, grad, np.zeros(n), np.zeros(n), 1, 0.003)
+            assert np.array_equal(model.params, params)
 
 
 def test_parameter_counts():
