@@ -65,13 +65,17 @@ def pca_fit(features: np.ndarray) -> PcaModel:
     mean = X.mean(axis=0)
     scale = X.std(axis=0, ddof=1)
     scale = np.where(scale == 0.0, 1.0, scale)
-    Z = (X - mean) / scale
-    # eigenpairs of the correlation Z'Z / (n - 1) without forming it: the squared
-    # singular values of Z / sqrt(n - 1), descending, and its right singular vectors
-    _, s, vt = np.linalg.svd(Z / np.sqrt(n - 1), full_matrices=False)
+    # ((X - mean) / scale) / sqrt(n - 1), standardized in one buffer
+    Z = X - mean
+    Z /= scale
+    Z /= np.sqrt(n - 1)
+    # eigenpairs of the correlation Z'Z without forming it: the squared
+    # singular values of Z, descending, and its right singular vectors
+    _, s, vt = np.linalg.svd(Z, full_matrices=False)
     evals = np.pad(s * s, (0, X.shape[1] - s.size))  # rank <= min(n - 1, D)
     keep = max(1, int(np.sum(evals > 1.0 + KAISER_TIE_GUARD)))
-    return PcaModel(mean, scale, vt[:keep].T, evals)
+    # copy the kept rows so the model does not hold the whole factor alive
+    return PcaModel(mean, scale, vt[:keep].copy().T, evals)
 
 
 def pca_transform(model: PcaModel, features: np.ndarray) -> np.ndarray:

@@ -156,7 +156,9 @@ def train(train_samples, val_samples, noise_linear: float,
     options.seed, so identical inputs give bit-identical results. The
     history records the learning rate in effect during each epoch; decays
     apply from the following epoch. Trailing batches of a single sample
-    are dropped because batch normalization needs two rows.
+    are dropped because batch normalization needs two rows. At its peak
+    training holds five parameter-sized vectors: the parameters, the two
+    Adam moments, the best-state copy and one gradient.
     """
     opts = options or TrainOptions()
     if len(train_samples) < 2 or not val_samples:
@@ -187,11 +189,9 @@ def train(train_samples, val_samples, noise_linear: float,
     w_train = [s.w for s in train_samples]
     w_val = [s.w for s in val_samples]
 
-    def snapshot() -> MlpModel:
-        return MlpModel(arch, model.params.copy(), [m.copy() for m in model.bn_mean],
-                        [v.copy() for v in model.bn_var])
-
-    best_state = snapshot()
+    # one best-state buffer for the whole run, refreshed in place on each improvement
+    best_state = MlpModel(arch, model.params.copy(), [m.copy() for m in model.bn_mean],
+                          [v.copy() for v in model.bn_var])
     best_epoch = -1
     history = []
     n = len(train_samples)
@@ -210,8 +210,8 @@ def train(train_samples, val_samples, noise_linear: float,
             loss, d_theta, d_xi = nn_loss_and_grads(
                 theta_b, xi_b, [ch_train[i] for i in idx], [w_train[i] for i in idx],
                 opts.alpha, noise_linear)
-            grad = mlp_backward(model, cache, d_theta, d_xi)
-            adam_step(model, grad, adam)
+            # no name holds the gradient, so it is freed before the next step allocates its own
+            adam_step(model, mlp_backward(model, cache, d_theta, d_xi), adam)
             batch_losses.append(loss)
 
         theta_v, xi_v, _ = mlp_forward(model, z_val, train_mode=False)
@@ -220,7 +220,9 @@ def train(train_samples, val_samples, noise_linear: float,
                         "val_loss": val_loss, "learning_rate": adam.learning_rate})
         improved, _, stop = sched.update(val_loss)
         if improved:
-            best_state = snapshot()
+            for dst, src in zip([best_state.params, *best_state.bn_mean, *best_state.bn_var],
+                                [model.params, *model.bn_mean, *model.bn_var]):
+                np.copyto(dst, src)
             best_epoch = epoch
         if stop:
             break

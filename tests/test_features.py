@@ -164,3 +164,36 @@ def test_pca_spectrum_is_exactly_zero_past_the_rows():
     model = pca_fit(_correlated(n, 50, seed=8))
     assert np.all(model.eigenvalues[n:] == 0.0)
     assert np.all(model.eigenvalues[:n - 1] > 0.0)
+
+
+def _criterion_06_matrix():
+    """The 80 x 5 matrix of criterion 06: one column doubled, three more
+    orthogonal ones, all centred and of unit sample variance."""
+    rng = np.random.default_rng(60)
+    cols = []
+    for _ in range(4):
+        v = rng.normal(size=80)
+        v -= v.mean()
+        for u in cols:
+            v -= (v @ u) / (u @ u) * u
+            v -= v.mean()
+        cols.append(v)
+    f, g1, g2, g3 = (c / c.std(ddof=1) for c in cols)
+    return np.column_stack([f, f, g1, g2, g3])
+
+
+@pytest.mark.parametrize("X", [_criterion_06_matrix(),
+                               np.random.default_rng(15).normal(size=(200, 920))],
+                         ids=["criterion-06", "200x920"])
+def test_pca_axes_own_only_the_retained_components(X):
+    model = pca_fit(X)
+    n, d = X.shape
+    mean = X.mean(axis=0)
+    scale = X.std(axis=0, ddof=1)
+    scale = np.where(scale == 0.0, 1.0, scale)
+    _, _, vt = np.linalg.svd(((X - mean) / scale) / np.sqrt(n - 1), full_matrices=False)
+    expected = vt[:model.retained].T
+    # the model does not keep the discarded rows of the singular factor alive
+    assert model.axes.base.shape == (model.retained, d)
+    assert model.axes.strides == expected.strides == (8, 8 * d)
+    assert model.axes.tobytes() == expected.tobytes()

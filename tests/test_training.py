@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -194,3 +196,20 @@ def test_batched_loss_and_grads_match_per_sample_loop(alpha):
     assert d_theta.tobytes() == ref_theta.tobytes()
     assert d_xi.tobytes() == ref_xi.tobytes()
     assert nn_loss(theta, xi, chs, ws, alpha, NOISE) == loss
+
+
+def test_train_peak_memory_holds_five_parameter_vectors():
+    # with (400, 400) hidden layers the parameters dominate memory; at its
+    # peak training holds the parameters, two Adam moments, the best-state
+    # copy and one gradient, plus activations well under one vector
+    train_set = [toy_sample(100 + i) for i in range(16)]
+    val_set = [toy_sample(900 + i) for i in range(4)]
+    opts = TrainOptions(batch_size=8, max_epochs=6, hidden=(400, 400), use_pca=False)
+    tracemalloc.start()
+    try:
+        result = train(train_set, val_set, NOISE, opts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.best_epoch > 0  # the best-state copy was refreshed at least once
+    assert peak < 5.6 * result.model.params.nbytes
