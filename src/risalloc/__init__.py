@@ -26,7 +26,7 @@ from .metrics import (RATE_FLOOR, Allocation, Beamformers, PhaseConfig,
                       alpha_mean_throughput, alpha_utility, expand_columns,
                       sum_utility, user_rates)
 from .mlp import (AdamState, CheckpointError, MlpArch, MlpModel, adam_step,
-                  first_layer_weight_count, init_adam, init_model,
+                  backward_pieces, first_layer_weight_count, init_adam, init_model,
                   load_checkpoint, mlp_backward, mlp_forward, param_views,
                   parameter_count, save_checkpoint)
 from .training import (PlateauScheduler, TrainOptions, TrainResult, nn_loss,

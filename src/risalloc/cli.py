@@ -38,6 +38,7 @@ EXIT_DATA = 3
 EXIT_BUDGET = 4
 
 _PROFILES = {"desk": desk_config, "full": full_scale_config}
+_ALPHA_CHECK_DROPS = 20  # drops per kernel call when checking alpha
 _NN_SCHEMES = ("nn", "nn+pca")
 _ALL_SCHEMES = ("uniform", "bcd", "nn", "nn+pca", "brute")
 _SECTIONS = {"scenario": ScenarioConfig, "bcd": BcdOptions, "training": TrainOptions}
@@ -121,14 +122,19 @@ def _check_out_file(path, sidecar_suffix: str) -> None:
 def _check_alpha(alpha: float, samples, noise: float) -> None:
     """Refuse an alpha whose utility overflows on these samples: the loss
     at the uniform shares with every phase at zero must be finite. The
-    loader refuses non-finite arrays, so a non-finite loss comes from alpha."""
+    loader refuses non-finite arrays, so a non-finite loss comes from alpha.
+    Drops are scored ``_ALPHA_CHECK_DROPS`` at a time, so the check's
+    memory does not grow with the dataset."""
     ch = samples[0].channels
-    Q, K = len(samples), ch.num_users
-    with np.errstate(over="ignore"):
-        loss = nn_loss(np.zeros((Q, ch.num_elements)), np.full((Q, K, ch.side), 1.0 / K),
-                       [s.channels for s in samples], [s.w for s in samples], alpha, noise)
-    if not np.isfinite(loss):
-        raise ConfigError(f"--alpha {alpha!r} overflows the fairness utility on this data")
+    K = ch.num_users
+    for start in range(0, len(samples), _ALPHA_CHECK_DROPS):
+        chunk = samples[start:start + _ALPHA_CHECK_DROPS]
+        Q = len(chunk)
+        with np.errstate(over="ignore"):
+            loss = nn_loss(np.zeros((Q, ch.num_elements)), np.full((Q, K, ch.side), 1.0 / K),
+                           [s.channels for s in chunk], [s.w for s in chunk], alpha, noise)
+        if not np.isfinite(loss):
+            raise ConfigError(f"--alpha {alpha!r} overflows the fairness utility on this data")
 
 
 def _per_sample_seed(seed: int, index: int) -> int:

@@ -134,8 +134,12 @@ def _evaluate(b: _Bound, theta, xi, noise_linear: float, alpha: float | None = N
         raise ValueError("noise power must be non-negative, and positive for gradients")
     mask = expand_columns(xi) if b.mask is None else b.mask
     phase = np.exp(1j * theta) if b.phase is None else b.phase
-    # e_k: user k's effective row
-    e = (b.g_ris * (mask * phase[..., None, :])) @ b.h_rb + b.h_direct
+    # e_k: user k's effective row. The product writes into its right operand
+    # explicitly: numpy would reuse a large temporary by itself, but with the
+    # operands swapped, which changes the imaginary part's rounding, so the
+    # bits would depend on the stack size.
+    t = mask * phase[..., None, :]
+    e = np.multiply(b.g_ris, t, out=t) @ b.h_rb + b.h_direct
     S = e @ b.w_t  # S[k, i] = e_k . w_i
     P = np.abs(S) ** 2
     num = P.diagonal(axis1=-2, axis2=-1)
@@ -157,7 +161,8 @@ def _evaluate(b: _Bound, theta, xi, noise_linear: float, alpha: float | None = N
     # dU/d|S_ki|^2: q_k on the diagonal, -q_k * SINR_k off it
     G = np.where(b.own, q, -q * sig[..., :, None])
     g_phase = b.g_ris * phase[..., None, :] if b.g_phase is None else b.g_phase
-    C = g_phase * ((G * np.conj(S)) @ b.B)  # (Q, K, L2)
+    C = (G * np.conj(S)) @ b.B
+    np.multiply(g_phase, C, out=C)  # (Q, K, L2), in place as above
     dtheta = -2.0 * np.imag(np.add.reduce(mask * C, -2))
     L = np.shape(xi)[-1]
     dxi = 2.0 * np.add.reduce(np.real(C).reshape(C.shape[:-1] + (L, L)), -1)

@@ -99,25 +99,32 @@ def _layout(arch: MlpArch):
             yield f"{kind}.{i}", shape
 
 
-def _named_views(arch: MlpArch, vec: np.ndarray):
-    """Yield (name, view) over a flat vector laid out as ``_layout`` says."""
+def _named_views(arch: MlpArch, vec: np.ndarray, start: int = 0):
+    """Yield (name, view) over a flat vector laid out as ``_layout`` says,
+    or over the part of one from position ``start``, which begins a tensor."""
     pos = 0
     for name, shape in _layout(arch):
         size = math.prod(shape)
-        yield name, vec[pos:pos + size].reshape(shape)
+        if pos >= start:
+            yield name, vec[pos - start:pos - start + size].reshape(shape)
         pos += size
-    if vec.shape != (pos,):
-        raise ValueError(f"expected a flat vector of {pos} parameters, got shape {vec.shape}")
+    if vec.shape != (pos - start,):
+        raise ValueError(f"expected a flat vector of {pos - start} parameters, got shape {vec.shape}")
+
+
+def _by_kind(named) -> dict:
+    """Group (name, view) pairs into {kind: [view, ...]}, in layer order."""
+    views = {}
+    for name, view in named:
+        views.setdefault(name.split(".")[0], []).append(view)
+    return views
 
 
 def param_views(arch: MlpArch, vec: np.ndarray) -> dict:
     """Views into a vector laid out like ``MlpModel.params`` (parameters,
     gradients or Adam moments), as {"weights": [...], "biases": [...],
     "bn_scale": [...], "bn_shift": [...]} with each list in layer order."""
-    views = {}
-    for name, view in _named_views(arch, vec):
-        views.setdefault(name.split(".")[0], []).append(view)
-    return views
+    return _by_kind(_named_views(arch, vec))
 
 
 def init_model(arch: MlpArch, seed: int = 0) -> MlpModel:
@@ -198,13 +205,18 @@ def mlp_forward(model: MlpModel, z_batch, train_mode: bool, dropout_seed=0):
     return theta, xi, cache
 
 
-def mlp_backward(model: MlpModel, cache: dict, dtheta, dxi) -> np.ndarray:
-    """Exact parameter gradients from upstream head gradients.
+def backward_pieces(model: MlpModel, cache: dict, dtheta, dxi):
+    """Exact parameter gradients from upstream head gradients, in pieces.
 
     dtheta is (Q, L2) against the scaled phase output, dxi is (Q, K, L)
     against the share output. The cache must come from a train-mode
-    forward pass. Returns a vector laid out like ``model.params``. The
-    gradient with respect to the network input is never formed.
+    forward pass. Yields (offset, gradient) pairs that together cover a
+    vector laid out like ``model.params`` once: each weight matrix as soon
+    as the rest of the pass no longer reads it (the heads first, the first
+    layer last), then the biases and batch-norm scales and shifts, which
+    follow the weights in the layout, as one piece. A consumer may update
+    each piece's parameters before asking for the next one. The gradient
+    with respect to the network input is never formed.
     """
     if not cache["train_mode"]:
         raise ValueError("backward needs a train-mode forward cache")
@@ -216,15 +228,17 @@ def mlp_backward(model: MlpModel, cache: dict, dtheta, dxi) -> np.ndarray:
     dphase_pre = np.asarray(dtheta, dtype=float).reshape(Q, -1) * np.pi * sp * (1.0 - sp)
     dalloc_pre = np.asarray(dxi, dtype=float).reshape(Q, -1) * sa * (1.0 - sa)
 
-    grad = np.empty_like(model.params)  # every entry is written below
-    g = param_views(arch, grad)
+    # weight matrices start the layout, so their offsets are running sums of their sizes
+    offsets = np.cumsum([0, *(w.size for w in model.weights)]).tolist()
+    tail = np.empty(model.params.size - offsets[-1])  # every entry is written below
+    g = _by_kind(_named_views(arch, tail, offsets[-1]))
 
     head_in = cache["head_input"]
-    np.matmul(head_in.T, dphase_pre, out=g["weights"][-2])
     dphase_pre.sum(axis=0, out=g["biases"][-2])
-    np.matmul(head_in.T, dalloc_pre, out=g["weights"][-1])
     dalloc_pre.sum(axis=0, out=g["biases"][-1])
     da = dphase_pre @ model.weights[-2].T + dalloc_pre @ model.weights[-1].T
+    yield offsets[-3], head_in.T @ dphase_pre
+    yield offsets[-2], head_in.T @ dalloc_pre
 
     for v in reversed(range(len(arch.hidden))):
         layer = cache["layers"][v]
@@ -237,10 +251,19 @@ def mlp_backward(model: MlpModel, cache: dict, dtheta, dxi) -> np.ndarray:
         dr = (inv / Q) * (Q * dxhat - dxhat.sum(axis=0)
                           - xhat * (dxhat * xhat).sum(axis=0))
         dpre = dr * (layer["pre"] > 0)
-        np.matmul(layer["input"].T, dpre, out=g["weights"][v])
         dpre.sum(axis=0, out=g["biases"][v])
         if v > 0:
             da = dpre @ model.weights[v].T
+        yield offsets[v], layer["input"].T @ dpre
+    yield offsets[-1], tail
+
+
+def mlp_backward(model: MlpModel, cache: dict, dtheta, dxi) -> np.ndarray:
+    """The pieces of ``backward_pieces`` assembled into one vector laid
+    out like ``model.params``."""
+    grad = np.empty_like(model.params)
+    for offset, piece in backward_pieces(model, cache, dtheta, dxi):
+        grad[offset:offset + piece.size] = piece.reshape(-1)
     return grad
 
 
@@ -261,18 +284,22 @@ def init_adam(model: MlpModel, learning_rate: float) -> AdamState:
                      learning_rate=learning_rate)
 
 
-def adam_step(model: MlpModel, grad: np.ndarray, state: AdamState):
+def adam_step(model: MlpModel, grad, state: AdamState):
     """One Adam update in place, standard 1 - beta^t bias correction.
 
     Gradients here point up the objective's descent direction (they come
-    from a loss), so parameters move against them. ``grad`` is overwritten
-    with the update's denominator, which saves a parameter-sized buffer.
+    from a loss), so parameters move against them. ``grad`` is a vector
+    laid out like ``model.params``, or an iterable of (offset, gradient)
+    pieces that cover such a vector once, as ``backward_pieces`` yields
+    them; each piece's parameters are updated before the next piece is
+    asked for. Every gradient is overwritten with the update's denominator,
+    which saves a buffer of its size.
 
-    The update runs over the flat vectors ``_ADAM_BLOCK`` entries at a
-    time, so each block's parameters, gradient, moments and scratch stay in
-    a core's L2 cache through all of its passes. Each entry sees the same
+    The update runs over each gradient ``_ADAM_BLOCK`` entries at a time,
+    so each block's parameters, gradient, moments and scratch stay in a
+    core's L2 cache through all of its passes. Each entry sees the same
     operations in the same order as a whole-vector update, so the result is
-    bit for bit the same.
+    bit for bit the same however the gradient is cut.
 
     A gradient whose scaled square ``(1 - beta2) * g * g`` overflows (or
     that pushes the second moment past the largest float) raises
@@ -286,21 +313,24 @@ def adam_step(model: MlpModel, grad: np.ndarray, state: AdamState):
     c1 = 1.0 - ADAM_BETA1 ** t
     c2 = 1.0 - ADAM_BETA2 ** t
     lr = state.learning_rate
-    n = model.params.size
-    scratch = np.empty(min(_ADAM_BLOCK, n))
-    for start in range(0, n, _ADAM_BLOCK):
-        span = slice(start, start + _ADAM_BLOCK)
-        p, g, m, v = model.params[span], grad[span], state.m[span], state.v[span]
-        s = scratch[:g.size]
-        m *= ADAM_BETA1
-        m += np.multiply(1.0 - ADAM_BETA1, g, out=s)
-        v *= ADAM_BETA2
-        with np.errstate(over="raise"):
-            v += np.multiply(np.multiply(1.0 - ADAM_BETA2, g, out=s), g, out=s)
-        np.divide(v, c2, out=g)
-        np.sqrt(g, out=g)
-        g += ADAM_EPS
-        p -= np.divide(np.multiply(lr, np.divide(m, c1, out=s), out=s), g, out=s)
+    scratch = np.empty(min(_ADAM_BLOCK, model.params.size))
+    for offset, piece in [(0, grad)] if isinstance(grad, np.ndarray) else grad:
+        flat = piece.reshape(-1)
+        for start in range(0, flat.size, _ADAM_BLOCK):
+            g = flat[start:start + _ADAM_BLOCK]
+            span = slice(offset + start, offset + start + g.size)
+            p, m, v = model.params[span], state.m[span], state.v[span]
+            s = scratch[:g.size]
+            m *= ADAM_BETA1
+            m += np.multiply(1.0 - ADAM_BETA1, g, out=s)
+            v *= ADAM_BETA2
+            with np.errstate(over="raise"):
+                v += np.multiply(np.multiply(1.0 - ADAM_BETA2, g, out=s), g, out=s)
+            np.divide(v, c2, out=g)
+            np.sqrt(g, out=g)
+            g += ADAM_EPS
+            p -= np.divide(np.multiply(lr, np.divide(m, c1, out=s), out=s), g, out=s)
+        del piece, flat, g  # so a piece is freed before the next one is formed
     return model, state
 
 

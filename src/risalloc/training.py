@@ -17,8 +17,8 @@ from .allocation import _simplex_columns, project_feasible_with_vjp
 from .config import AT_LEAST_ONE, NON_NEGATIVE, POSITIVE, ConfigError, check_fields
 from .features import PcaModel, feature_matrix, pca_fit, pca_transform
 from .metrics import _objective
-from .mlp import (LAYER_RULES, MlpArch, MlpModel, adam_step, init_adam, init_model, mlp_backward,
-                  mlp_forward)
+from .mlp import (LAYER_RULES, MlpArch, MlpModel, adam_step, backward_pieces, init_adam,
+                  init_model, mlp_forward)
 
 
 def _batch(theta_batch, xi_batch, ch_batch, w_batch):
@@ -157,8 +157,10 @@ def train(train_samples, val_samples, noise_linear: float,
     history records the learning rate in effect during each epoch; decays
     apply from the following epoch. Trailing batches of a single sample
     are dropped because batch normalization needs two rows. At its peak
-    training holds five parameter-sized vectors: the parameters, the two
-    Adam moments, the best-state copy and one gradient.
+    training holds four parameter-sized vectors (the parameters, the two
+    Adam moments and the best-state copy) and the gradient of one weight
+    matrix: Adam takes each tensor's gradient as the backward pass
+    finishes it.
     """
     opts = options or TrainOptions()
     if len(train_samples) < 2 or not val_samples:
@@ -166,16 +168,14 @@ def train(train_samples, val_samples, noise_linear: float,
     ch_train = [s.channels for s in train_samples]
     ch_val = [s.channels for s in val_samples]
 
-    feats_train = feature_matrix(ch_train)
-    feats_val = feature_matrix(ch_val)
+    # the raw features are rebound to their projection, so they are freed once projected
+    z_train = feature_matrix(ch_train)
+    z_val = feature_matrix(ch_val)
+    pca = None
     if opts.use_pca:
-        pca = pca_fit(feats_train)
-        z_train = pca_transform(pca, feats_train)
-        z_val = pca_transform(pca, feats_val)
-    else:
-        pca = None
-        z_train = feats_train
-        z_val = feats_val
+        pca = pca_fit(z_train)
+        z_train = pca_transform(pca, z_train)
+        z_val = pca_transform(pca, z_val)
 
     arch = MlpArch(input_dim=z_train.shape[1], phase_dim=ch_train[0].num_elements,
                    alloc_users=ch_train[0].num_users, alloc_cols=ch_train[0].side,
@@ -210,8 +210,9 @@ def train(train_samples, val_samples, noise_linear: float,
             loss, d_theta, d_xi = nn_loss_and_grads(
                 theta_b, xi_b, [ch_train[i] for i in idx], [w_train[i] for i in idx],
                 opts.alpha, noise_linear)
-            # no name holds the gradient, so it is freed before the next step allocates its own
-            adam_step(model, mlp_backward(model, cache, d_theta, d_xi), adam)
+            # Adam updates each tensor as soon as its gradient is final, so no
+            # parameter-sized gradient is ever held
+            adam_step(model, backward_pieces(model, cache, d_theta, d_xi), adam)
             batch_losses.append(loss)
 
         theta_v, xi_v, _ = mlp_forward(model, z_val, train_mode=False)

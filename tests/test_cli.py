@@ -5,15 +5,18 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oracles
 import risalloc
-from risalloc import (BcdOptions, DatasetError, MlpArch, ScenarioConfig, TrainOptions, init_model,
-                      load_checkpoint, load_dataset, save_checkpoint)
+from risalloc import (BcdOptions, DatasetError, Deployment, MlpArch, Sample, ScenarioConfig,
+                      TrainOptions, init_model, load_checkpoint, load_dataset, mrt_beamformers,
+                      save_checkpoint)
 from risalloc.brute import DEFAULT_BUDGET
 from risalloc.cli import build_parser, main
 from risalloc.serial import decode_named_arrays, encode_named_arrays
@@ -465,6 +468,25 @@ def test_out_of_domain_flags_are_config_errors(tmp_path, dataset, capsys, comman
     rc = main([command, "--data", str(dataset), *flags, "--out", str(tmp_path / "o")])
     assert rc == 2
     assert flags[0] in capsys.readouterr().err
+
+
+def test_alpha_check_memory_does_not_grow_with_the_dataset():
+    # one drop of the full profile's shape (3 users, 4 antennas, a 20 x 20
+    # surface), repeated: scoring every drop in one stack took about 80 KiB
+    # a drop, only to learn whether the loss is finite
+    ch = oracles.toy_channels(num_users=3, num_antennas=4, side=20)
+    drop = Sample(seed=0, deployment=Deployment(np.zeros((3, 3)), np.zeros((0, 5))),
+                  channels=ch, w=mrt_beamformers(ch, 1.0).w)
+
+    def traced_peak(n_drops):
+        tracemalloc.start()
+        try:
+            risalloc.cli._check_alpha(1.0, [drop] * n_drops, 0.05)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert traced_peak(500) < 1.2 * traced_peak(50)
 
 
 @pytest.mark.parametrize("command,out", [

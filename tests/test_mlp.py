@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
-from risalloc import (CheckpointError, MlpArch, adam_step, first_layer_weight_count,
+from risalloc import (CheckpointError, MlpArch, adam_step, backward_pieces, first_layer_weight_count,
                       init_adam, init_model, load_checkpoint, mlp_backward,
                       mlp_forward, param_views, parameter_count, pca_fit,
                       save_checkpoint)
@@ -180,6 +180,38 @@ def test_backward_requires_train_cache():
     _, _, cache = mlp_forward(model, np.zeros((2, 3)), train_mode=False)
     with pytest.raises(ValueError):
         mlp_backward(model, cache, np.zeros((2, 4)), np.zeros((2, 2, 2)))
+
+
+def test_backward_pieces_cover_the_vector_once_heads_first():
+    model = tiny_model(seed=6)
+    _, _, cache = mlp_forward(model, np.ones((3, 3)), train_mode=True)
+    spans = [(offset, piece.size) for offset, piece in
+             backward_pieces(model, cache, np.ones((3, 4)), np.ones((3, 2, 2)))]
+    starts = np.cumsum([0, *(w.size for w in model.weights)])
+    # the two heads, the hidden layers last to first, then the rest in one piece
+    assert [o for o, _ in spans] == [*starts[-3:-1], *starts[-4::-1], starts[-1]]
+    assert sorted(spans) == list(zip(starts, np.diff([*starts, model.params.size])))
+
+
+def test_piecewise_adam_step_matches_the_whole_gradient_step():
+    # Adam fed backward_pieces moves each weight matrix while the backward
+    # pass is still running, so the pass must be done reading it by then
+    arch = MlpArch(input_dim=7, phase_dim=4, alloc_users=2, alloc_cols=3,
+                   hidden=(12, 10, 8), dropout_rate=0.3)
+    models = [init_model(arch, seed=4) for _ in range(2)]
+    states = [init_adam(m, learning_rate=0.05) for m in models]
+    rng = np.random.default_rng(11)
+    for step in range(3):
+        z = rng.normal(size=(6, 7))
+        wt, wx = rng.normal(size=(6, 4)), rng.normal(size=(6, 2, 3))
+        for model, state, backward in zip(models, states, (backward_pieces, mlp_backward)):
+            _, _, cache = mlp_forward(model, z, train_mode=True, dropout_seed=step)
+            adam_step(model, backward(model, cache, wt, wx), state)
+    (a, b), (sa, sb) = models, states
+    for x, y in zip([a.params, sa.m, sa.v, *a.bn_mean, *a.bn_var],
+                    [b.params, sb.m, sb.v, *b.bn_mean, *b.bn_var]):
+        assert x.tobytes() == y.tobytes()
+    assert sa.step == sb.step == 3
 
 
 def test_adam_zero_gradient_is_noop():

@@ -176,22 +176,27 @@ def test_train_requires_minimum_samples():
               TrainOptions(max_epochs=1, use_pca=False))
 
 
-@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
-def test_batched_loss_and_grads_match_per_sample_loop(alpha):
-    samples = [toy_sample(seed) for seed in range(5)]
-    chs, ws = [s.channels for s in samples], [s.w for s in samples]
+@pytest.mark.parametrize("alpha,Q,K,N,side", [
+    *(pytest.param(alpha, 5, 2, 2, 2, id=str(alpha)) for alpha in (0.5, 1.0, 2.0)),
+    # the full profile's training batch, whose kernel temporaries pass 256 KiB
+    *(pytest.param(alpha, 20, 3, 4, 20, id=f"full-{alpha}") for alpha in (0.5, 1.0, 2.0)),
+])
+def test_batched_loss_and_grads_match_per_sample_loop(alpha, Q, K, N, side):
+    chs = [oracles.toy_channels(num_users=K, num_antennas=N, side=side, seed=seed)
+           for seed in range(Q)]
+    ws = [mrt_beamformers(ch, 1.0).w for ch in chs]
     rng = np.random.default_rng(3)
-    theta = rng.uniform(0, np.pi, size=(5, 4))
-    xi = rng.normal(0.4, 0.6, size=(5, 2, 2))
+    theta = rng.uniform(0, np.pi, size=(Q, side * side))
+    xi = rng.normal(0.4, 0.6, size=(Q, K, side))
     loss, d_theta, d_xi = nn_loss_and_grads(theta, xi, chs, ws, alpha, NOISE)
 
     ref_loss, ref_theta, ref_xi = 0.0, np.zeros_like(theta), np.zeros_like(xi)
-    for q in range(5):
+    for q in range(Q):
         proj, vjp = project_feasible_with_vjp(xi[q])
         value, g_theta, g_xi = objective_value_and_gradients(chs[q], theta[q], proj, ws[q], alpha, NOISE)
-        ref_loss -= value / 5
-        ref_theta[q] = -g_theta / 5
-        ref_xi[q] = -vjp(g_xi) / 5
+        ref_loss -= value / Q
+        ref_theta[q] = -g_theta / Q
+        ref_xi[q] = -vjp(g_xi) / Q
     assert loss == ref_loss
     assert d_theta.tobytes() == ref_theta.tobytes()
     assert d_xi.tobytes() == ref_xi.tobytes()
@@ -213,3 +218,21 @@ def test_train_peak_memory_holds_five_parameter_vectors():
         tracemalloc.stop()
     assert result.best_epoch > 0  # the best-state copy was refreshed at least once
     assert peak < 5.6 * result.model.params.nbytes
+
+
+def test_train_peak_memory_holds_four_parameter_vectors_and_one_matrix():
+    # the largest of these weight matrices is under a third of the
+    # parameters; Adam takes each matrix's gradient as the backward pass
+    # finishes it, so training holds the parameters, two Adam moments, the
+    # best-state copy and one matrix's gradient, never a whole gradient
+    train_set = [toy_sample(100 + i) for i in range(16)]
+    val_set = [toy_sample(900 + i) for i in range(4)]
+    opts = TrainOptions(batch_size=8, max_epochs=6, hidden=(300, 300, 300, 300), use_pca=False)
+    tracemalloc.start()
+    try:
+        result = train(train_set, val_set, NOISE, opts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.best_epoch > 0
+    assert peak < 4.95 * result.model.params.nbytes

@@ -18,6 +18,12 @@ pairs (ties count for neither side), the medians differ, in the better
 direction, by more than the parent's interquartile range, and the change
 fails no more operations in total than the parent. Quartiles are
 ``statistics.quantiles(values, n=4)`` (the exclusive method).
+
+A metric holds its ground when the change's median is worse than the
+parent's by no more than the metric's ``bound`` in BENCHMARK.json, taken
+as a fraction of the parent's median, and the change fails no more
+operations in total than the parent. This is the no-regression half of
+the benchmark's gate; it is reported for every metric as ``within_bound``.
 """
 
 import argparse
@@ -74,7 +80,7 @@ def summarise(values):
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
-def compare(pairs, metric: str, better: str, failed: dict) -> dict:
+def compare(pairs, metric: str, better: str, bound: float, failed: dict) -> dict:
     sign = 1.0 if better == "lower" else -1.0
     sides = {s: [p[s]["metrics"][metric] for p in pairs] for s in SIDES}
     stats = {s: summarise(v) for s, v in sides.items()}
@@ -84,12 +90,15 @@ def compare(pairs, metric: str, better: str, failed: dict) -> dict:
     losses = sum(g < 0 for g in gains)
     median_gain = sign * (stats["parent"]["median"] - stats["change"]["median"])
     parent_iqr = stats["parent"]["q3"] - stats["parent"]["q1"]
+    no_more_failures = failed["change"] <= failed["parent"]
     return {"better": better, **stats,
             "change_over_parent_median": stats["change"]["median"] / stats["parent"]["median"],
             "wins": wins, "losses": losses, "ties": len(pairs) - wins - losses,
-            "parent_iqr": parent_iqr,
+            "parent_iqr": parent_iqr, "bound": bound,
+            "within_bound": (-median_gain <= bound * abs(stats["parent"]["median"])
+                             and no_more_failures),
             "gain_holds": (wins >= 0.9 * len(pairs) and median_gain > parent_iqr
-                           and failed["change"] <= failed["parent"])}
+                           and no_more_failures)}
 
 
 def main(argv=None) -> int:
@@ -113,7 +122,7 @@ def main(argv=None) -> int:
              "source_sha256": {s: source_digest(r) for s, r in roots.items()},
              "failed": failed,
              "attempted": {s: sum(p[s]["attempted"] for p in pairs) for s in SIDES},
-             "metrics": {m["name"]: compare(pairs, m["name"], m["better"], failed)
+             "metrics": {m["name"]: compare(pairs, m["name"], m["better"], m["bound"], failed)
                          for m in spec["end_to_end"]},
              "pairs": pairs}
     doc = json.loads(args.out.read_text()) if args.out.exists() else {"workloads": {}}
@@ -122,7 +131,7 @@ def main(argv=None) -> int:
     for name, stats in entry["metrics"].items():
         print(f"{args.workload} {name}: parent {stats['parent']['median']:.4g} "
               f"change {stats['change']['median']:.4g} wins {stats['wins']}/{len(pairs)} "
-              f"gain holds: {stats['gain_holds']}")
+              f"gain holds: {stats['gain_holds']} within bound: {stats['within_bound']}")
     return 0
 
 
