@@ -93,12 +93,6 @@ def _line_ascend(x, f_x, grads, block, project, score, ladder, first):
     return x, f_x, grads, len(ladder)
 
 
-def _clip_phases(trials):
-    """Clip a fresh stack of phase trials into [0, pi], in place; np.clip's
-    wrapper costs more than the two ufuncs."""
-    return np.minimum(np.maximum(trials, 0.0, out=trials), np.pi, out=trials)
-
-
 def _ascend_block(x, f_x, grads, block, project, score, ladder, steps, used):
     """Up to ``steps`` line searches on one block. Returns (point, value,
     gradients, trials the last search used).
@@ -158,7 +152,8 @@ def bcd_optimize(ch: ChannelSet, w, alpha: float, noise_linear: float,
 
         shares_fixed = problem.with_shares(xi)
         theta, obj, grads, used[0] = _ascend_block(
-            theta, obj, grads, 0, _clip_phases, lambda t: score(t, xi, shares_fixed),
+            theta, obj, grads, 0, lambda t: t.clip(0.0, np.pi, out=t),
+            lambda t: score(t, xi, shares_fixed),
             ladder, opts.inner_steps_per_block, used[0])
 
         if fixed_alloc is None:

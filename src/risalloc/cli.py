@@ -30,7 +30,7 @@ from .dataio import DatasetError, generate_dataset, load_dataset, train_val_spli
 from .features import flatten_features, pca_transform
 from .metrics import alpha_mean_throughput, alpha_utility, sum_utility, user_rates
 from .mlp import CheckpointError, load_checkpoint, mlp_forward, parameter_count, save_checkpoint
-from .training import TrainOptions, nn_loss, train
+from .training import TrainOptions, train
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -38,7 +38,6 @@ EXIT_DATA = 3
 EXIT_BUDGET = 4
 
 _PROFILES = {"desk": desk_config, "full": full_scale_config}
-_ALPHA_CHECK_DROPS = 20  # drops per kernel call when checking alpha
 _NN_SCHEMES = ("nn", "nn+pca")
 _ALL_SCHEMES = ("uniform", "bcd", "nn", "nn+pca", "brute")
 _SECTIONS = {"scenario": ScenarioConfig, "bcd": BcdOptions, "training": TrainOptions}
@@ -119,24 +118,6 @@ def _check_out_file(path, sidecar_suffix: str) -> None:
         raise ConfigError(f"--out: {Path(path).parent} is not an existing directory")
 
 
-def _check_alpha(alpha: float, samples, noise: float) -> None:
-    """Refuse an alpha whose utility overflows on these samples: the loss
-    at the uniform shares with every phase at zero must be finite. The
-    loader refuses non-finite arrays, so a non-finite loss comes from alpha.
-    Drops are scored ``_ALPHA_CHECK_DROPS`` at a time, so the check's
-    memory does not grow with the dataset."""
-    ch = samples[0].channels
-    K = ch.num_users
-    for start in range(0, len(samples), _ALPHA_CHECK_DROPS):
-        chunk = samples[start:start + _ALPHA_CHECK_DROPS]
-        Q = len(chunk)
-        with np.errstate(over="ignore"):
-            loss = nn_loss(np.zeros((Q, ch.num_elements)), np.full((Q, K, ch.side), 1.0 / K),
-                           [s.channels for s in chunk], [s.w for s in chunk], alpha, noise)
-        if not np.isfinite(loss):
-            raise ConfigError(f"--alpha {alpha!r} overflows the fairness utility on this data")
-
-
 def _per_sample_seed(seed: int, index: int) -> int:
     """Independent solver stream per (run seed, sample index)."""
     return int(np.random.SeedSequence([seed, index]).generate_state(1, dtype=np.uint64)[0])
@@ -148,7 +129,10 @@ def cmd_generate(args) -> int:
     config = _options(args, ScenarioConfig, {}) if args.config else _PROFILES[args.profile]()
     if args.n_train < 0 or args.n_val < 0 or args.n_train + args.n_val < 1:
         raise ConfigError("need --n-train/--n-val with at least one sample in total")
-    check_value("--seed", args.seed, "int", NON_NEGATIVE)
+    # each record header holds its sample's seed, master seed + i, in 64 bits
+    top = 2**64 - (args.n_train + args.n_val)
+    check_value("--seed", args.seed, "int",
+                (lambda v: 0 <= v <= top, f"in [0, {top}], so every record's seed fits in 64 bits"))
     out = _out_dir(args.out)
     manifest = generate_dataset(config, args.n_train, args.n_val, args.seed, out)
     digest = hashlib.sha256()
@@ -175,13 +159,7 @@ def cmd_train(args) -> int:
     opts = _options(args, TrainOptions, {
         "--alpha": "alpha", "--lr": "learning_rate", "--batch-size": "batch_size",
         "--seed": "seed", "--max-epochs": "max_epochs", "--no-pca": "use_pca"})
-    _check_alpha(opts.alpha, samples, manifest.config.noise_watts)
-
-    try:
-        result = train(train_s, val_s, manifest.config.noise_watts, opts)
-    except FloatingPointError as exc:  # raised by the optimizer, before any output
-        raise ConfigError(
-            f"--alpha {opts.alpha!r} overflows training on this data: {exc}") from None
+    result = train(train_s, val_s, manifest.config.noise_watts, opts)
 
     metadata = {"alpha": opts.alpha, "seed": opts.seed, "use_pca": opts.use_pca,
                 "best_epoch": result.best_epoch,
@@ -215,7 +193,6 @@ def cmd_bcd(args) -> int:
             f"sample index {args.index} out of range for {len(samples)} records")
     s = samples[args.index]
     noise = manifest.config.noise_watts
-    _check_alpha(alpha, [s], noise)
     opts = _options(args, BcdOptions, {"--tol": "tol", "--seed": "seed",
                                        "--max-outer-iters": "max_outer_iters"})
 
@@ -309,7 +286,6 @@ def cmd_compare(args) -> int:
     opts = _options(args, BcdOptions, {"--seed": "seed"})
 
     noise = manifest.config.noise_watts
-    _check_alpha(alpha, split, noise)
     bandwidth = manifest.config.bandwidth
     rows, timing_rows = [], []
     for scheme in schemes:
@@ -403,12 +379,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 _COMMANDS = {"generate": cmd_generate, "train": cmd_train,
              "bcd": cmd_bcd, "compare": cmd_compare}
+# the flags that can push a command's arithmetic out of the float range; those
+# commands run with numpy's overflow and invalid-value errors raised, and none
+# writes its outputs before its computation ends
+_FLOAT_FLAGS = {"train": "--alpha or --lr", "bcd": "--alpha", "compare": "--alpha"}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    flags = _FLOAT_FLAGS.get(args.command)
     try:
-        return _COMMANDS[args.command](args)
+        with np.errstate(**({"over": "raise", "invalid": "raise"} if flags else {})):
+            return _COMMANDS[args.command](args)
+    except FloatingPointError as exc:
+        print(f"config error: {flags} takes the arithmetic out of the float range "
+              f"on this data ({exc})", file=sys.stderr)
+        return EXIT_CONFIG
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

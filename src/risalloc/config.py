@@ -20,6 +20,10 @@ ENV_HEIGHT = 1.0        # effective environment height of the pathloss breakpoin
 # Ceiling on blockage_density * area_km2, the expected blockages per drop:
 # is_blocked loops in Python over every rectangle on every link.
 MAX_EXPECTED_BLOCKAGES = 1e6
+# Ceiling on shadow_sigma, dB: a 10-sigma draw on every link (2000 dB over the
+# two hops of the surface path) keeps every amplitude and |S|^2 finite and
+# non-zero; at 200 dB such a draw overflows |S|^2.
+MAX_SHADOW_SIGMA = 100.0
 
 
 class ConfigError(ValueError):
@@ -46,6 +50,7 @@ NON_NEGATIVE = (lambda v: v >= 0, "non-negative")
 AT_LEAST_ONE = (lambda v: v >= 1, ">= 1")
 _HEIGHT = (lambda v: ENV_HEIGHT < v <= MAX_DIST_2D,
            f"in ({ENV_HEIGHT:g}, {MAX_DIST_2D:g}] m, above the environment height")
+_SHADOW_SIGMA = (lambda v: 0 <= v <= MAX_SHADOW_SIGMA, f"in [0, {MAX_SHADOW_SIGMA:g}] dB")
 _POINT = (lambda v: isinstance(v, (list, tuple)) and len(v) == 3 and all(map(_is_finite, v)),
           "three finite numbers")
 _TYPES = {"int": (is_int, "an integer"), "float": (_is_finite, "a finite number"),
@@ -124,7 +129,7 @@ class ScenarioConfig:
                      n_bs_antennas=AT_LEAST_ONE, ris_side=AT_LEAST_ONE, num_ues=AT_LEAST_ONE,
                      ue_density=NON_NEGATIVE, blockage_density=NON_NEGATIVE,
                      blockage_mean_length=POSITIVE, blockage_mean_width=POSITIVE,
-                     carrier_freq=POSITIVE, bandwidth=POSITIVE, shadow_sigma=NON_NEGATIVE,
+                     carrier_freq=POSITIVE, bandwidth=POSITIVE, shadow_sigma=_SHADOW_SIGMA,
                      ue_height=_HEIGHT, bs_height=_HEIGHT)
         # keep positions hashable and JSON-friendly
         object.__setattr__(self, "bs_position", tuple(float(v) for v in self.bs_position))

@@ -5,18 +5,15 @@ import os
 import struct
 import subprocess
 import sys
-import tracemalloc
 import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import oracles
 import risalloc
-from risalloc import (BcdOptions, DatasetError, Deployment, MlpArch, Sample, ScenarioConfig,
-                      TrainOptions, init_model, load_checkpoint, load_dataset, mrt_beamformers,
-                      save_checkpoint)
+from risalloc import (BcdOptions, DatasetError, MlpArch, ScenarioConfig, TrainOptions,
+                      init_model, load_checkpoint, load_dataset, save_checkpoint)
 from risalloc.brute import DEFAULT_BUDGET
 from risalloc.cli import build_parser, main
 from risalloc.serial import decode_named_arrays, encode_named_arrays
@@ -109,6 +106,10 @@ def test_generate_rejects_empty(tmp_path, cfg_path, capsys):
                  id="ris_position-too-high"),
     pytest.param(lambda d: d.update(ris_position=d["bs_position"]), "ris_position",
                  id="ris_position-at-bs_position"),
+    pytest.param(lambda d: d.update(shadow_sigma=3000.0), "shadow_sigma",
+                 id="shadow_sigma-overflows"),
+    pytest.param(lambda d: d.update(shadow_sigma=1e300), "shadow_sigma",
+                 id="shadow_sigma-far-out-of-range"),
 ])
 def test_scenario_field_errors(tmp_path, capsys, mutate, needle):
     scen = tiny_scenario().to_dict()
@@ -169,6 +170,15 @@ def test_config_not_utf8(tmp_path, capsys):
 
 def test_generate_rejects_negative_seed(tmp_path, capsys):
     rc = main(["generate", "--seed", "-3", "--out", str(tmp_path / "ds")])
+    assert rc == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "ds").exists()
+
+
+def test_generate_rejects_a_seed_past_the_record_header(tmp_path, capsys):
+    # every record stores its seed, master seed + i, as a u64
+    rc = main(["generate", "--seed", str(2**64 - 1), "--n-train", "1", "--n-val", "1",
+               "--out", str(tmp_path / "ds")])
     assert rc == 2
     assert "--seed" in capsys.readouterr().err
     assert not (tmp_path / "ds").exists()
@@ -470,25 +480,6 @@ def test_out_of_domain_flags_are_config_errors(tmp_path, dataset, capsys, comman
     assert flags[0] in capsys.readouterr().err
 
 
-def test_alpha_check_memory_does_not_grow_with_the_dataset():
-    # one drop of the full profile's shape (3 users, 4 antennas, a 20 x 20
-    # surface), repeated: scoring every drop in one stack took about 80 KiB
-    # a drop, only to learn whether the loss is finite
-    ch = oracles.toy_channels(num_users=3, num_antennas=4, side=20)
-    drop = Sample(seed=0, deployment=Deployment(np.zeros((3, 3)), np.zeros((0, 5))),
-                  channels=ch, w=mrt_beamformers(ch, 1.0).w)
-
-    def traced_peak(n_drops):
-        tracemalloc.start()
-        try:
-            risalloc.cli._check_alpha(1.0, [drop] * n_drops, 0.05)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    assert traced_peak(500) < 1.2 * traced_peak(50)
-
-
 @pytest.mark.parametrize("command,out", [
     ("generate", "file"),             # a directory command given a file
     ("bcd", "file"),
@@ -546,13 +537,14 @@ def test_unreadable_records_are_data_error(tmp_path, dataset, capsys):
     assert "cannot read dataset" in capsys.readouterr().err
 
 
-def test_training_that_overflows_at_large_alpha_is_a_config_error(tmp_path, capsys):
+@pytest.mark.parametrize("flag,value", [("--alpha", "300"), ("--lr", "1e200")], ids=["alpha", "lr"])
+def test_training_that_overflows_at_large_alpha_is_a_config_error(tmp_path, capsys, flag, value):
     data, ckpt = tmp_path / "ds", tmp_path / "m.ckpt"
     assert main(["generate", "--profile", "desk", "--n-train", "2", "--n-val", "2",
                  "--out", str(data)]) == 0
-    rc = main(["train", "--data", str(data), "--alpha", "300", "--out", str(ckpt)])
+    rc = main(["train", "--data", str(data), flag, value, "--out", str(ckpt)])
     assert rc == 2
-    assert "--alpha" in capsys.readouterr().err
+    assert flag in capsys.readouterr().err
     assert not ckpt.exists() and not Path(str(ckpt) + ".history.csv").exists()
 
 
