@@ -149,13 +149,19 @@ def generate_dataset(config: ScenarioConfig, n_train: int, n_val: int,
     """Write manifest.json and records.bin under ``path``; returns the manifest.
 
     The first n_train records are the training split, the next n_val the
-    validation split.
+    validation split. Record i stores its seed, master_seed + i, in 64
+    bits, so master_seed must be an integer in [0, 2^64 - (n_train +
+    n_val)]; both checks raise ValueError before anything is created.
     """
     if n_train < 0 or n_val < 0 or n_train + n_val < 1:
         raise ValueError("need at least one sample")
+    total = n_train + n_val
+    top = 2**64 - total
+    if not (is_int(master_seed) and 0 <= master_seed <= top):
+        raise ValueError(f"master seed {master_seed!r} is not an integer in [0, {top}], "
+                         "so a record's seed would not fit in 64 bits")
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    total = n_train + n_val
     with open(path / "records.bin", "wb") as f:
         f.write(_MAGIC + struct.pack("<I", FORMAT_VERSION))
         for i in range(total):

@@ -285,7 +285,17 @@ def init_adam(model: MlpModel, learning_rate: float) -> AdamState:
 
 
 def adam_step(model: MlpModel, grad, state: AdamState):
-    """One Adam update in place, standard 1 - beta^t bias correction.
+    """One Adam update in place, with the 1 - beta^t bias corrections folded
+    into two scalars per step (Kingma and Ba, ICLR 2015, section 2):
+
+        step = lr * sqrt(c2) / c1,   eps_t = eps * sqrt(c2),
+        p -= step * m / (sqrt(v) + eps_t),
+
+    where c1 = 1 - beta1^t and c2 = 1 - beta2^t. In real arithmetic this is
+    the textbook ``p -= lr * (m / c1) / (sqrt(v / c2) + eps)``; it costs one
+    square root and one division per parameter instead of three divisions,
+    so only the rounding of the parameter update differs. The moments ``m``
+    and ``v`` are the textbook recursion, bit for bit.
 
     Gradients here point up the objective's descent direction (they come
     from a loss), so parameters move against them. ``grad`` is a vector
@@ -310,9 +320,9 @@ def adam_step(model: MlpModel, grad, state: AdamState):
     """
     state.step += 1
     t = state.step
-    c1 = 1.0 - ADAM_BETA1 ** t
-    c2 = 1.0 - ADAM_BETA2 ** t
-    lr = state.learning_rate
+    root_c2 = math.sqrt(1.0 - ADAM_BETA2 ** t)
+    step = state.learning_rate * root_c2 / (1.0 - ADAM_BETA1 ** t)
+    eps_t = ADAM_EPS * root_c2
     scratch = np.empty(min(_ADAM_BLOCK, model.params.size))
     for offset, piece in [(0, grad)] if isinstance(grad, np.ndarray) else grad:
         flat = piece.reshape(-1)
@@ -326,10 +336,9 @@ def adam_step(model: MlpModel, grad, state: AdamState):
             v *= ADAM_BETA2
             with np.errstate(over="raise"):
                 v += np.multiply(np.multiply(1.0 - ADAM_BETA2, g, out=s), g, out=s)
-            np.divide(v, c2, out=g)
-            np.sqrt(g, out=g)
-            g += ADAM_EPS
-            p -= np.divide(np.multiply(lr, np.divide(m, c1, out=s), out=s), g, out=s)
+            np.sqrt(v, out=g)
+            g += eps_t
+            p -= np.divide(np.multiply(m, step, out=s), g, out=s)
         del piece, flat, g  # so a piece is freed before the next one is formed
     return model, state
 

@@ -7,8 +7,10 @@ search loop and the serial bcd solver keep the arithmetic of the library's
 batched versions, so those are compared with them bit for bit. The PCA
 reference takes the other route to the same components: it forms and
 eigendecomposes the correlation matrix that the library's SVD never builds.
-The Adam reference is the whole-vector update that the library runs in
-cache-sized blocks, with the same operations in the same order.
+The folded Adam reference is the whole-vector update that the library runs
+in cache-sized blocks, with the same operations in the same order; the
+textbook Adam reference shares its moments and rounds the parameter update
+the textbook way.
 """
 
 import itertools
@@ -106,18 +108,33 @@ def pca_reference(features):
     return evals[order], evecs[:, order[:keep]]
 
 
-def adam_reference(params, grad, m, v, step, learning_rate):
-    """One Adam update over whole vectors, in place on params, m and v, in
-    the library's order and association. ``step`` is the step number after
-    the update (1 on the first call)."""
-    c1 = 1.0 - ADAM_BETA1 ** step
-    c2 = 1.0 - ADAM_BETA2 ** step
+def _adam_moments(grad, m, v):
+    """Advance Adam's first and second moments in place (textbook recursion)."""
     m *= ADAM_BETA1
     m += (1.0 - ADAM_BETA1) * grad
     v *= ADAM_BETA2
     with np.errstate(over="raise"):
         v += (1.0 - ADAM_BETA2) * grad * grad
+
+
+def adam_reference(params, grad, m, v, step, learning_rate):
+    """One textbook Adam update over whole vectors, in place on params, m
+    and v. ``step`` is the step number after the update (1 on the first
+    call)."""
+    c1 = 1.0 - ADAM_BETA1 ** step
+    c2 = 1.0 - ADAM_BETA2 ** step
+    _adam_moments(grad, m, v)
     params -= learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+
+
+def adam_folded_reference(params, grad, m, v, step, learning_rate):
+    """``adam_reference`` with the bias corrections folded into a step size
+    and an epsilon, in the library's order and association: the same
+    moments bit for bit, and the same parameter update in real arithmetic."""
+    root_c2 = np.sqrt(1.0 - ADAM_BETA2 ** step)
+    step_size = learning_rate * root_c2 / (1.0 - ADAM_BETA1 ** step)
+    _adam_moments(grad, m, v)
+    params -= step_size * m / (np.sqrt(v) + ADAM_EPS * root_c2)
 
 
 def _face_column(v):

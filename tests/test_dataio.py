@@ -77,6 +77,20 @@ def test_generate_rejects_empty(tmp_path):
         generate_dataset(small_config(), 0, 0, 0, tmp_path)
 
 
+@pytest.mark.parametrize("seed", [2**64 - 1, -1, 1.5])
+def test_generate_checks_its_seed_before_writing(tmp_path, seed):
+    # record i stores master seed + i as a u64; with 1 + 1 records the top is 2^64 - 2
+    with pytest.raises(ValueError, match="master seed"):
+        generate_dataset(desk_config(), 1, 1, seed, tmp_path / "ds")
+    assert not (tmp_path / "ds").exists()
+
+
+def test_generate_takes_the_largest_seed_whose_records_fit(tmp_path):
+    generate_dataset(small_config(), 1, 1, 2**64 - 2, tmp_path)
+    samples, manifest = load_dataset(tmp_path)
+    assert [s.seed for s in samples] == [2**64 - 2, 2**64 - 1]
+
+
 def test_split(tmp_path):
     generate_dataset(small_config(), 3, 2, 0, tmp_path)
     samples, manifest = load_dataset(tmp_path)

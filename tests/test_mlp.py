@@ -12,7 +12,7 @@ from risalloc import (CheckpointError, MlpArch, adam_step, backward_pieces, firs
                       init_adam, init_model, load_checkpoint, mlp_backward,
                       mlp_forward, param_views, parameter_count, pca_fit,
                       save_checkpoint)
-from risalloc.mlp import BN_MOMENTUM, _ADAM_BLOCK
+from risalloc.mlp import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, BN_MOMENTUM, _ADAM_BLOCK
 from risalloc.serial import encode_named_arrays
 
 TINY = MlpArch(input_dim=3, phase_dim=4, alloc_users=2, alloc_cols=2,
@@ -250,7 +250,8 @@ def test_adam_determinism():
 
 
 def test_adam_flat_step_matches_per_tensor_reference():
-    # the update as one tensor at a time, in the library's arithmetic order
+    # the update as one tensor at a time, in the library's arithmetic order:
+    # textbook moments, bias corrections folded into a step size and epsilon
     model, ref = tiny_model(seed=8), tiny_model(seed=8)
     state = init_adam(model, learning_rate=0.005)
     moments = {"m": np.zeros_like(ref.params), "v": np.zeros_like(ref.params)}
@@ -258,7 +259,8 @@ def test_adam_flat_step_matches_per_tensor_reference():
     for t in range(1, 4):
         grad = rng.normal(size=model.params.shape)
         adam_step(model, grad.copy(), state)
-        c1, c2 = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
+        root_c2 = np.sqrt(1.0 - 0.999 ** t)
+        step, eps_t = 0.005 * root_c2 / (1.0 - 0.9 ** t), 1e-8 * root_c2
         views = [param_views(ref.arch, a) for a in (ref.params, grad, moments["m"], moments["v"])]
         for key in views[0]:
             for p, g, m, v in zip(*(vw[key] for vw in views)):
@@ -266,7 +268,7 @@ def test_adam_flat_step_matches_per_tensor_reference():
                 m += (1.0 - 0.9) * g
                 v *= 0.999
                 v += (1.0 - 0.999) * g * g
-                p -= 0.005 * (m / c1) / (np.sqrt(v / c2) + 1e-8)
+                p -= step * m / (np.sqrt(v) + eps_t)
     assert np.array_equal(model.params, ref.params)
     assert np.array_equal(state.m, moments["m"]) and np.array_equal(state.v, moments["v"])
 
@@ -295,9 +297,40 @@ def test_blocked_adam_matches_the_whole_vector_update(n):
     for t in range(1, 4):
         grad = spread_gradient(rng, n)
         adam_step(model, grad.copy(), state)
-        oracles.adam_reference(params, grad, m, v, t, 0.003)
+        oracles.adam_folded_reference(params, grad, m, v, t, 0.003)
         assert np.array_equal(model.params, params)
         assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
+
+
+@pytest.mark.parametrize("lr", [0.003, 1.0])
+def test_folded_adam_agrees_with_the_textbook_update(lr):
+    # A bound from rounding-error analysis, in units of the update's ulp: the
+    # textbook update rounds to within 5.5 unit roundoffs of its exact
+    # value, the folded one to within 8 (three more roundings for the step
+    # and epsilon), so the two differ by at most 13.5 x 2^-53 |update| <
+    # 14 ulps of it; each side then rounds p - update once, half an ulp of
+    # the parameter apiece. Dropping eps_t or sqrt(c2) from the fold moves
+    # the update by a factor, far past this bound.
+    n = 5 * _ADAM_BLOCK // 2
+    model = model_of_size(n, seed=12)
+    state = init_adam(model, learning_rate=lr)
+    m, v = np.zeros(n), np.zeros(n)
+    rng = np.random.default_rng(18)
+    # steps 1-3, then a late step where 1 - beta1^t rounds to exactly 1
+    for t in (1, 2, 3, 1000):
+        state.step = t - 1
+        grad = rng.choice([-1.0, 1.0], size=n) * 10.0 ** rng.uniform(-9.0, 0.0, size=n)
+        grad[rng.random(n) < 0.1] = 0.0  # moments where epsilon dominates
+        params = model.params.copy()
+        adam_step(model, grad.copy(), state)
+        oracles.adam_reference(params, grad, m, v, t, lr)
+        assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes()
+        c1, c2 = 1.0 - ADAM_BETA1 ** t, 1.0 - ADAM_BETA2 ** t
+        assert (c1 == 1.0) == (t == 1000)
+        update = lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+        bound = 14 * np.spacing(np.abs(update)) + np.spacing(
+            np.maximum(np.abs(model.params), np.abs(params)))
+        assert np.all(np.abs(model.params - params) <= bound)
 
 
 @pytest.mark.parametrize("index", [0, -1])
@@ -318,7 +351,7 @@ def test_adam_raises_when_the_scaled_square_overflows(index):
                 oracles.adam_reference(params, grad, np.zeros(n), np.zeros(n), 1, 0.003)
         else:
             adam_step(model, grad.copy(), state)
-            oracles.adam_reference(params, grad, np.zeros(n), np.zeros(n), 1, 0.003)
+            oracles.adam_folded_reference(params, grad, np.zeros(n), np.zeros(n), 1, 0.003)
             assert np.array_equal(model.params, params)
 
 
