@@ -3,18 +3,24 @@
 Each outer iteration sweeps the phase block, then the share block (unless a
 fixed allocation was supplied), taking a handful of gradient steps per block
 with a halving line search that never accepts a decrease, so the objective
-trace is monotone up to float noise. Every evaluation goes through the
-objective kernel in ``metrics`` by its gradient path,
-``objective_value_and_gradients``: once at the starting point, then about
-once per step, each call scoring a stack of line-search trials with their
-gradients. The first stack holds one trial more than the block's previous
-search needed; the rest of the ladder is scored only when none of those is
-accepted. The accepted trial's gradients drive the next step. A block's
-sweep ends early at a fixed point: once a search leaves its point unchanged
-to the bit, every later step would repeat the same call on the same inputs.
-The channel products are bound once per solve, and each block binds the
-factor its sweep leaves fixed: the element mask while the phases move,
-the phase factors while the shares move.
+trace is monotone up to float noise. Every evaluation is one call of
+``objective_value_and_gradients``: once at the starting point, by the
+objective kernel in ``metrics``, then about once per step, each call scoring
+a stack of line-search trials with the moving block's gradient. The first
+stack holds one trial more than the block's previous search needed; the
+rest of the ladder is scored only when none of those is accepted. The
+accepted trial's gradient drives the next step. A block's sweep ends early
+at a fixed point: once a search leaves its point and gradient unchanged to
+the bit, every later step would repeat the same call on the same inputs.
+
+With one block fixed, S (S[k, i] = e_k . w_i) is affine in the other:
+S = D + e^{j theta} @ M while the phases move, S_k = D_k + xi_k @ N_k while
+the shares move (the cascaded channel of Wu and Zhang, IEEE TWC 2019). D
+is bound once per solve, and each block binds its map, M or N, once; the
+trials are then scored through it. A call returns H = G * conj(S) beside
+the value and gradient, and the other block's gradient, which seeds that
+block's first step, is formed once per block from the last accepted trial's
+H; a block that accepts nothing leaves it as it was.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ import numpy as np
 from .allocation import _simplex_columns
 from .channel import ChannelSet
 from .config import AT_LEAST_ONE, NON_NEGATIVE, POSITIVE, check_fields
-from .metrics import Allocation, PhaseConfig, _bind, _evaluate, _single
+from .metrics import Allocation, PhaseConfig, _bind, _evaluate, _evaluate_block, _single
 
 
 @dataclass(frozen=True)
@@ -60,57 +66,70 @@ def objective_value_and_gradients(ch: ChannelSet, theta, xi, w, alpha: float,
     Scores one instance, or a stack of trials when theta is (Q, L2) or xi
     is (Q, K, L): the value is then a (Q,) array instead of a float, and
     the gradients gain the leading Q axis. ``bound`` is ch and w bound by
-    ``metrics._bind`` with grads=True, possibly with a block factor;
-    without it the call binds them itself. With ``bound``, theta and xi
-    must already be float arrays, as the solver passes them.
+    ``metrics._bind`` with grads=True; without it the call binds them
+    itself. With ``bound``, theta and xi must already be float arrays, as
+    the solver passes them. When ``bound`` carries a block map
+    (``with_shares`` or ``with_phases``), only the block that map leaves
+    free is scored: the call returns the value, that block's gradient and
+    H = G * conj(S), from which ``bound.fixed_gradient`` forms the other
+    block's gradient.
     """
     if bound is None:
         g_ris, h_rb, h_direct, w, theta, xi = _single(ch, w, theta, xi)
         bound = _bind(g_ris, h_rb, h_direct, w, grads=True)
-    value, dtheta, dxi = _evaluate(bound, theta, xi, noise_linear, alpha, grads=True)
-    return (float(value) if np.ndim(value) == 0 else value), dtheta, dxi
+    if bound.M is None and bound.N is None:
+        value, *grads = _evaluate(bound, theta, xi, noise_linear, alpha, grads=True)
+    else:
+        value, *grads = _evaluate_block(bound, theta, xi, noise_linear, alpha)
+    return (float(value) if np.ndim(value) == 0 else value), *grads
 
 
-def _line_ascend(x, f_x, grads, block, project, score, ladder, first):
-    """One projected step along grads[block], halving until the objective
-    does not decrease.
+def _line_ascend(x, f_x, grad, project, score, ladder, first):
+    """One projected step along grad, halving until the objective does not
+    decrease.
 
-    The trials x + ladder[j] * grads[block] are projected and scored as
-    stacks: the first ``first`` in one call, the rest of the ladder in a
-    second when none of those is accepted. Returns (point, value, gradients
-    there, trials used), or (x, f_x, grads, len(ladder)) when every trial
-    decreases the objective.
+    The trials x + ladder[j] * grad are projected and scored as stacks: the
+    first ``first`` in one call, the rest of the ladder in a second when
+    none of those is accepted. Returns (point, value, the score's other
+    outputs there, trials used), or (x, f_x, None, len(ladder)) when every
+    trial decreases the objective.
     """
     for lo, hi in ((0, first), (first, len(ladder))):
         if lo == hi:
             continue
-        trials = project(x + np.multiply.outer(ladder[lo:hi], grads[block]))
-        values, *trial_grads = score(trials)
+        trials = project(x + np.multiply.outer(ladder[lo:hi], grad))
+        values, *outputs = score(trials)
         accepted = values >= f_x
         i = int(accepted.argmax())  # the first accepted trial, if any
         if accepted[i]:
-            return trials[i].copy(), float(values[i]), [g[i].copy() for g in trial_grads], lo + i + 1
-    return x, f_x, grads, len(ladder)
+            return trials[i].copy(), float(values[i]), [o[i].copy() for o in outputs], lo + i + 1
+    return x, f_x, None, len(ladder)
 
 
-def _ascend_block(x, f_x, grads, block, project, score, ladder, steps, used):
+def _ascend_block(x, f_x, grad, project, score, ladder, steps, used):
     """Up to ``steps`` line searches on one block. Returns (point, value,
-    gradients, trials the last search used).
+    gradient, H of the last accepted trial or None when none was accepted,
+    trials the last search used).
 
     Each search's first stack holds one trial more than the previous one
     needed, so a search that needs one more trial than the last still
     costs one kernel call. The sweep stops as soon as a search leaves its
-    point unchanged: every later search would score the same trials from
-    the same point and gradients.
+    point and gradient unchanged: every later search would score the same
+    trials from the same point and gradient.
     """
+    H = None
     for _ in range(steps):
-        y, f_y, grads, used = _line_ascend(x, f_x, grads, block, project, score, ladder,
-                                           min(used + 1, len(ladder)))
-        fixed_point = f_y == f_x and np.array_equal(y, x)  # the floats first: cheap
-        x, f_x = y, f_y
+        y, f_y, at_y, used = _line_ascend(x, f_x, grad, project, score, ladder,
+                                          min(used + 1, len(ladder)))
+        if at_y is None:  # every trial decreases the objective
+            break
+        g_y, H = at_y
+        # the floats first: cheap
+        fixed_point = f_y == f_x and np.array_equal(y, x) and np.array_equal(g_y, grad)
+        x, f_x, grad = y, f_y, g_y
         if fixed_point:
             break
-    return x, f_x, grads, used
+    return x, f_x, grad, H, used
 
 
 def bcd_optimize(ch: ChannelSet, w, alpha: float, noise_linear: float,
@@ -119,14 +138,18 @@ def bcd_optimize(ch: ChannelSet, w, alpha: float, noise_linear: float,
     """Block ascent from a seeded start.
 
     Phases start uniform over [0, pi], shares at the 1/K interior point.
-    Passing fixed_alloc pins the allocation and optimizes phases only (the
-    classic fixed-split baseline). Returns (PhaseConfig, Allocation, BcdTrace).
+    Passing fixed_alloc, a (K, L) allocation, pins it and optimizes phases
+    only (the classic fixed-split baseline). Returns (PhaseConfig,
+    Allocation, BcdTrace).
     """
     opts = options or BcdOptions()
-    rng = np.random.default_rng(opts.seed)
     K = ch.num_users
     L2 = ch.num_elements
     L = ch.side
+    if fixed_alloc is not None and fixed_alloc.xi.shape != (K, L):
+        raise ValueError(f"fixed_alloc has shape {fixed_alloc.xi.shape}; this problem "
+                         f"needs (K, L) = {(K, L)}")
+    rng = np.random.default_rng(opts.seed)
 
     theta = rng.uniform(0.0, np.pi, size=L2)
     if fixed_alloc is None:
@@ -141,7 +164,7 @@ def bcd_optimize(ch: ChannelSet, w, alpha: float, noise_linear: float,
     def score(th, x, bound):
         return objective_value_and_gradients(ch, th, x, w, alpha, noise_linear, bound)
 
-    obj, *grads = score(theta, xi, problem)
+    obj, dtheta, dxi = score(theta, xi, problem)
     if not np.isfinite(obj):
         raise RuntimeError("objective is not finite at the starting point")
     trace = BcdTrace(objectives=[obj], seconds=[0.0])
@@ -150,18 +173,22 @@ def bcd_optimize(ch: ChannelSet, w, alpha: float, noise_linear: float,
     for outer in range(1, opts.max_outer_iters + 1):
         tic = time.perf_counter()
 
-        shares_fixed = problem.with_shares(xi)
-        theta, obj, grads, used[0] = _ascend_block(
-            theta, obj, grads, 0, lambda t: t.clip(0.0, np.pi, out=t),
-            lambda t: score(t, xi, shares_fixed),
+        phase_map = problem.with_shares(xi)
+        theta, obj, dtheta, H, used[0] = _ascend_block(
+            theta, obj, dtheta, lambda t: t.clip(0.0, np.pi, out=t),
+            lambda t: score(t, xi, phase_map),
             ladder, opts.inner_steps_per_block, used[0])
 
         if fixed_alloc is None:
-            phases_fixed = problem.with_phases(theta)
-            xi, obj, grads, used[1] = _ascend_block(
-                xi, obj, grads, 1, lambda x: _simplex_columns(x)[0],
-                lambda x: score(theta, x, phases_fixed),
+            if H is not None:
+                dxi = phase_map.fixed_gradient(H, theta, xi)
+            share_map = problem.with_phases(theta)
+            xi, obj, dxi, H, used[1] = _ascend_block(
+                xi, obj, dxi, lambda x: _simplex_columns(x)[0],
+                lambda x: score(theta, x, share_map),
                 ladder, opts.inner_steps_per_block, used[1])
+            if H is not None:
+                dtheta = share_map.fixed_gradient(H, theta, xi)
 
         trace.objectives.append(obj)
         trace.seconds.append(time.perf_counter() - tic)

@@ -6,10 +6,15 @@ are ``user_rates`` and ``sum_utility`` here and
 ``bcd.objective_value_and_gradients``, which also scores stacks of trials.
 ``_objective`` binds its problem (``_bind``) and evaluates it
 (``_evaluate``); the solver binds once per solve and reuses the binding.
+Each of its blocks then binds a block map (``_Bound.with_shares`` or
+``with_phases``) and scores its trials through it (``_evaluate_block``).
+Both paths end in one shared tail (``_tail``) from S to the utilities and
+H = G * conj(S), G = dU/d|S|^2.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -81,10 +86,10 @@ def expand_columns(xi) -> np.ndarray:
 @dataclass(slots=True)
 class _Bound:
     """The kernel's inputs bound to one problem (a channel, or a stack of
-    them) with the products that no phase or share changes, plus at most
-    one block's fixed factor. Built by _bind, then with_shares for a block
-    that moves only the phases, or with_phases for one that moves only the
-    shares."""
+    them) with the products that no phase or share changes. Built by _bind;
+    for one channel, with_shares or with_phases then add the linear map by
+    which S, S[k, i] = e_k . w_i, follows the block a sweep moves while the
+    other block stays fixed (Wu and Zhang's cascaded channel)."""
 
     g_ris: np.ndarray
     h_rb: np.ndarray
@@ -92,24 +97,47 @@ class _Bound:
     w_t: np.ndarray                    # w^T: S = e @ w_t
     own: np.ndarray | None             # (K, K) selector of each user's own beam
     B: np.ndarray | None               # B[i, l] = (h_rb w_i)_l
+    D: np.ndarray | None               # D[k, i] = h_d,k . w_i, the direct part of S
     mask: np.ndarray | None = None     # expand_columns(xi) for fixed shares
-    phase: np.ndarray | None = None    # e^{j theta} for fixed phases
+    M: np.ndarray | None = None        # (L2, K*K) phase map, M[l, (k, i)] = g_kl mask_kl B_il
+    Mt: np.ndarray | None = None       # -2 M^T: the phase gradient is Im(e^{j theta} (H @ Mt))
     g_phase: np.ndarray | None = None  # g_ris e^{j theta} for fixed phases
+    N: np.ndarray | None = None        # (K, L, K) share map: N[k, c, i] sums g_phase_kl B_il
+                                       # over the elements l of column c
+    Nt: np.ndarray | None = None       # 2 N^T per user: the share gradient is Re(H_k @ Nt_k)
 
     def with_shares(self, xi) -> "_Bound":
-        return replace(self, mask=expand_columns(xi))
+        """Bind the phase map of fixed shares: S = D + e^{j theta} @ M."""
+        mask = expand_columns(xi)
+        M = ((self.g_ris * mask).T[:, :, None] * self.B.T[:, None, :]).reshape(mask.shape[-1], -1)
+        return replace(self, mask=mask, M=M, Mt=-2.0 * M.T)
 
     def with_phases(self, theta) -> "_Bound":
-        phase = np.exp(1j * theta)
-        return replace(self, phase=phase, g_phase=self.g_ris * phase[..., None, :])
+        """Bind the share map of fixed phases: S_k = D_k + xi_k @ N_k."""
+        g_phase = self.g_ris * np.exp(1j * theta)
+        K, L2 = g_phase.shape
+        L = math.isqrt(L2)
+        Nt = np.add.reduce((g_phase[:, None, :] * self.B).reshape(K, K, L, L), -1)
+        return replace(self, g_phase=g_phase, N=Nt.swapaxes(-1, -2).copy(), Nt=2.0 * Nt)
+
+    def fixed_gradient(self, H, theta, xi):
+        """The gradient wrt the block this binding holds fixed, at the point
+        (theta, xi) whose H = G * conj(S) a block call returned."""
+        L = np.shape(xi)[-1]
+        if self.M is not None:
+            return _gradients(self, H, self.g_ris * np.exp(1j * theta), self.mask, L)[1]
+        return _gradients(self, H, self.g_phase, expand_columns(xi), L)[0]
 
 
 def _bind(g_ris, h_rb, h_direct, w, grads: bool = False) -> _Bound:
-    """Bind one problem for _evaluate; own and B, which only the gradient
-    path reads, are built when grads is True. Shapes as in _objective."""
+    """Bind one problem for _evaluate; own, B and D, which only the gradient
+    path and the block maps read, are built when grads is True. Shapes as in
+    _objective."""
+    w_t = w.swapaxes(-1, -2)
     own = np.eye(w.shape[-2], dtype=bool) if grads else None
     B = w @ h_rb.swapaxes(-1, -2) if grads else None
-    return _Bound(g_ris, h_rb, h_direct, w.swapaxes(-1, -2), own, B)
+    D = h_direct @ w_t if grads else None
+    return _Bound(g_ris, h_rb, h_direct, w_t, own, B, D)
 
 
 def _objective(g_ris, h_rb, h_direct, w, theta, xi, noise_linear: float,
@@ -128,19 +156,56 @@ def _objective(g_ris, h_rb, h_direct, w, theta, xi, noise_linear: float,
 
 def _evaluate(b: _Bound, theta, xi, noise_linear: float, alpha: float | None = None,
               grads: bool = False):
-    """The one body of _objective, on a bound problem; a block factor bound
-    into b stands in for the mask or phase factors theta or xi would give."""
-    if noise_linear < 0 or (grads and noise_linear == 0):
-        raise ValueError("noise power must be non-negative, and positive for gradients")
-    mask = expand_columns(xi) if b.mask is None else b.mask
-    phase = np.exp(1j * theta) if b.phase is None else b.phase
+    """The one body of _objective, on a bound problem; any block map bound
+    into b is not read."""
+    mask = expand_columns(xi)
+    phase = np.exp(1j * theta)
     # e_k: user k's effective row. The product writes into its right operand
     # explicitly: numpy would reuse a large temporary by itself, but with the
     # operands swapped, which changes the imaginary part's rounding, so the
     # bits would depend on the stack size.
     t = mask * phase[..., None, :]
     e = np.multiply(b.g_ris, t, out=t) @ b.h_rb + b.h_direct
-    S = e @ b.w_t  # S[k, i] = e_k . w_i
+    out = _tail(e @ b.w_t, noise_linear, alpha, b.own if grads else None)
+    if not grads:
+        return out
+    values, H = out
+    return (values, *_gradients(b, H, b.g_ris * phase[..., None, :], mask, np.shape(xi)[-1]))
+
+
+def _evaluate_block(b: _Bound, theta, xi, noise_linear: float, alpha: float):
+    """Score trials of the block that b's map leaves free: phases theta
+    (Q, L2) under a phase map (with_shares), shares xi (Q, K, L) under a
+    share map (with_phases); the fixed block's argument is not read. Returns
+    the utilities (Q,), the moving block's gradient and H = G * conj(S)
+    (Q, K, K), from which b.fixed_gradient forms the other block's.
+
+    The complex products write into explicit outputs, as in _evaluate, and
+    every matrix product is one small product per trial, so a trial's bits
+    do not depend on the stack it is scored in.
+    """
+    K = b.D.shape[-1]
+    if b.M is not None:
+        phase = np.exp(1j * theta)[..., None, :]
+        S = (phase @ b.M).reshape(theta.shape[:-1] + (K, K))
+    else:
+        S = (xi[..., None, :] @ b.N).reshape(xi.shape[:-1] + (K,))
+    S += b.D
+    values, H = _tail(S, noise_linear, alpha, b.own)
+    if b.M is not None:
+        R = H.reshape(theta.shape[:-1] + (1, K * K)) @ b.Mt
+        grad = np.imag(np.multiply(phase, R, out=R)).reshape(theta.shape)
+    else:
+        grad = np.real(H[..., None, :] @ b.Nt).reshape(xi.shape)
+    return values, grad, H
+
+
+def _tail(S, noise_linear: float, alpha: float | None, own):
+    """The kernel from S (..., K, K), S[k, i] = e_k . w_i, to rates when
+    alpha is None, else utilities; with own, the (K, K) selector of each
+    user's own beam, also H = G * conj(S), G = dU/d|S|^2."""
+    if noise_linear < 0 or (own is not None and noise_linear == 0):
+        raise ValueError("noise power must be non-negative, and positive for gradients")
     P = np.abs(S) ** 2
     num = P.diagonal(axis1=-2, axis2=-1)
     den = np.add.reduce(P, -1) - num + noise_linear
@@ -152,21 +217,25 @@ def _evaluate(b: _Bound, theta, xi, noise_linear: float, alpha: float | None = N
         return rates
     floored = np.maximum(rates, RATE_FLOOR)
     values = np.add.reduce(_floored_utility(floored, alpha), -1)
-    if not grads:
+    if own is None:
         return values
 
     du_drate = np.where(rates > RATE_FLOOR, floored ** (-alpha), 0.0)
     drate_dsinr = 1.0 / (K * _LN2 * gain)
     q = (du_drate * drate_dsinr / den)[..., :, None]
     # dU/d|S_ki|^2: q_k on the diagonal, -q_k * SINR_k off it
-    G = np.where(b.own, q, -q * sig[..., :, None])
-    g_phase = b.g_ris * phase[..., None, :] if b.g_phase is None else b.g_phase
-    C = (G * np.conj(S)) @ b.B
+    G = np.where(own, q, -q * sig[..., :, None])
+    return values, G * np.conj(S)
+
+
+def _gradients(b: _Bound, H, g_phase, mask, L: int):
+    """Gradients wrt phases and column shares from H = G * conj(S), with
+    g_phase = g_ris e^{j theta} and the element mask of the point."""
+    C = H @ b.B
     np.multiply(g_phase, C, out=C)  # (Q, K, L2), in place as above
     dtheta = -2.0 * np.imag(np.add.reduce(mask * C, -2))
-    L = np.shape(xi)[-1]
     dxi = 2.0 * np.add.reduce(np.real(C).reshape(C.shape[:-1] + (L, L)), -1)
-    return values, dtheta, dxi
+    return dtheta, dxi
 
 
 def _single(ch: ChannelSet, w, theta, xi):

@@ -17,10 +17,10 @@ import itertools
 
 import numpy as np
 
-from risalloc import BcdOptions, ChannelSet, sum_utility
+from risalloc import BcdOptions, ChannelSet, objective_value_and_gradients, sum_utility
 from risalloc.allocation import _simplex_columns
 from risalloc.features import KAISER_TIE_GUARD
-from risalloc.metrics import _objective
+from risalloc.metrics import _bind
 from risalloc.mlp import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 
 
@@ -216,35 +216,56 @@ def line_ascend_serial(x, grad, project, evaluate, f_x, step0):
     return x, f_x, 30
 
 
+def _sweep_serial(x, f_x, grad, project, score, step0, steps):
+    """``steps`` line searches on one block, each scoring one trial per call
+    and accepting the first that does not lower the objective. Returns
+    (point, value, gradient, H of the last accepted trial or None)."""
+    H = None
+    for _ in range(steps):
+        s = step0
+        for _ in range(30):
+            cand = project(x + s * grad)
+            f_c, g_c, H_c = score(cand)
+            if f_c >= f_x:
+                x, f_x, grad, H = cand, f_c, g_c, H_c
+                break
+            s *= 0.5
+    return x, f_x, grad, H
+
+
 def bcd_serial(ch, w, alpha, noise, options=None, fixed_alloc=None):
-    """Block ascent with one gradient call per step and one value-only
-    kernel call per line-search trial. Returns (theta, xi, objectives)."""
+    """Block ascent scoring one line-search trial per kernel call, through
+    the library's block maps, with no stacks and no early stop at a fixed
+    point. The first gradients come from the general kernel; after that each
+    block's first step follows the gradient its fixed block's last accepted
+    trial left, formed from that trial's H. Returns (theta, xi, objectives).
+    """
     opts = options or BcdOptions()
     rng = np.random.default_rng(opts.seed)
     K, L = ch.num_users, ch.side
     theta = rng.uniform(0.0, np.pi, size=ch.num_elements)
     xi = np.full((K, L), 1.0 / K) if fixed_alloc is None else np.array(fixed_alloc.xi, dtype=float)
+    problem = _bind(ch.g_ris, ch.h_rb, ch.h_direct, w, grads=True)
 
-    def value_of(th, x):
-        return float(_objective(ch.g_ris, ch.h_rb, ch.h_direct, w, th, x, noise, alpha))
+    def score(th, x, bound):
+        return objective_value_and_gradients(ch, th, x, w, alpha, noise, bound)
 
-    def grads(th, x):
-        _, dtheta, dxi = _objective(ch.g_ris, ch.h_rb, ch.h_direct, w, th, x, noise, alpha,
-                                    grads=True)
-        return dtheta, dxi
-
-    obj = value_of(theta, xi)
+    obj, dtheta, dxi = score(theta, xi, problem)
     objectives = [obj]
     for _ in range(opts.max_outer_iters):
-        for _ in range(opts.inner_steps_per_block):
-            theta, obj, _ = line_ascend_serial(
-                theta, grads(theta, xi)[0], lambda t: np.clip(t, 0.0, np.pi),
-                lambda t: value_of(t, xi), obj, opts.step_size)
+        phase_map = problem.with_shares(xi)
+        theta, obj, dtheta, H = _sweep_serial(
+            theta, obj, dtheta, lambda t: np.clip(t, 0.0, np.pi),
+            lambda t: score(t, xi, phase_map), opts.step_size, opts.inner_steps_per_block)
         if fixed_alloc is None:
-            for _ in range(opts.inner_steps_per_block):
-                xi, obj, _ = line_ascend_serial(
-                    xi, grads(theta, xi)[1], lambda x: _simplex_columns(x)[0],
-                    lambda x: value_of(theta, x), obj, opts.step_size)
+            if H is not None:
+                dxi = phase_map.fixed_gradient(H, theta, xi)
+            share_map = problem.with_phases(theta)
+            xi, obj, dxi, H = _sweep_serial(
+                xi, obj, dxi, lambda x: _simplex_columns(x)[0],
+                lambda x: score(theta, x, share_map), opts.step_size, opts.inner_steps_per_block)
+            if H is not None:
+                dtheta = share_map.fixed_gradient(H, theta, xi)
         objectives.append(obj)
         if abs(obj - objectives[-2]) <= opts.tol * max(1.0, abs(objectives[-2])):
             break

@@ -12,6 +12,7 @@ from risalloc import bcd as bcd_module
 from risalloc.allocation import _simplex_columns
 from risalloc.bcd import _line_ascend
 from risalloc.cli import main
+from risalloc.metrics import _bind
 
 NOISE = 0.05
 
@@ -208,15 +209,18 @@ def test_stacked_line_search_matches_serial(block, sign, step0, first, trials):
 
     ladder = np.cumprod([step0] + [0.5] * 29)
     got, f_got, g_got, n_got = _line_ascend(
-        point[block], f_x, grads, block, project,
+        point[block], f_x, grads[block], project,
         lambda z: objective_value_and_gradients(ch, *at(z), w, 0.5, NOISE), ladder, first)
     ref, f_ref, n_ref = oracles.line_ascend_serial(
         point[block], grads[block], project, lambda z: sum_utility(ch, *at(z), w, 0.5, NOISE),
         f_x, step0)
     assert n_got == n_ref == trials
     assert got.tobytes() == ref.tobytes() and f_got == f_ref
-    g_ref = grads if trials == 30 else objective_value_and_gradients(ch, *at(ref), w, 0.5, NOISE)[1:]
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(g_got, g_ref))
+    if trials == 30:  # nothing accepted: no outputs to hand on
+        assert g_got is None
+    else:
+        g_ref = objective_value_and_gradients(ch, *at(ref), w, 0.5, NOISE)[1:]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(g_got, g_ref, strict=True))
     if block == 1 and sign > 0:
         assert _simplex_columns(point[1] + ladder[trials - 1] * grads[1])[1].any()
 
@@ -287,3 +291,70 @@ def test_bcd_line_searches_cost_about_one_kernel_call(criterion_04_solves):
                 ch, w = _criterion_04_instance(seed)
                 assert _same_solve(solve, oracles.bcd_serial(ch, w, 0.5, NOISE))
     assert total_calls <= 1.1 * total_searches
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 3), (2, 4), (1, 3)])
+def test_bcd_refuses_a_fixed_allocation_of_the_wrong_shape(monkeypatch, shape):
+    ch, w = _criterion_04_instance(4000)  # K = 2 users, L = 3 columns
+    monkeypatch.setattr(bcd_module, "objective_value_and_gradients",
+                        lambda *args: pytest.fail("the solve started"))
+    with pytest.raises(ValueError) as err:
+        bcd_optimize(ch, w, 0.5, NOISE, fixed_alloc=Allocation(np.full(shape, 0.25)))
+    assert str(shape) in str(err.value) and "(2, 3)" in str(err.value)
+
+
+def _block_instances():
+    """Criterion 04's first five toys and desk sample 3: (ch, w, noise)."""
+    for seed in range(4000, 4005):
+        yield *_criterion_04_instance(seed), NOISE
+    config = desk_config()
+    s = make_sample(config, sample_seed(0, 3))
+    yield s.channels, s.w, config.noise_watts
+
+
+def _random_point(ch, rng, Q):
+    theta = rng.uniform(0.0, np.pi, size=(Q, ch.num_elements))
+    xi = rng.uniform(size=(Q, ch.num_users, ch.side))
+    return theta, xi / np.maximum(xi.sum(axis=-2, keepdims=True), 1.0)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("Q", [1, 5])
+def test_block_map_scoring_agrees_with_the_general_kernel(alpha, Q):
+    def close(got, want):  # to 1e-12 of the largest entry
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    rng = np.random.default_rng(Q)
+    for ch, w, noise in _block_instances():
+        problem = _bind(ch.g_ris, ch.h_rb, ch.h_direct, w, grads=True)
+        theta, xi = _random_point(ch, rng, Q)
+        # the phases move: shares xi[0] fixed; then the shares move: phases theta[0] fixed
+        for bound, th, x, moving in ((problem.with_shares(xi[0]), theta, xi[0], 0),
+                                     (problem.with_phases(theta[0]), theta[0], xi, 1)):
+            values, grad, H = objective_value_and_gradients(ch, th, x, w, alpha, noise, bound)
+            for q in range(Q):
+                at = (th[q], x) if moving == 0 else (th, x[q])
+                want = objective_value_and_gradients(ch, *at, w, alpha, noise)
+                assert abs(values[q] - want[0]) <= 1e-13 * abs(want[0])
+                close(grad[q], want[1 + moving])
+                # the gradient of the fixed block, from the trial's H
+                close(bound.fixed_gradient(H[q], *at), want[2 - moving])
+
+
+def test_block_map_scoring_does_not_depend_on_the_stack():
+    # 2048 desk trials: every complex temporary of a call, down to the (Q, K, K)
+    # ones, passes numpy's 256 KiB threshold for reusing temporaries in place
+    config = desk_config()
+    s = make_sample(config, sample_seed(0, 3))
+    ch, w = s.channels, s.w
+    problem = _bind(ch.g_ris, ch.h_rb, ch.h_direct, w, grads=True)
+    theta, xi = _random_point(ch, np.random.default_rng(7), 2048)
+    for bound, th, x, moving in ((problem.with_shares(xi[0]), theta, xi[0], 0),
+                                 (problem.with_phases(theta[0]), theta[0], xi, 1)):
+        stack = objective_value_and_gradients(ch, th, x, w, 1.0, config.noise_watts, bound)
+        for q in (0, 1023, 2047):
+            at = (th[q], x) if moving == 0 else (th, x[q])
+            alone = objective_value_and_gradients(ch, *at, w, 1.0, config.noise_watts, bound)
+            assert alone[0] == stack[0][q]
+            rows = [out[q] for out in stack[1:]]
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(alone[1:], rows, strict=True))
