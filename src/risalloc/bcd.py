@@ -16,11 +16,12 @@ the bit, every later step would repeat the same call on the same inputs.
 With one block fixed, S (S[k, i] = e_k . w_i) is affine in the other:
 S = D + e^{j theta} @ M while the phases move, S_k = D_k + xi_k @ N_k while
 the shares move (the cascaded channel of Wu and Zhang, IEEE TWC 2019). D
-is bound once per solve, and each block binds its map, M or N, once; the
-trials are then scored through it. A call returns H = G * conj(S) beside
-the value and gradient, and the other block's gradient, which seeds that
-block's first step, is formed once per block from the last accepted trial's
-H; a block that accepts nothing leaves it as it was.
+is bound once per solve, and each block binds its map, M or N, once per
+sweep (M once per solve when the shares are pinned); the trials are then
+scored through it. A call returns H = G * conj(S) beside the value and
+gradient, and the other block's gradient, which seeds that block's first
+step, is formed once per block from the last accepted trial's H; a block
+that accepts nothing leaves it as it was.
 """
 
 from __future__ import annotations
@@ -173,7 +174,8 @@ def bcd_optimize(ch: ChannelSet, w, alpha: float, noise_linear: float,
     for outer in range(1, opts.max_outer_iters + 1):
         tic = time.perf_counter()
 
-        phase_map = problem.with_shares(xi)
+        if outer == 1 or fixed_alloc is None:  # pinned shares keep one map all solve
+            phase_map = problem.with_shares(xi)
         theta, obj, dtheta, H, used[0] = _ascend_block(
             theta, obj, dtheta, lambda t: t.clip(0.0, np.pi, out=t),
             lambda t: score(t, xi, phase_map),

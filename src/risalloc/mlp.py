@@ -29,9 +29,10 @@ BN_EPS = 1e-8
 ADAM_BETA1 = 0.9    # first-moment decay
 ADAM_BETA2 = 0.999  # second-moment decay
 ADAM_EPS = 1e-8
-# entries per Adam block: 256 KiB per float64 array, so a block's five arrays
-# (parameters, gradient, two moments, scratch) fit together in one L2 cache
-_ADAM_BLOCK = 1 << 15
+# bytes per array in one Adam block (32768 float64 or 65536 float32 entries),
+# so a block's five arrays (parameters, gradient, two moments, scratch) fit
+# together in one L2 cache
+_ADAM_BLOCK = 1 << 18
 # running = (1 - momentum) * running + momentum * batch, biased batch variance
 BN_MOMENTUM = 0.1
 
@@ -74,9 +75,12 @@ class MlpArch:
 
 @dataclass
 class MlpModel:
-    """All learnable scalars in one float64 vector, ``params``, updated in
-    place only; ``weights``, ``biases``, ``bn_scale`` and ``bn_shift`` are
-    lists of views into it. The running statistics are separate arrays."""
+    """All learnable scalars in one vector, ``params``, updated in place
+    only; ``weights``, ``biases``, ``bn_scale`` and ``bn_shift`` are lists
+    of views into it. The running statistics are separate arrays of the
+    same dtype. The network computes in that dtype: ``init_model`` and
+    ``load_checkpoint`` give float64, and ``training.train`` trains in
+    float32."""
 
     arch: MlpArch
     params: np.ndarray
@@ -156,12 +160,13 @@ def mlp_forward(model: MlpModel, z_batch, train_mode: bool, dropout_seed=0):
     """Run the network on an (Q, D) batch (a single row is promoted).
 
     Returns (theta, xi, cache): theta is (Q, L2) in [0, pi], xi is
-    (Q, K, L) in [0, 1]. Training mode updates the running statistics in
+    (Q, K, L) in [0, 1], both in the dtype of ``model.params``, to which
+    the batch is cast. Training mode updates the running statistics in
     place and needs Q >= 2 for batch variance; the cache feeds
     mlp_backward.
     """
     arch = model.arch
-    z = np.atleast_2d(np.asarray(z_batch, dtype=float))
+    z = np.atleast_2d(np.asarray(z_batch, dtype=model.params.dtype))
     if z.shape[1] != arch.input_dim:
         raise ValueError(f"expected {arch.input_dim} inputs, got {z.shape[1]}")
     Q = z.shape[0]
@@ -186,7 +191,9 @@ def mlp_forward(model: MlpModel, z_batch, train_mode: bool, dropout_seed=0):
         xhat = (r - mu) * inv
         y = model.bn_scale[v] * xhat + model.bn_shift[v]
         if rng is not None:
-            mask = (rng.random(y.shape) >= arch.dropout_rate) / (1.0 - arch.dropout_rate)
+            # drawn in float64 whatever the dtype, so the pattern does not depend on it
+            mask = ((rng.random(y.shape) >= arch.dropout_rate)
+                    / (1.0 - arch.dropout_rate)).astype(y.dtype, copy=False)
             y = y * mask
         else:
             mask = None
@@ -209,14 +216,15 @@ def backward_pieces(model: MlpModel, cache: dict, dtheta, dxi):
     """Exact parameter gradients from upstream head gradients, in pieces.
 
     dtheta is (Q, L2) against the scaled phase output, dxi is (Q, K, L)
-    against the share output. The cache must come from a train-mode
-    forward pass. Yields (offset, gradient) pairs that together cover a
-    vector laid out like ``model.params`` once: each weight matrix as soon
-    as the rest of the pass no longer reads it (the heads first, the first
-    layer last), then the biases and batch-norm scales and shifts, which
-    follow the weights in the layout, as one piece. A consumer may update
-    each piece's parameters before asking for the next one. The gradient
-    with respect to the network input is never formed.
+    against the share output; both are cast to the dtype of
+    ``model.params``, in which the pass runs. The cache must come from a
+    train-mode forward pass. Yields (offset, gradient) pairs that together
+    cover a vector laid out like ``model.params`` once: each weight matrix
+    as soon as the rest of the pass no longer reads it (the heads first,
+    the first layer last), then the biases and batch-norm scales and
+    shifts, which follow the weights in the layout, as one piece. A
+    consumer may update each piece's parameters before asking for the next
+    one. The gradient with respect to the network input is never formed.
     """
     if not cache["train_mode"]:
         raise ValueError("backward needs a train-mode forward cache")
@@ -225,12 +233,13 @@ def backward_pieces(model: MlpModel, cache: dict, dtheta, dxi):
     sp = cache["phase_sig"]
     sa = cache["alloc_sig"]
 
-    dphase_pre = np.asarray(dtheta, dtype=float).reshape(Q, -1) * np.pi * sp * (1.0 - sp)
-    dalloc_pre = np.asarray(dxi, dtype=float).reshape(Q, -1) * sa * (1.0 - sa)
+    dtype = model.params.dtype
+    dphase_pre = np.asarray(dtheta, dtype=dtype).reshape(Q, -1) * np.pi * sp * (1.0 - sp)
+    dalloc_pre = np.asarray(dxi, dtype=dtype).reshape(Q, -1) * sa * (1.0 - sa)
 
     # weight matrices start the layout, so their offsets are running sums of their sizes
     offsets = np.cumsum([0, *(w.size for w in model.weights)]).tolist()
-    tail = np.empty(model.params.size - offsets[-1])  # every entry is written below
+    tail = np.empty(model.params.size - offsets[-1], dtype)  # every entry is written below
     g = _by_kind(_named_views(arch, tail, offsets[-1]))
 
     head_in = cache["head_input"]
@@ -305,14 +314,17 @@ def adam_step(model: MlpModel, grad, state: AdamState):
     asked for. Every gradient is overwritten with the update's denominator,
     which saves a buffer of its size.
 
-    The update runs over each gradient ``_ADAM_BLOCK`` entries at a time,
-    so each block's parameters, gradient, moments and scratch stay in a
-    core's L2 cache through all of its passes. Each entry sees the same
-    operations in the same order as a whole-vector update, so the result is
-    bit for bit the same however the gradient is cut.
+    The moments and the scratch share the dtype of ``model.params``, and
+    the two scalars are rounded to it, so a gradient of that dtype is
+    updated in it throughout. The update runs over each gradient
+    ``_ADAM_BLOCK`` bytes of parameters at a time, so each block's
+    parameters, gradient, moments and scratch stay in a core's L2 cache
+    through all of its passes. Each entry sees the same operations in the
+    same order as a whole-vector update, so the result is bit for bit the
+    same however the gradient is cut.
 
-    A gradient whose scaled square ``(1 - beta2) * g * g`` overflows (or
-    that pushes the second moment past the largest float) raises
+    A gradient whose scaled square ``(1 - beta2) * g * g`` overflows the
+    dtype (or that pushes the second moment past its largest value) raises
     FloatingPointError. The raise comes mid-update: the blocks before the
     offending one are fully updated, its first moment is too, and the step
     counter has advanced, so the model and ``state`` are left part-updated
@@ -323,11 +335,13 @@ def adam_step(model: MlpModel, grad, state: AdamState):
     root_c2 = math.sqrt(1.0 - ADAM_BETA2 ** t)
     step = state.learning_rate * root_c2 / (1.0 - ADAM_BETA1 ** t)
     eps_t = ADAM_EPS * root_c2
-    scratch = np.empty(min(_ADAM_BLOCK, model.params.size))
+    dtype = model.params.dtype
+    block = _ADAM_BLOCK // dtype.itemsize
+    scratch = np.empty(min(block, model.params.size), dtype)
     for offset, piece in [(0, grad)] if isinstance(grad, np.ndarray) else grad:
         flat = piece.reshape(-1)
-        for start in range(0, flat.size, _ADAM_BLOCK):
-            g = flat[start:start + _ADAM_BLOCK]
+        for start in range(0, flat.size, block):
+            g = flat[start:start + block]
             span = slice(offset + start, offset + start + g.size)
             p, m, v = model.params[span], state.m[span], state.v[span]
             s = scratch[:g.size]
@@ -363,8 +377,9 @@ def save_checkpoint(path, model: MlpModel, pca: PcaModel | None = None,
                     metadata: dict | None = None) -> None:
     """Write arch, parameters, optional PCA, and training metadata.
 
-    The array payload is CRC-checked and stored with the shared codec, so
-    a load returns bit-identical tensors.
+    The array payload is CRC-checked and stored with the shared codec as
+    float64, which holds float32 values exactly, so a load returns the same
+    values, as a float64 model.
     """
     arrays = dict(_named_views(model.arch, model.params))
     for kind in ("bn_mean", "bn_var"):

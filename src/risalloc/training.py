@@ -156,11 +156,15 @@ def train(train_samples, val_samples, noise_linear: float,
     options.seed, so identical inputs give bit-identical results. The
     history records the learning rate in effect during each epoch; decays
     apply from the following epoch. Trailing batches of a single sample
-    are dropped because batch normalization needs two rows. At its peak
-    training holds four parameter-sized vectors (the parameters, the two
-    Adam moments and the best-state copy) and the gradient of one weight
-    matrix: Adam takes each tensor's gradient as the backward pass
-    finishes it.
+    are dropped because batch normalization needs two rows.
+
+    The network trains in float32: the initialised model and the features
+    are cast once, and the forward and backward passes and Adam run in
+    float32, while the loss and its gradients stay float64. The returned
+    model is float32. At its peak training holds four parameter-sized
+    float32 vectors (the parameters, the two Adam moments and the
+    best-state copy) and the gradient of one weight matrix: Adam takes each
+    tensor's gradient as the backward pass finishes it.
     """
     opts = options or TrainOptions()
     if len(train_samples) < 2 or not val_samples:
@@ -176,12 +180,19 @@ def train(train_samples, val_samples, noise_linear: float,
         pca = pca_fit(z_train)
         z_train = pca_transform(pca, z_train)
         z_val = pca_transform(pca, z_val)
+    z_train = z_train.astype(np.float32)
+    z_val = z_val.astype(np.float32)
 
     arch = MlpArch(input_dim=z_train.shape[1], phase_dim=ch_train[0].num_elements,
                    alloc_users=ch_train[0].num_users, alloc_cols=ch_train[0].side,
                    hidden=opts.hidden, dropout_rate=opts.dropout_rate)
     (init_seed,) = np.random.SeedSequence(opts.seed).generate_state(1, dtype=np.uint64)
     model = init_model(arch, seed=int(init_seed))
+    # the one place that picks the training precision; the rebinding frees
+    # the float64 model
+    model = MlpModel(arch, model.params.astype(np.float32),
+                     [m.astype(np.float32) for m in model.bn_mean],
+                     [v.astype(np.float32) for v in model.bn_var])
     adam = init_adam(model, opts.learning_rate)
     sched = PlateauScheduler(opts.learning_rate, opts.lr_decay,
                              opts.lr_patience, opts.stop_patience)

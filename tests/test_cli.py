@@ -548,6 +548,22 @@ def test_training_that_overflows_at_large_alpha_is_a_config_error(tmp_path, caps
     assert not ckpt.exists() and not Path(str(ckpt) + ".history.csv").exists()
 
 
+def test_float32_training_alpha_range_on_the_readme_desk_set(tmp_path):
+    # README: on 6 + 2 desk drops, seed 0, train runs at alpha 30 and exits 2 at 40
+    data = tmp_path / "ds"
+    assert main(["generate", "--profile", "desk", "--n-train", "6", "--n-val", "2", "--seed", "0",
+                 "--out", str(data)]) == 0
+    assert main(["train", "--data", str(data), "--alpha", "30", "--out", str(tmp_path / "30.ckpt")]) == 0
+    ckpt = tmp_path / "40.ckpt"
+    src = str(Path(risalloc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "risalloc", "train", "--data", str(data),
+                           "--alpha", "40", "--out", str(ckpt)], env=env, capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert "--alpha" in proc.stderr and "Traceback" not in proc.stderr
+    assert not ckpt.exists() and not Path(str(ckpt) + ".history.csv").exists()
+
+
 @pytest.mark.parametrize("field,edited", [("alloc_users", 3), ("phase_dim", 5)])
 def test_checkpoint_metadata_must_match_its_arrays(tmp_path, dataset, cfg_path, capsys,
                                                    field, edited):

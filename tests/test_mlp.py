@@ -8,12 +8,15 @@ import numpy as np
 import pytest
 
 import oracles
-from risalloc import (CheckpointError, MlpArch, adam_step, backward_pieces, first_layer_weight_count,
-                      init_adam, init_model, load_checkpoint, mlp_backward,
+from risalloc import (CheckpointError, MlpArch, MlpModel, adam_step, backward_pieces,
+                      first_layer_weight_count, init_adam, init_model, load_checkpoint, mlp_backward,
                       mlp_forward, param_views, parameter_count, pca_fit,
                       save_checkpoint)
 from risalloc.mlp import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, BN_MOMENTUM, _ADAM_BLOCK
 from risalloc.serial import encode_named_arrays
+
+# entries per Adam block of a float64 model; the block is sized in bytes
+BLOCK = _ADAM_BLOCK // 8
 
 TINY = MlpArch(input_dim=3, phase_dim=4, alloc_users=2, alloc_cols=2,
                hidden=(4, 4, 4, 4))
@@ -182,6 +185,68 @@ def test_backward_requires_train_cache():
         mlp_backward(model, cache, np.zeros((2, 4)), np.zeros((2, 2, 2)))
 
 
+# a mid-sized network, so that rounding accumulates through real matrix products
+WIDE = MlpArch(input_dim=20, phase_dim=16, alloc_users=3, alloc_cols=4,
+               hidden=(64, 48, 40, 32), dropout_rate=0.3)
+
+
+def float32_copy(model):
+    """The model as ``training.train`` trains it: every array cast to float32."""
+    return MlpModel(model.arch, model.params.astype(np.float32),
+                    [m.astype(np.float32) for m in model.bn_mean],
+                    [v.astype(np.float32) for v in model.bn_var])
+
+
+def wide_batch(seed):
+    """A float64 batch for WIDE and upstream head gradients for it."""
+    rng = np.random.default_rng(seed)
+    return (rng.normal(size=(8, WIDE.input_dim)), rng.normal(size=(8, WIDE.phase_dim)),
+            rng.normal(size=(8, WIDE.alloc_users, WIDE.alloc_cols)))
+
+
+def test_float32_model_stays_float32_through_forward_backward_and_adam():
+    # one float64 array would turn every later matrix product mixed-dtype
+    model = float32_copy(init_model(WIDE, seed=3))
+    z, wt, wx = wide_batch(40)  # float64 inputs and upstream gradients are cast on entry
+    theta, xi, cache = mlp_forward(model, z, train_mode=True, dropout_seed=5)
+    arrays = [theta, xi, cache["head_input"], cache["phase_sig"], cache["alloc_sig"],
+              *(a for layer in cache["layers"] for a in layer.values()),
+              *model.bn_mean, *model.bn_var]
+    assert all(a.dtype == np.float32 for a in arrays)
+    assert all(a.dtype == np.float32 for a in mlp_forward(model, z, train_mode=False)[:2])
+
+    dtypes = []
+
+    def recorded(pieces):
+        for offset, piece in pieces:
+            dtypes.append(piece.dtype)
+            yield offset, piece
+    state = init_adam(model, learning_rate=0.01)
+    adam_step(model, recorded(backward_pieces(model, cache, wt, wx)), state)
+    assert len(dtypes) == len(model.weights) + 1 and set(dtypes) == {np.dtype(np.float32)}
+    assert model.params.dtype == state.m.dtype == state.v.dtype == np.float32
+
+
+def test_float32_model_agrees_with_float64():
+    # bounds fixed before measuring: outputs to 1e-5 absolute, each gradient
+    # piece to 1e-4 of its largest entry
+    model = init_model(WIDE, seed=3)
+    single = float32_copy(model)
+    z, wt, wx = wide_batch(41)
+    runs = []
+    for m in (model, single):
+        theta, xi, cache = mlp_forward(m, z, train_mode=True, dropout_seed=6)
+        runs.append((theta, xi, list(backward_pieces(m, cache, wt, wx))))
+    (theta, xi, pieces), (theta32, xi32, pieces32) = runs
+    assert np.max(np.abs(theta32 - theta)) <= 1e-5
+    assert np.max(np.abs(xi32 - xi)) <= 1e-5
+    for (offset, piece), (offset32, piece32) in zip(pieces, pieces32, strict=True):
+        assert offset32 == offset
+        assert np.max(np.abs(piece32 - piece)) <= 1e-4 * np.max(np.abs(piece))
+    for a, b in zip([*model.bn_mean, *model.bn_var], [*single.bn_mean, *single.bn_var]):
+        assert np.max(np.abs(b - a)) <= 1e-5 * max(1.0, np.max(np.abs(a)))
+
+
 def test_backward_pieces_cover_the_vector_once_heads_first():
     model = tiny_model(seed=6)
     _, _, cache = mlp_forward(model, np.ones((3, 3)), train_mode=True)
@@ -287,7 +352,7 @@ def spread_gradient(rng, n):
     return rng.choice([-1.0, 1.0], size=n) * 10.0 ** rng.uniform(-6.0, 0.0, size=n)
 
 
-@pytest.mark.parametrize("n", [5 * _ADAM_BLOCK // 2, _ADAM_BLOCK, _ADAM_BLOCK // 3])
+@pytest.mark.parametrize("n", [5 * BLOCK // 2, BLOCK, BLOCK // 3])
 def test_blocked_adam_matches_the_whole_vector_update(n):
     model = model_of_size(n, seed=9)
     params = model.params.copy()
@@ -311,7 +376,7 @@ def test_folded_adam_agrees_with_the_textbook_update(lr):
     # 14 ulps of it; each side then rounds p - update once, half an ulp of
     # the parameter apiece. Dropping eps_t or sqrt(c2) from the fold moves
     # the update by a factor, far past this bound.
-    n = 5 * _ADAM_BLOCK // 2
+    n = 5 * BLOCK // 2
     model = model_of_size(n, seed=12)
     state = init_adam(model, learning_rate=lr)
     m, v = np.zeros(n), np.zeros(n)
@@ -335,7 +400,7 @@ def test_folded_adam_agrees_with_the_textbook_update(lr):
 
 @pytest.mark.parametrize("index", [0, -1])
 def test_adam_raises_when_the_scaled_square_overflows(index):
-    n = 5 * _ADAM_BLOCK // 2
+    n = 5 * BLOCK // 2
     rng = np.random.default_rng(31)
     # (1 - beta2) * 1e154 * 1e154 = 1e305 is finite; 1e160 overflows
     for big, raises in ((1e154, False), (1e160, True)):

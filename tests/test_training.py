@@ -139,6 +139,11 @@ def test_train_history_contract():
     assert result.history[0]["learning_rate"] == 0.01
 
 
+def test_train_returns_a_float32_model():
+    model = _fit(epochs=2)[0].model
+    assert all(a.dtype == np.float32 for a in [model.params, *model.bn_mean, *model.bn_var])
+
+
 def test_train_deterministic():
     r1, _, _ = _fit(seed=3, epochs=8)
     r2, _, _ = _fit(seed=3, epochs=8)
