@@ -15,15 +15,15 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
-import zlib
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .config import AT_LEAST_ONE, check_fields, is_int, parse_settings
 from .features import PcaModel
-from .serial import decode_named_arrays, encode_named_arrays, misfits
+from .serial import misfits, read_named_arrays, write_named_arrays
 
 BN_EPS = 1e-8
 ADAM_BETA1 = 0.9    # first-moment decay
@@ -38,6 +38,7 @@ BN_MOMENTUM = 0.1
 
 CHECKPOINT_MAGIC = b"RISM"
 CHECKPOINT_VERSION = 1
+_CRC_FIELD = struct.Struct("<IQ")  # the payload's CRC-32 and byte length
 
 
 class CheckpointError(RuntimeError):
@@ -379,7 +380,9 @@ def save_checkpoint(path, model: MlpModel, pca: PcaModel | None = None,
 
     The array payload is CRC-checked and stored with the shared codec as
     float64, which holds float32 values exactly, so a load returns the same
-    values, as a float64 model.
+    values, as a float64 model. The payload is streamed to the file one
+    tensor at a time, and its CRC and length are filled in last: a save cut
+    short leaves them zero, so loading the file fails.
     """
     arrays = dict(_named_views(model.arch, model.params))
     for kind in ("bn_mean", "bn_var"):
@@ -391,53 +394,71 @@ def save_checkpoint(path, model: MlpModel, pca: PcaModel | None = None,
             "has_pca": pca is not None,
             "metadata": dict(metadata or {})}
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
-    payload = encode_named_arrays(arrays)
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<II", CHECKPOINT_VERSION, len(meta_bytes)))
         f.write(meta_bytes)
-        f.write(struct.pack("<IQ", zlib.crc32(payload), len(payload)))
-        f.write(payload)
+        field = f.tell()
+        f.write(bytes(_CRC_FIELD.size))
+        crc, size = write_named_arrays(f, arrays)
+        f.seek(field)
+        f.write(_CRC_FIELD.pack(crc, size))
 
 
 def load_checkpoint(path):
-    """Read a checkpoint back; returns (model, pca_or_None, metadata)."""
+    """Read a checkpoint back; returns (model, pca_or_None, metadata).
+
+    The payload is streamed: each learnable tensor is read straight into its
+    view of the new float64 parameter vector, so the load holds no more than
+    the file's bytes. Its length is checked against the file before any array
+    is read, and its CRC before any verdict on the values.
+    """
     try:
         with open(path, "rb") as f:
-            blob = f.read()
+            if f.read(4) != CHECKPOINT_MAGIC:
+                raise CheckpointError("not a model checkpoint file")
+            try:
+                return _read_checkpoint(f, os.fstat(f.fileno()).st_size)
+            except (struct.error, KeyError, TypeError, ValueError) as exc:
+                # short header, bad UTF-8 or JSON, missing keys or arrays, bad types
+                raise CheckpointError(f"malformed checkpoint: {exc!r}") from exc
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    if blob[:4] != CHECKPOINT_MAGIC:
-        raise CheckpointError("not a model checkpoint file")
-    try:
-        return _parse_checkpoint(blob)
-    except (struct.error, KeyError, TypeError, ValueError) as exc:
-        # short header, bad UTF-8 or JSON, missing keys or arrays, bad types
-        raise CheckpointError(f"malformed checkpoint: {exc!r}") from exc
 
 
-def _parse_checkpoint(blob: bytes):
+def _read_checkpoint(f, file_size: int):
     """Header, metadata and arrays of a checkpoint whose magic matched."""
-    version, meta_len = struct.unpack("<II", blob[4:12])
+    version, meta_len = struct.unpack("<II", f.read(8))
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"checkpoint version {version} unsupported (library writes {CHECKPOINT_VERSION})")
-    pos = 12
-    meta = json.loads(blob[pos:pos + meta_len].decode("utf-8"))
-    pos += meta_len
-    crc, payload_len = struct.unpack("<IQ", blob[pos:pos + 12])
-    pos += 12
-    payload = memoryview(blob)[pos:pos + payload_len]  # no copy of the payload
-    if len(payload) != payload_len:
+    # read() would allocate a corrupt length in full before finding the end of the file
+    meta = json.loads(f.read(min(meta_len, file_size - f.tell())).decode("utf-8"))
+    crc, payload_len = _CRC_FIELD.unpack(f.read(_CRC_FIELD.size))
+    end = f.tell() + payload_len
+    if end > file_size:
         raise CheckpointError("checkpoint payload truncated")
-    if pos + payload_len != len(blob):
+    if end != file_size:
         raise CheckpointError("trailing bytes after the checkpoint payload")
-    if zlib.crc32(payload) != crc:
-        raise CheckpointError("checkpoint payload failed its checksum")
-    arrays = decode_named_arrays(payload)
 
-    # the metadata is outside the CRC, so the model's arrays are checked against it
     arch = parse_settings(MlpArch, meta["arch"], "checkpoint arch")
+    # each learnable tensor goes straight into its view of the parameters; an
+    # architecture larger than the payload cannot match it, so then every
+    # array goes into a new one and the check below names the misfits
+    n_params = parameter_count(arch)
+    params = np.empty(n_params) if 8 * n_params <= payload_len else None
+    views = dict(_named_views(arch, params)) if params is not None else {}
+
+    def into_view(name, shape, dtype):
+        view = views.get(name)
+        return view if view is not None and view.shape == shape and dtype.kind == "f" else None
+
+    arrays, payload_crc, error = read_named_arrays(f, payload_len, into_view)
+    if payload_crc != crc:
+        raise CheckpointError("checkpoint payload failed its checksum")
+    if error is not None:
+        raise error
+    # the metadata is outside the CRC, so the model's arrays are checked against it
     expected = {name: (shape, False) for name, shape in _layout(arch)}
     for i, h in enumerate(arch.hidden):
         expected[f"bn_mean.{i}"] = expected[f"bn_var.{i}"] = ((h,), False)
@@ -445,12 +466,9 @@ def _parse_checkpoint(blob: bytes):
     if bad:
         raise CheckpointError(f"checkpoint arrays {bad} are missing, extra or misshaped")
 
-    params = np.empty(parameter_count(arch))
-    for name, view in _named_views(arch, params):
-        view[...] = arrays.pop(name)  # drop each decoded tensor once it is copied
     model = MlpModel(arch, params,
-                     bn_mean=[arrays.pop(f"bn_mean.{i}") for i in range(len(arch.hidden))],
-                     bn_var=[arrays.pop(f"bn_var.{i}") for i in range(len(arch.hidden))])
+                     bn_mean=[arrays[f"bn_mean.{i}"] for i in range(len(arch.hidden))],
+                     bn_var=[arrays[f"bn_var.{i}"] for i in range(len(arch.hidden))])
     pca = None
     if meta["has_pca"]:
         pca = PcaModel(*(arrays[f"pca.{f.name}"] for f in fields(PcaModel)))

@@ -1,5 +1,7 @@
+import io
 import json
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -8,7 +10,8 @@ from risalloc import (DatasetChecksumError, DatasetError, DatasetManifest,
                       DatasetTruncationError, DatasetVersionError,
                       ScenarioConfig, deploy, desk_config, generate_dataset,
                       load_dataset, make_sample, sample_seed, train_val_split)
-from risalloc.serial import decode_named_arrays, encode_named_arrays
+from risalloc.serial import (decode_named_arrays, encode_named_arrays, read_named_arrays,
+                             write_named_arrays)
 
 
 def small_config():
@@ -216,3 +219,21 @@ def test_codec_rejects_malformed_blocks(corrupt, needle):
     assert decode_named_arrays(blob)["a"].tolist() == [0.0, 1.0, 2.0]
     with pytest.raises(ValueError, match=needle):
         decode_named_arrays(corrupt(blob))
+
+
+def test_codec_streams_into_caller_arrays_with_a_running_crc():
+    arrays = {"a": np.arange(6.0).reshape(2, 3), "z": np.array([1 + 2j, -3j]), "s": np.float64(4.0)}
+    f = io.BytesIO()
+    crc, size = write_named_arrays(f, arrays)
+    blob = f.getvalue()
+    assert blob == encode_named_arrays(arrays) and (crc, size) == (zlib.crc32(blob), len(blob))
+    assert blob.endswith(struct.pack("<d", 4.0))  # little-endian on any host
+    into = np.zeros((2, 3))
+    got, got_crc, error = read_named_arrays(io.BytesIO(blob), size,
+                                            lambda name, shape, dtype: into if name == "a" else None)
+    assert error is None and got_crc == crc and got["a"] is into
+    assert all(np.array_equal(got[name], value) for name, value in arrays.items())
+    # a malformed block is still read to its end, so its CRC can be checked first
+    bad = blob[:7] + b"\x02" + blob[8:]
+    _, bad_crc, error = read_named_arrays(io.BytesIO(bad), len(bad))
+    assert bad_crc == zlib.crc32(bad) and "unknown array kind 2" in str(error)

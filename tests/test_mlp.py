@@ -2,13 +2,14 @@ import copy
 import dataclasses
 import json
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
 
 import oracles
-from risalloc import (CheckpointError, MlpArch, MlpModel, adam_step, backward_pieces,
+from risalloc import (CheckpointError, MlpArch, MlpModel, PcaModel, adam_step, backward_pieces,
                       first_layer_weight_count, init_adam, init_model, load_checkpoint, mlp_backward,
                       mlp_forward, param_views, parameter_count, pca_fit,
                       save_checkpoint)
@@ -487,11 +488,17 @@ def test_checkpoint_corruption(tmp_path, corrupt, match):
         load_checkpoint(path)
 
 
-def _write_raw_checkpoint(path, arch, arrays):
-    meta = json.dumps({"arch": dataclasses.asdict(arch), "has_pca": False, "metadata": {}}).encode()
+def _checkpoint_bytes(meta, arrays):
+    """Magic, version, metadata, CRC, length and the in-memory codec's payload."""
+    meta = json.dumps(meta, sort_keys=True).encode()
     payload = encode_named_arrays(arrays)
-    path.write_bytes(b"RISM" + struct.pack("<II", 1, len(meta)) + meta
-                     + struct.pack("<IQ", zlib.crc32(payload), len(payload)) + payload)
+    return (b"RISM" + struct.pack("<II", 1, len(meta)) + meta
+            + struct.pack("<IQ", zlib.crc32(payload), len(payload)) + payload)
+
+
+def _write_raw_checkpoint(path, arch, arrays):
+    path.write_bytes(_checkpoint_bytes(
+        {"arch": dataclasses.asdict(arch), "has_pca": False, "metadata": {}}, arrays))
 
 
 def _model_arrays(model):
@@ -533,3 +540,79 @@ def test_checkpoint_arrays_checked_against_metadata(tmp_path, edit):
     _write_raw_checkpoint(path, model.arch, arrays)
     with pytest.raises(CheckpointError, match="checkpoint arrays"):
         load_checkpoint(path)
+
+
+def _float32_copy(model):
+    return MlpModel(model.arch, model.params.astype(np.float32),
+                    [m.astype(np.float32) for m in model.bn_mean],
+                    [v.astype(np.float32) for v in model.bn_var])
+
+
+def test_checkpoint_bytes_are_the_format_assembled_in_memory(tmp_path):
+    model32 = _float32_copy(tiny_model(seed=14))
+    X = np.random.default_rng(6).normal(size=(5, 3))
+    pca = pca_fit(X)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model32, pca=pca, metadata={"best_epoch": 3})
+    arrays = _model_arrays(model32)
+    arrays.update((f"pca.{f.name}", getattr(pca, f.name)) for f in dataclasses.fields(pca))
+    meta = {"format_version": 1, "arch": dataclasses.asdict(model32.arch), "has_pca": True,
+            "metadata": {"best_epoch": 3}}
+    assert path.read_bytes() == _checkpoint_bytes(meta, arrays)
+
+
+def test_a_save_cut_short_fails_to_load(tmp_path):
+    path = tmp_path / "model.ckpt"
+    pca = PcaModel(np.zeros(3), np.ones(3), np.array([["not a number"]]), np.ones(3))
+    with pytest.raises(ValueError):  # the PCA axes fail to convert after the model is written
+        save_checkpoint(path, tiny_model(seed=15), pca=pca)
+    assert path.stat().st_size > parameter_count(TINY) * 8
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+# a desk-profile network: 8 x 8 surface, 3 users, 83 PCA features (the
+# count depends on the drops)
+DESK_ARCH = MlpArch(input_dim=83, phase_dim=64, alloc_users=3, alloc_cols=8)
+MIB = 1 << 20
+
+
+@pytest.fixture(scope="module")
+def desk_model32():
+    return _float32_copy(init_model(DESK_ARCH, seed=16))
+
+
+def _traced_peak(fn):
+    """Peak bytes that ``fn()`` allocates, the result it keeps included."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_save_holds_one_tensor_at_a_time(tmp_path, desk_model32):
+    assert parameter_count(DESK_ARCH) == 597_938
+    largest = max(w.size for w in desk_model32.weights) * 8
+    peak = _traced_peak(lambda: save_checkpoint(tmp_path / "m.ckpt", desk_model32))
+    assert peak < largest + MIB, f"save peaked at {peak} bytes"
+
+
+def test_load_holds_no_more_than_the_file(tmp_path, desk_model32):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, desk_model32)
+    peak = _traced_peak(lambda: load_checkpoint(path))
+    assert peak < path.stat().st_size + MIB, f"load peaked at {peak} bytes"
+
+
+def test_checkpoint_declaring_a_huge_network_allocates_no_more_than_its_file(tmp_path):
+    model = tiny_model(seed=17)
+    path = tmp_path / "huge.ckpt"
+    huge = dataclasses.replace(model.arch, hidden=(100_000, 100_000))
+    _write_raw_checkpoint(path, huge, _model_arrays(model))
+
+    def load():
+        with pytest.raises(CheckpointError, match="checkpoint arrays"):
+            load_checkpoint(path)
+    assert _traced_peak(load) < MIB

@@ -24,6 +24,10 @@ parent's by no more than the metric's ``bound`` in BENCHMARK.json, taken
 as a fraction of the parent's median, and the change fails no more
 operations in total than the parent. This is the no-regression half of
 the benchmark's gate; it is reported for every metric as ``within_bound``.
+
+A metric is ``resolved`` when the parent's interquartile range is no wider
+than that bound (``bound`` times the parent's median). When it is wider,
+"within bound" cannot be told apart from the parent's own run-to-run noise.
 """
 
 import argparse
@@ -91,12 +95,13 @@ def compare(pairs, metric: str, better: str, bound: float, failed: dict) -> dict
     median_gain = sign * (stats["parent"]["median"] - stats["change"]["median"])
     parent_iqr = stats["parent"]["q3"] - stats["parent"]["q1"]
     no_more_failures = failed["change"] <= failed["parent"]
+    allowed = bound * abs(stats["parent"]["median"])
     return {"better": better, **stats,
             "change_over_parent_median": stats["change"]["median"] / stats["parent"]["median"],
             "wins": wins, "losses": losses, "ties": len(pairs) - wins - losses,
             "parent_iqr": parent_iqr, "bound": bound,
-            "within_bound": (-median_gain <= bound * abs(stats["parent"]["median"])
-                             and no_more_failures),
+            "within_bound": -median_gain <= allowed and no_more_failures,
+            "resolved": parent_iqr <= allowed,
             "gain_holds": (wins >= 0.9 * len(pairs) and median_gain > parent_iqr
                            and no_more_failures)}
 
@@ -131,7 +136,8 @@ def main(argv=None) -> int:
     for name, stats in entry["metrics"].items():
         print(f"{args.workload} {name}: parent {stats['parent']['median']:.4g} "
               f"change {stats['change']['median']:.4g} wins {stats['wins']}/{len(pairs)} "
-              f"gain holds: {stats['gain_holds']} within bound: {stats['within_bound']}")
+              f"gain holds: {stats['gain_holds']} within bound: {stats['within_bound']} "
+              f"resolved: {stats['resolved']}")
     return 0
 
 
