@@ -13,9 +13,12 @@ finite differences in the test suite.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import json
 import math
 import os
+import secrets
 import struct
 from dataclasses import asdict, dataclass, fields
 
@@ -104,17 +107,15 @@ def _layout(arch: MlpArch):
             yield f"{kind}.{i}", shape
 
 
-def _named_views(arch: MlpArch, vec: np.ndarray, start: int = 0):
-    """Yield (name, view) over a flat vector laid out as ``_layout`` says,
-    or over the part of one from position ``start``, which begins a tensor."""
+def _named_views(arch: MlpArch, vec: np.ndarray):
+    """Yield (name, view) over a flat vector laid out as ``_layout`` says."""
     pos = 0
     for name, shape in _layout(arch):
         size = math.prod(shape)
-        if pos >= start:
-            yield name, vec[pos - start:pos - start + size].reshape(shape)
+        yield name, vec[pos:pos + size].reshape(shape)
         pos += size
-    if vec.shape != (pos - start,):
-        raise ValueError(f"expected a flat vector of {pos - start} parameters, got shape {vec.shape}")
+    if vec.shape != (pos,):
+        raise ValueError(f"expected a flat vector of {pos} parameters, got shape {vec.shape}")
 
 
 def _by_kind(named) -> dict:
@@ -149,12 +150,10 @@ def init_model(arch: MlpArch, seed: int = 0) -> MlpModel:
 
 
 def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, with e = e^-|x|,
+    whose exponent is never positive, so exp cannot overflow."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def mlp_forward(model: MlpModel, z_batch, train_mode: bool, dropout_seed=0):
@@ -165,6 +164,13 @@ def mlp_forward(model: MlpModel, z_batch, train_mode: bool, dropout_seed=0):
     the batch is cast. Training mode updates the running statistics in
     place and needs Q >= 2 for batch variance; the cache feeds
     mlp_backward.
+
+    Training mode computes each layer's batch mean and variance from two
+    ``np.add.reduce`` sums with the arithmetic of ``ndarray.mean`` and
+    ``ndarray.var``, reusing the centred activations for the normalised
+    ones, and builds the dropout mask as ``keep * dtype(1 / (1 - p))``:
+    the bits of the library methods and of the float64 mask, cast, without
+    their per-call overhead.
     """
     arch = model.arch
     z = np.atleast_2d(np.asarray(z_batch, dtype=model.params.dtype))
@@ -174,6 +180,7 @@ def mlp_forward(model: MlpModel, z_batch, train_mode: bool, dropout_seed=0):
     if train_mode and Q < 2:
         raise ValueError("training mode needs at least 2 rows for batch statistics")
     rng = np.random.default_rng(dropout_seed) if (train_mode and arch.dropout_rate > 0) else None
+    keep_scale = z.dtype.type(1.0 / (1.0 - arch.dropout_rate))
 
     layers = []
     a = z
@@ -181,21 +188,22 @@ def mlp_forward(model: MlpModel, z_batch, train_mode: bool, dropout_seed=0):
         pre = a @ model.weights[v] + model.biases[v]
         r = np.maximum(pre, 0.0)
         if train_mode:
-            mu = r.mean(axis=0)
-            var = r.var(axis=0)
-            model.bn_mean[v] = (1.0 - BN_MOMENTUM) * model.bn_mean[v] + BN_MOMENTUM * mu
-            model.bn_var[v] = (1.0 - BN_MOMENTUM) * model.bn_var[v] + BN_MOMENTUM * var
+            mu = np.add.reduce(r, 0) / Q
+            centred = r - mu
+            var = np.add.reduce(centred * centred, 0) / Q
+            for running, batch in ((model.bn_mean[v], mu), (model.bn_var[v], var)):
+                running *= 1.0 - BN_MOMENTUM
+                running += BN_MOMENTUM * batch
         else:
-            mu = model.bn_mean[v]
+            centred = r - model.bn_mean[v]
             var = model.bn_var[v]
         inv = 1.0 / np.sqrt(var + BN_EPS)
-        xhat = (r - mu) * inv
+        xhat = centred * inv
         y = model.bn_scale[v] * xhat + model.bn_shift[v]
         if rng is not None:
             # drawn in float64 whatever the dtype, so the pattern does not depend on it
-            mask = ((rng.random(y.shape) >= arch.dropout_rate)
-                    / (1.0 - arch.dropout_rate)).astype(y.dtype, copy=False)
-            y = y * mask
+            mask = (rng.random(y.shape) >= arch.dropout_rate) * keep_scale
+            y *= mask
         else:
             mask = None
         layers.append({"input": a, "pre": pre, "xhat": xhat, "inv": inv, "mask": mask})
@@ -213,6 +221,24 @@ def mlp_forward(model: MlpModel, z_batch, train_mode: bool, dropout_seed=0):
     return theta, xi, cache
 
 
+@functools.lru_cache(maxsize=16)
+def _piece_layout(arch: MlpArch):
+    """Where ``backward_pieces`` puts its pieces, once per architecture:
+    the offsets of the weight matrices, which start the layout, and last
+    the offset of the tail that holds the rest; the tail's size; and
+    {kind: [slice, ...]} of the biases and batch-norm scales and shifts
+    within the tail, in layer order, each of them a vector."""
+    offsets, tail, end = [0], {}, 0
+    for name, shape in _layout(arch):
+        start, end = end, end + math.prod(shape)
+        kind = name.split(".")[0]
+        if kind == "weights":
+            offsets.append(end)
+        else:
+            tail.setdefault(kind, []).append(slice(start - offsets[-1], end - offsets[-1]))
+    return offsets, end - offsets[-1], tail
+
+
 def backward_pieces(model: MlpModel, cache: dict, dtheta, dxi):
     """Exact parameter gradients from upstream head gradients, in pieces.
 
@@ -226,6 +252,13 @@ def backward_pieces(model: MlpModel, cache: dict, dtheta, dxi):
     shifts, which follow the weights in the layout, as one piece. A
     consumer may update each piece's parameters before asking for the next
     one. The gradient with respect to the network input is never formed.
+
+    The piece offsets and the tail's slices come from a layout computed
+    once per architecture. Each layer's input gradient, the heads' too, is
+    ``dpre @ W.T`` formed as ``(W @ dpre.T).T``: the same sums, which BLAS
+    runs faster in this layout when the batch has far fewer rows than W
+    has on either side. It is then copied into row order, so every column
+    sum below adds its rows in the order a row-ordered product gives.
     """
     if not cache["train_mode"]:
         raise ValueError("backward needs a train-mode forward cache")
@@ -238,22 +271,22 @@ def backward_pieces(model: MlpModel, cache: dict, dtheta, dxi):
     dphase_pre = np.asarray(dtheta, dtype=dtype).reshape(Q, -1) * np.pi * sp * (1.0 - sp)
     dalloc_pre = np.asarray(dxi, dtype=dtype).reshape(Q, -1) * sa * (1.0 - sa)
 
-    # weight matrices start the layout, so their offsets are running sums of their sizes
-    offsets = np.cumsum([0, *(w.size for w in model.weights)]).tolist()
-    tail = np.empty(model.params.size - offsets[-1], dtype)  # every entry is written below
-    g = _by_kind(_named_views(arch, tail, offsets[-1]))
+    offsets, tail_size, tail_slices = _piece_layout(arch)
+    tail = np.empty(tail_size, dtype)  # every entry is written below
+    g = {kind: [tail[s] for s in slices] for kind, slices in tail_slices.items()}
 
     head_in = cache["head_input"]
     dphase_pre.sum(axis=0, out=g["biases"][-2])
     dalloc_pre.sum(axis=0, out=g["biases"][-1])
-    da = dphase_pre @ model.weights[-2].T + dalloc_pre @ model.weights[-1].T
+    da_t = model.weights[-2] @ dphase_pre.T + model.weights[-1] @ dalloc_pre.T
     yield offsets[-3], head_in.T @ dphase_pre
     yield offsets[-2], head_in.T @ dalloc_pre
 
     for v in reversed(range(len(arch.hidden))):
         layer = cache["layers"][v]
+        da = np.ascontiguousarray(da_t.T)
         if layer["mask"] is not None:
-            da = da * layer["mask"]
+            da *= layer["mask"]
         xhat, inv = layer["xhat"], layer["inv"]
         (da * xhat).sum(axis=0, out=g["bn_scale"][v])
         da.sum(axis=0, out=g["bn_shift"][v])
@@ -263,7 +296,7 @@ def backward_pieces(model: MlpModel, cache: dict, dtheta, dxi):
         dpre = dr * (layer["pre"] > 0)
         dpre.sum(axis=0, out=g["biases"][v])
         if v > 0:
-            da = dpre @ model.weights[v].T
+            da_t = model.weights[v] @ dpre.T
         yield offsets[v], layer["input"].T @ dpre
     yield offsets[-1], tail
 
@@ -380,9 +413,11 @@ def save_checkpoint(path, model: MlpModel, pca: PcaModel | None = None,
 
     The array payload is CRC-checked and stored with the shared codec as
     float64, which holds float32 values exactly, so a load returns the same
-    values, as a float64 model. The payload is streamed to the file one
-    tensor at a time, and its CRC and length are filled in last: a save cut
-    short leaves them zero, so loading the file fails.
+    values, as a float64 model. The payload is streamed one tensor at a
+    time into a new file beside ``path``, and its CRC and length are filled
+    in last: a save cut short leaves them zero, so that file fails to load.
+    Only the finished file is renamed over ``path``, so a save that fails
+    leaves any checkpoint already there as it was; the new file is removed.
     """
     arrays = dict(_named_views(model.arch, model.params))
     for kind in ("bn_mean", "bn_var"):
@@ -394,15 +429,25 @@ def save_checkpoint(path, model: MlpModel, pca: PcaModel | None = None,
             "has_pca": pca is not None,
             "metadata": dict(metadata or {})}
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<II", CHECKPOINT_VERSION, len(meta_bytes)))
-        f.write(meta_bytes)
-        field = f.tell()
-        f.write(bytes(_CRC_FIELD.size))
-        crc, size = write_named_arrays(f, arrays)
-        f.seek(field)
-        f.write(_CRC_FIELD.pack(crc, size))
+    # exclusive creation under a random name, so no other file is overwritten,
+    # with the permissions the umask gives a new file
+    tmp = f"{os.fspath(path)}.{secrets.token_hex(8)}.tmp"
+    f = open(tmp, "xb")
+    try:
+        with f:
+            f.write(CHECKPOINT_MAGIC)
+            f.write(struct.pack("<II", CHECKPOINT_VERSION, len(meta_bytes)))
+            f.write(meta_bytes)
+            field = f.tell()
+            f.write(bytes(_CRC_FIELD.size))
+            crc, size = write_named_arrays(f, arrays)
+            f.seek(field)
+            f.write(_CRC_FIELD.pack(crc, size))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path):

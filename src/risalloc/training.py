@@ -16,22 +16,24 @@ import numpy as np
 from .allocation import _simplex_columns, project_feasible_with_vjp
 from .config import AT_LEAST_ONE, NON_NEGATIVE, POSITIVE, ConfigError, check_fields
 from .features import PcaModel, feature_matrix, pca_fit, pca_transform
-from .metrics import _objective
+from .metrics import _bind, _Bound, _evaluate
 from .mlp import (LAYER_RULES, MlpArch, MlpModel, adam_step, backward_pieces, init_adam,
                   init_model, mlp_forward)
 
 
-def _batch(theta_batch, xi_batch, ch_batch, w_batch):
-    """Raw shares (Q, K, L), then the kernel inputs stacked over the batch;
-    theta_batch is (Q, L2), xi_batch (Q, K, L)."""
-    theta_batch = np.asarray(theta_batch, dtype=float)
-    xi_batch = np.asarray(xi_batch, dtype=float)
-    Q = len(ch_batch)
-    if not (theta_batch.shape[0] == xi_batch.shape[0] == Q == len(w_batch)):
+def _bind_drops(ch_batch, w_batch, grads: bool) -> _Bound:
+    """The kernel inputs of a list of drops, stacked and bound once; with
+    grads, the binding also holds B = w h_rb^T and the direct part D."""
+    if len(ch_batch) != len(w_batch):
         raise ValueError("batch sizes disagree")
-    return (xi_batch, np.stack([c.g_ris for c in ch_batch]), np.stack([c.h_rb for c in ch_batch]),
-            np.stack([c.h_direct for c in ch_batch]), np.stack(w_batch),
-            theta_batch)
+    return _bind(np.stack([c.g_ris for c in ch_batch]), np.stack([c.h_rb for c in ch_batch]),
+                 np.stack([c.h_direct for c in ch_batch]), np.stack(w_batch), grads)
+
+
+def _rows(bound: _Bound, idx) -> _Bound:
+    """The drops ``idx`` of a bound stack, gathered from every bound input."""
+    return _Bound(bound.g_ris[idx], bound.h_rb[idx], bound.h_direct[idx], bound.w_t[idx],
+                  bound.own, bound.B[idx], bound.D[idx])
 
 
 def _mean_loss(values) -> float:
@@ -42,13 +44,31 @@ def _mean_loss(values) -> float:
     return float(loss)
 
 
+def _score(bound: _Bound, theta_batch, xi_batch, alpha: float, noise_linear: float,
+           grads: bool):
+    """The one loss body, on a bound stack of Q drops: raw shares xi_batch
+    (Q, K, L) are projected, then the projected point and theta_batch
+    (Q, L2) are scored by one kernel call. Returns the mean negated
+    utility; with grads, also its gradients wrt theta_batch and, pulled
+    back through the projection, xi_batch."""
+    theta = np.asarray(theta_batch, dtype=float)
+    xi = np.asarray(xi_batch, dtype=float)
+    Q = bound.g_ris.shape[0]
+    if not theta.shape[0] == xi.shape[0] == Q:
+        raise ValueError("batch sizes disagree")
+    if not grads:
+        return _mean_loss(_evaluate(bound, theta, _simplex_columns(xi)[0], noise_linear, alpha))
+    proj, vjp = project_feasible_with_vjp(xi)
+    values, g_theta, g_xi = _evaluate(bound, theta, proj, noise_linear, alpha, grads=True)
+    return _mean_loss(values), -g_theta / Q, -vjp(g_xi) / Q
+
+
 def nn_loss(theta_batch, xi_batch, ch_batch, w_batch, alpha: float,
             noise_linear: float) -> float:
     """Mean negated utility over the batch, by the kernel's value-only path;
     raw shares are projected first, as in nn_loss_and_grads."""
-    xi, *inputs = _batch(theta_batch, xi_batch, ch_batch, w_batch)
-    proj = _simplex_columns(xi)[0]
-    return _mean_loss(_objective(*inputs, proj, noise_linear, alpha))
+    return _score(_bind_drops(ch_batch, w_batch, False), theta_batch, xi_batch, alpha,
+                  noise_linear, grads=False)
 
 
 def nn_loss_and_grads(theta_batch, xi_batch, ch_batch, w_batch, alpha: float,
@@ -59,11 +79,8 @@ def nn_loss_and_grads(theta_batch, xi_batch, ch_batch, w_batch, alpha: float,
     (loss, dloss_dtheta (Q, L2), dloss_dxi (Q, K, L)); the share gradient
     is pulled back through the projection.
     """
-    xi, *inputs = _batch(theta_batch, xi_batch, ch_batch, w_batch)
-    proj, vjp = project_feasible_with_vjp(xi)
-    values, g_theta, g_xi = _objective(*inputs, proj, noise_linear, alpha, grads=True)
-    Q = len(values)
-    return _mean_loss(values), -g_theta / Q, -vjp(g_xi) / Q
+    return _score(_bind_drops(ch_batch, w_batch, True), theta_batch, xi_batch, alpha,
+                  noise_linear, grads=True)
 
 
 class PlateauScheduler:
@@ -163,8 +180,16 @@ def train(train_samples, val_samples, noise_linear: float,
     float32, while the loss and its gradients stay float64. The returned
     model is float32. At its peak training holds four parameter-sized
     float32 vectors (the parameters, the two Adam moments and the
-    best-state copy) and the gradient of one weight matrix: Adam takes each
-    tensor's gradient as the backward pass finishes it.
+    best-state copy), the gradient of one weight matrix, since Adam takes
+    each tensor's gradient as the backward pass finishes it, and each
+    split's stacked kernel inputs.
+
+    Those inputs are bound once per run: each split's channels and beams
+    are stacked, and the training split's binding also holds B = w h_rb^T
+    and the direct part D, so a batch gathers its rows by index instead of
+    restacking and rebinding its drops. A batch is scored by the loss body
+    that ``nn_loss_and_grads`` runs, the validation split by the one
+    ``nn_loss`` runs, with the same bits.
     """
     opts = options or TrainOptions()
     if len(train_samples) < 2 or not val_samples:
@@ -197,8 +222,10 @@ def train(train_samples, val_samples, noise_linear: float,
     sched = PlateauScheduler(opts.learning_rate, opts.lr_decay,
                              opts.lr_patience, opts.stop_patience)
 
-    w_train = [s.w for s in train_samples]
-    w_val = [s.w for s in val_samples]
+    # each split's kernel inputs are stacked and bound once per run, and a
+    # batch gathers its rows from them
+    bound_train = _bind_drops(ch_train, [s.w for s in train_samples], True)
+    bound_val = _bind_drops(ch_val, [s.w for s in val_samples], False)
 
     # one best-state buffer for the whole run, refreshed in place on each improvement
     best_state = MlpModel(arch, model.params.copy(), [m.copy() for m in model.bn_mean],
@@ -218,16 +245,15 @@ def train(train_samples, val_samples, noise_linear: float,
             drop_seed = np.random.SeedSequence([opts.seed, epoch, b])
             theta_b, xi_b, cache = mlp_forward(model, z_train[idx], train_mode=True,
                                                dropout_seed=drop_seed)
-            loss, d_theta, d_xi = nn_loss_and_grads(
-                theta_b, xi_b, [ch_train[i] for i in idx], [w_train[i] for i in idx],
-                opts.alpha, noise_linear)
+            loss, d_theta, d_xi = _score(_rows(bound_train, idx), theta_b, xi_b, opts.alpha,
+                                         noise_linear, grads=True)
             # Adam updates each tensor as soon as its gradient is final, so no
             # parameter-sized gradient is ever held
             adam_step(model, backward_pieces(model, cache, d_theta, d_xi), adam)
             batch_losses.append(loss)
 
         theta_v, xi_v, _ = mlp_forward(model, z_val, train_mode=False)
-        val_loss = nn_loss(theta_v, xi_v, ch_val, w_val, opts.alpha, noise_linear)
+        val_loss = _score(bound_val, theta_v, xi_v, opts.alpha, noise_linear, grads=False)
         history.append({"epoch": epoch, "train_loss": float(np.mean(batch_losses)),
                         "val_loss": val_loss, "learning_rate": adam.learning_rate})
         improved, _, stop = sched.update(val_loss)

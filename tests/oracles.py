@@ -10,7 +10,9 @@ eigendecomposes the correlation matrix that the library's SVD never builds.
 The folded Adam reference is the whole-vector update that the library runs
 in cache-sized blocks, with the same operations in the same order; the
 textbook Adam reference shares its moments and rounds the parameter update
-the textbook way.
+the textbook way. The forward-pass reference builds the batch statistics,
+the dropout mask and the sigmoid from the library methods and boolean
+gathers that the network's own forward pass spells out, bit for bit.
 """
 
 import itertools
@@ -21,7 +23,7 @@ from risalloc import BcdOptions, ChannelSet, objective_value_and_gradients, sum_
 from risalloc.allocation import _simplex_columns
 from risalloc.features import KAISER_TIE_GUARD
 from risalloc.metrics import _bind
-from risalloc.mlp import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
+from risalloc.mlp import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, BN_EPS, BN_MOMENTUM
 
 
 def toy_channels(num_users=2, num_antennas=2, side=2, seed=0, scale=1.0):
@@ -135,6 +137,63 @@ def adam_folded_reference(params, grad, m, v, step, learning_rate):
     step_size = learning_rate * root_c2 / (1.0 - ADAM_BETA1 ** step)
     _adam_moments(grad, m, v)
     params -= step_size * m / (np.sqrt(v) + ADAM_EPS * root_c2)
+
+
+def batch_statistics(r):
+    """Batch-norm mean and biased variance of each column, by the ndarray
+    methods."""
+    return r.mean(axis=0), r.var(axis=0)
+
+
+def dropout_mask(u, rate, dtype):
+    """The inverted-dropout mask of uniform draws u, formed in float64 and
+    cast to dtype."""
+    return ((u >= rate) / (1.0 - rate)).astype(dtype, copy=False)
+
+
+def sigmoid_branches(x):
+    """The logistic function, each sign's branch on its own gathered
+    entries, so neither exponent is ever positive."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def mlp_forward_reference(model, z_batch, train_mode, dropout_seed=0):
+    """``mlp.mlp_forward`` from the three formulas above, with the running
+    statistics blended into new arrays; returns (theta, xi, cache) as the
+    library does."""
+    arch = model.arch
+    z = np.atleast_2d(np.asarray(z_batch, dtype=model.params.dtype))
+    Q = z.shape[0]
+    rng = np.random.default_rng(dropout_seed) if (train_mode and arch.dropout_rate > 0) else None
+    layers, a = [], z
+    for v in range(len(arch.hidden)):
+        pre = a @ model.weights[v] + model.biases[v]
+        r = np.maximum(pre, 0.0)
+        if train_mode:
+            mu, var = batch_statistics(r)
+            model.bn_mean[v] = (1.0 - BN_MOMENTUM) * model.bn_mean[v] + BN_MOMENTUM * mu
+            model.bn_var[v] = (1.0 - BN_MOMENTUM) * model.bn_var[v] + BN_MOMENTUM * var
+        else:
+            mu, var = model.bn_mean[v], model.bn_var[v]
+        inv = 1.0 / np.sqrt(var + BN_EPS)
+        xhat = (r - mu) * inv
+        y = model.bn_scale[v] * xhat + model.bn_shift[v]
+        mask = None
+        if rng is not None:
+            mask = dropout_mask(rng.random(y.shape), arch.dropout_rate, y.dtype)
+            y = y * mask
+        layers.append({"input": a, "pre": pre, "xhat": xhat, "inv": inv, "mask": mask})
+        a = y
+    phase_sig = sigmoid_branches(a @ model.weights[-2] + model.biases[-2])
+    alloc_sig = sigmoid_branches(a @ model.weights[-1] + model.biases[-1])
+    cache = {"train_mode": train_mode, "layers": layers, "head_input": a,
+             "phase_sig": phase_sig, "alloc_sig": alloc_sig, "batch": Q}
+    return (np.pi * phase_sig, alloc_sig.reshape(Q, arch.alloc_users, arch.alloc_cols), cache)
 
 
 def _face_column(v):

@@ -13,7 +13,8 @@ from risalloc import (CheckpointError, MlpArch, MlpModel, PcaModel, adam_step, b
                       first_layer_weight_count, init_adam, init_model, load_checkpoint, mlp_backward,
                       mlp_forward, param_views, parameter_count, pca_fit,
                       save_checkpoint)
-from risalloc.mlp import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, BN_MOMENTUM, _ADAM_BLOCK
+from risalloc import mlp
+from risalloc.mlp import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, BN_MOMENTUM, _ADAM_BLOCK, _sigmoid
 from risalloc.serial import encode_named_arrays
 
 # entries per Adam block of a float64 model; the block is sized in bytes
@@ -246,6 +247,54 @@ def test_float32_model_agrees_with_float64():
         assert np.max(np.abs(piece32 - piece)) <= 1e-4 * np.max(np.abs(piece))
     for a, b in zip([*model.bn_mean, *model.bn_var], [*single.bn_mean, *single.bn_var]):
         assert np.max(np.abs(b - a)) <= 1e-5 * max(1.0, np.max(np.abs(a)))
+
+
+def _forward_arrays(theta, xi, cache):
+    """Every array of a forward pass's outputs and cache, in a fixed order;
+    None where a layer has no dropout mask."""
+    return [theta, xi, cache["head_input"], cache["phase_sig"], cache["alloc_sig"],
+            *(layer[k] for layer in cache["layers"]
+              for k in ("input", "pre", "xhat", "inv", "mask"))]
+
+
+def _same_bits(a, b):
+    if a is None or b is None:
+        return a is b
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dropout", [0.5, 0.1, 0.0])
+def test_forward_matches_the_reference_formulas_bit_for_bit(dtype, dropout):
+    # batches of 20 rows, as training draws them, so column sums take more
+    # than one pass of the reduction's unrolled loop
+    base = init_model(dataclasses.replace(WIDE, dropout_rate=dropout), seed=19)
+    model, ref = (MlpModel(base.arch, base.params.astype(dtype),
+                           [m.astype(dtype) for m in base.bn_mean],
+                           [v.astype(dtype) for v in base.bn_var]) for _ in range(2))
+    rng = np.random.default_rng(20)
+    for step in range(3):
+        z = rng.normal(size=(20, WIDE.input_dim))
+        for train_mode in (True, False):
+            got = mlp_forward(model, z, train_mode, dropout_seed=step)
+            want = oracles.mlp_forward_reference(ref, z, train_mode, dropout_seed=step)
+            assert all(_same_bits(a, b) for a, b in
+                       zip(_forward_arrays(*got), _forward_arrays(*want), strict=True))
+            assert all(_same_bits(a, b) for a, b in
+                       zip([*model.bn_mean, *model.bn_var], [*ref.bn_mean, *ref.bn_var]))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_matches_the_branch_reference_at_the_extremes(dtype):
+    edges = [0.0, 1e-30, 20.0, 89.0, 1e4]
+    x = np.array([*edges, *(-e for e in edges)], dtype)
+    x = np.concatenate([x, np.random.default_rng(21).normal(0.0, 30.0, 61).astype(dtype)])
+    with np.errstate(over="raise", invalid="raise"):
+        got = _sigmoid(x)
+        want = oracles.sigmoid_branches(x)
+    assert np.signbit(x[5])  # negative zero, which takes the x >= 0 branch
+    assert got.dtype == want.dtype == dtype
+    assert got.tobytes() == want.tobytes()
 
 
 def test_backward_pieces_cover_the_vector_once_heads_first():
@@ -561,14 +610,36 @@ def test_checkpoint_bytes_are_the_format_assembled_in_memory(tmp_path):
     assert path.read_bytes() == _checkpoint_bytes(meta, arrays)
 
 
-def test_a_save_cut_short_fails_to_load(tmp_path):
+# PCA axes that fail to convert to float64, after the model's arrays are written
+UNWRITABLE_PCA = PcaModel(np.zeros(3), np.ones(3), np.array([["not a number"]]), np.ones(3))
+
+
+def test_a_save_cut_short_fails_to_load(tmp_path, monkeypatch):
+    # a save killed partway leaves its new file, since its clean-up never
+    # runs; skipping the removal after a failed conversion stands in for that
     path = tmp_path / "model.ckpt"
-    pca = PcaModel(np.zeros(3), np.ones(3), np.array([["not a number"]]), np.ones(3))
-    with pytest.raises(ValueError):  # the PCA axes fail to convert after the model is written
-        save_checkpoint(path, tiny_model(seed=15), pca=pca)
-    assert path.stat().st_size > parameter_count(TINY) * 8
+    monkeypatch.setattr(mlp.os, "remove", lambda name: None)
+    with pytest.raises(ValueError):
+        save_checkpoint(path, tiny_model(seed=15), pca=UNWRITABLE_PCA)
+    (partial,) = tmp_path.iterdir()
+    assert partial != path
+    assert partial.stat().st_size > parameter_count(TINY) * 8
     with pytest.raises(CheckpointError):
-        load_checkpoint(path)
+        load_checkpoint(partial)
+
+
+def test_a_failed_save_keeps_the_previous_checkpoint(tmp_path):
+    path = tmp_path / "model.ckpt"
+    model = tiny_model(seed=18)
+    save_checkpoint(path, model, metadata={"best_epoch": 1})
+    before = path.read_bytes()
+    with pytest.raises(ValueError):
+        save_checkpoint(path, tiny_model(seed=15), pca=UNWRITABLE_PCA)
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.read_bytes() == before
+    loaded, pca, meta = load_checkpoint(path)
+    assert loaded.params.tobytes() == model.params.tobytes()
+    assert pca is None and meta == {"best_epoch": 1}
 
 
 # a desk-profile network: 8 x 8 surface, 3 users, 83 PCA features (the

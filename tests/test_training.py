@@ -172,6 +172,37 @@ def test_train_skips_a_trailing_batch_of_one(monkeypatch):
     assert events == ["_epoch_rng", "adam_step", "adam_step"] * 3
 
 
+def test_train_scores_batches_by_the_public_losses_bit_for_bit(monkeypatch):
+    # 8 samples in batches of 3: two full batches and a trailing one of 2.
+    # Each batch's rows are gathered from the split bound once per run; its
+    # loss and gradients must be those of the public losses on its drops
+    train_set = [toy_sample(200 + i) for i in range(8)]
+    val_set = [toy_sample(300 + i) for i in range(3)]
+    batches, scored = [], []
+    rows, score = training._rows, training._score
+    monkeypatch.setattr(training, "_rows",
+                        lambda bound, idx: batches.append(idx.copy()) or rows(bound, idx))
+    monkeypatch.setattr(training, "_score", lambda bound, theta, xi, *args, **kw: scored.append(
+        (theta, xi, kw["grads"], score(bound, theta, xi, *args, **kw))) or scored[-1][-1])
+    train(train_set, val_set, NOISE, TrainOptions(alpha=2.0, batch_size=3, max_epochs=2,
+                                                  hidden=(8, 8), use_pca=False))
+    monkeypatch.undo()  # the public losses call the same body
+    assert [idx.size for idx in batches] == [3, 3, 2] * 2
+    assert [grads for *_, grads, _ in scored] == [True, True, True, False] * 2
+    steps = iter(batches)
+    for theta, xi, grads, got in scored:
+        if not grads:
+            want = nn_loss(theta, xi, [s.channels for s in val_set], [s.w for s in val_set],
+                           2.0, NOISE)
+            assert got == want
+            continue
+        drops = [train_set[i] for i in next(steps)]
+        loss, d_theta, d_xi = nn_loss_and_grads(theta, xi, [s.channels for s in drops],
+                                                [s.w for s in drops], 2.0, NOISE)
+        assert got[0] == loss
+        assert got[1].tobytes() == d_theta.tobytes() and got[2].tobytes() == d_xi.tobytes()
+
+
 def test_train_requires_minimum_samples():
     val = [toy_sample(1)]
     with pytest.raises(ValueError):
