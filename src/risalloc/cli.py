@@ -208,6 +208,8 @@ def cmd_bcd(args) -> int:
         "sample_index": args.index,
         "seed": opts.seed,
         "outer_iterations": len(trace.objectives) - 1,
+        "stop_reason": trace.stop_reason,
+        "kernel_calls": trace.kernel_calls,
         "utility_relaxed": sum_utility(s.channels, theta, xi, s.w, alpha, noise),
         "utility_binary": sum_utility(s.channels, theta, hard, s.w, alpha, noise),
         "theta": theta.theta.tolist(),
@@ -215,7 +217,8 @@ def cmd_bcd(args) -> int:
         "xi_binary": hard.xi.tolist(),
     }
     (out / "result.json").write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
-    print(f"sample {args.index}: {result['outer_iterations']} outer iterations")
+    print(f"sample {args.index}: {result['outer_iterations']} outer iterations "
+          f"(stopped at the {trace.stop_reason}), {trace.kernel_calls} objective calls")
     print(f"relaxed utility: {_fmt(result['utility_relaxed'])}")
     print(f"binarized utility: {_fmt(result['utility_binary'])}")
     print(f"outputs: {out / 'trace.csv'}, {out / 'result.json'}")

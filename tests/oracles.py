@@ -20,7 +20,6 @@ import itertools
 import numpy as np
 
 from risalloc import BcdOptions, ChannelSet, objective_value_and_gradients, sum_utility
-from risalloc.allocation import _simplex_columns
 from risalloc.features import KAISER_TIE_GUARD
 from risalloc.metrics import _bind
 from risalloc.mlp import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, BN_EPS, BN_MOMENTUM
@@ -275,15 +274,35 @@ def line_ascend_serial(x, grad, project, evaluate, f_x, step0):
     return x, f_x, 30
 
 
-def _sweep_serial(x, f_x, grad, project, score, step0, steps):
-    """``steps`` line searches on one block, each scoring one trial per call
-    and accepting the first that does not lower the objective. Returns
-    (point, value, gradient, H of the last accepted trial or None)."""
+def vertex_direction_serial(xi, grad):
+    """Frank-Wolfe direction s - xi, column by column: s gives each column
+    to the first user with the largest gradient when that gradient is
+    positive, else to nobody. None when s equals xi."""
+    K, L = xi.shape
+    s = np.zeros((K, L))
+    for c in range(L):
+        best = 0
+        for k in range(1, K):
+            if grad[k, c] > grad[best, c]:
+                best = k
+        if grad[best, c] > 0.0:
+            s[best, c] = 1.0
+    return None if np.array_equal(s, xi) else s - xi
+
+
+def _sweep_serial(x, f_x, grad, direction, project, score, step0, steps):
+    """``steps`` line searches on one block along ``direction(x, grad)``,
+    each scoring one trial per call and accepting the first that does not
+    lower the objective; a None direction ends the sweep. Returns (point,
+    value, gradient, H of the last accepted trial or None)."""
     H = None
     for _ in range(steps):
+        d = direction(x, grad)
+        if d is None:
+            break
         s = step0
         for _ in range(30):
-            cand = project(x + s * grad)
+            cand = project(x + s * d)
             f_c, g_c, H_c = score(cand)
             if f_c >= f_x:
                 x, f_x, grad, H = cand, f_c, g_c, H_c
@@ -294,10 +313,14 @@ def _sweep_serial(x, f_x, grad, project, score, step0, steps):
 
 def bcd_serial(ch, w, alpha, noise, options=None, fixed_alloc=None):
     """Block ascent scoring one line-search trial per kernel call, through
-    the library's block maps, with no stacks and no early stop at a fixed
-    point. The first gradients come from the general kernel; after that each
-    block's first step follows the gradient its fixed block's last accepted
-    trial left, formed from that trial's H. Returns (theta, xi, objectives).
+    the library's block maps, with no stacks and no early stop at a bitwise
+    fixed point. The phases step along their gradient from ``step_size``
+    and are clipped; the shares take Frank-Wolfe steps toward the vertex
+    from a full step down, unprojected, and their sweep ends when the
+    vertex is the point. The first gradients come from the general kernel;
+    after that each block's first step follows the gradient its fixed
+    block's last accepted trial left, formed from that trial's H. Returns
+    (theta, xi, objectives).
     """
     opts = options or BcdOptions()
     rng = np.random.default_rng(opts.seed)
@@ -314,15 +337,15 @@ def bcd_serial(ch, w, alpha, noise, options=None, fixed_alloc=None):
     for _ in range(opts.max_outer_iters):
         phase_map = problem.with_shares(xi)
         theta, obj, dtheta, H = _sweep_serial(
-            theta, obj, dtheta, lambda t: np.clip(t, 0.0, np.pi),
+            theta, obj, dtheta, lambda t, g: g, lambda t: np.clip(t, 0.0, np.pi),
             lambda t: score(t, xi, phase_map), opts.step_size, opts.inner_steps_per_block)
         if fixed_alloc is None:
             if H is not None:
                 dxi = phase_map.fixed_gradient(H, theta, xi)
             share_map = problem.with_phases(theta)
             xi, obj, dxi, H = _sweep_serial(
-                xi, obj, dxi, lambda x: _simplex_columns(x)[0],
-                lambda x: score(theta, x, share_map), opts.step_size, opts.inner_steps_per_block)
+                xi, obj, dxi, vertex_direction_serial, lambda x: x,
+                lambda x: score(theta, x, share_map), 1.0, opts.inner_steps_per_block)
             if H is not None:
                 dtheta = share_map.fixed_gradient(H, theta, xi)
         objectives.append(obj)

@@ -13,7 +13,8 @@ import pytest
 
 import risalloc
 from risalloc import (BcdOptions, DatasetError, MlpArch, ScenarioConfig, TrainOptions,
-                      init_model, load_checkpoint, load_dataset, save_checkpoint)
+                      bcd_optimize, init_model, load_checkpoint, load_dataset,
+                      save_checkpoint)
 from risalloc.brute import DEFAULT_BUDGET
 from risalloc.cli import build_parser, main
 from risalloc.serial import decode_named_arrays, encode_named_arrays
@@ -217,13 +218,36 @@ def test_bcd_outputs(tmp_path, dataset, cfg_path):
     assert all(b >= a - 1e-9 for a, b in zip(objs, objs[1:]))
     result = json.loads((out / "result.json").read_text())
     assert set(result) == {"alpha", "sample_index", "seed", "outer_iterations",
-                           "utility_relaxed", "utility_binary", "theta", "xi",
-                           "xi_binary"}
+                           "stop_reason", "kernel_calls", "utility_relaxed",
+                           "utility_binary", "theta", "xi", "xi_binary"}
     assert result["outer_iterations"] == len(objs) - 1
     xi = np.array(result["xi"])
     assert np.all(xi >= 0) and np.all(xi.sum(axis=0) <= 1 + 1e-12)
     assert np.all(np.isin(np.array(result["xi_binary"]), (0.0, 1.0)))
     assert result["utility_relaxed"] >= objs[0] - 1e-9
+
+
+def test_bcd_reports_why_it_stopped_and_its_objective_calls(tmp_path, dataset):
+    samples, manifest = load_dataset(dataset)
+    s = samples[1]
+    runs = {"cap": BcdOptions(max_outer_iters=2, tol=1e-300), "tol": BcdOptions(tol=1e-2)}
+    results = {}
+    for name in ("cap", "tol", "tol again"):
+        opts = runs[name.split()[0]]
+        out = tmp_path / name.replace(" ", "_")
+        assert main(["bcd", "--data", str(dataset), "--index", "1",
+                     "--max-outer-iters", str(opts.max_outer_iters), "--tol", repr(opts.tol),
+                     "--out", str(out)]) == 0
+        results[name] = (out / "result.json").read_bytes()
+    assert results["tol again"] == results["tol"]  # deterministic: no wall clock in it
+    for name, want in (("cap", "iteration cap"), ("tol", "tolerance")):
+        result = json.loads(results[name])
+        _, _, trace = bcd_optimize(s.channels, s.w, 1.0, manifest.config.noise_watts,
+                                   runs[name])
+        assert result["stop_reason"] == trace.stop_reason == want
+        # the start, then at least one phase search per outer iteration
+        assert result["kernel_calls"] == trace.kernel_calls >= 1 + result["outer_iterations"]
+    assert json.loads(results["cap"])["outer_iterations"] == 2
 
 
 def test_bcd_index_out_of_range(dataset, tmp_path, capsys):

@@ -15,7 +15,7 @@ def test_output_digests_prints_every_named_digest():
     digests = json.loads(proc.stdout)
     assert set(digests) == {
         "desk/ds/manifest.json", "desk/ds/records.bin", "desk/model.ckpt",
-        "desk/model.ckpt.history.csv", "desk/comparison.csv",
+        "desk/model.ckpt.history.csv", "desk/comparison.csv", "desk/solve/result.json",
         "full/ds/manifest.json", "full/ds/records.bin", "full/model.ckpt",
         "full/model.ckpt.history.csv"}
     empty = hashlib.sha256(b"").hexdigest()

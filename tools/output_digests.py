@@ -7,11 +7,13 @@ this script sits in:
     risalloc train    --data desk/ds --max-epochs 20 --out desk/model.ckpt
     risalloc compare  --data desk/ds --scheme uniform --scheme bcd --scheme nn+pca \\
                       --model desk/model.ckpt --out desk/comparison.csv
+    risalloc bcd      --data desk/ds --index 3 --out desk/solve
     risalloc generate --profile full --n-train 20 --n-val 5 --seed 0 --out full/ds
     risalloc train    --data full/ds --max-epochs 2 --out full/model.ckpt
 
 then print one JSON object mapping each output file, by its path in that
-directory, to its sha256. The wall-clock sidecar ``*.timing.csv`` is left
+directory, to its sha256. The wall-clock sidecar ``*.timing.csv`` and the
+solver's ``trace.csv``, whose ``seconds`` column is wall clock, are left
 out, since timings are not reproducible. Two checkouts whose outputs are
 byte-identical print the same object:
 
@@ -30,12 +32,14 @@ import tempfile
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+WALL_CLOCK = ("*.timing.csv", "trace.csv")  # outputs that hold timings
 COMMANDS = [
     ["generate", "--profile", "desk", "--n-train", "200", "--n-val", "50", "--seed", "0",
      "--out", "desk/ds"],
     ["train", "--data", "desk/ds", "--max-epochs", "20", "--out", "desk/model.ckpt"],
     ["compare", "--data", "desk/ds", "--scheme", "uniform", "--scheme", "bcd",
      "--scheme", "nn+pca", "--model", "desk/model.ckpt", "--out", "desk/comparison.csv"],
+    ["bcd", "--data", "desk/ds", "--index", "3", "--out", "desk/solve"],
     ["generate", "--profile", "full", "--n-train", "20", "--n-val", "5", "--seed", "0",
      "--out", "full/ds"],
     ["train", "--data", "full/ds", "--max-epochs", "2", "--out", "full/model.ckpt"],
@@ -63,7 +67,7 @@ def main() -> int:
                          f"{proc.stderr[-2000:]}")
         digests = {path.relative_to(tmp).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
                    for path in sorted(Path(tmp).rglob("*"))
-                   if path.is_file() and not path.name.endswith(".timing.csv")}
+                   if path.is_file() and not any(path.match(p) for p in WALL_CLOCK)}
     print(json.dumps(digests, indent=1))
     return 0
 
