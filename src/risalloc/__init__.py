@@ -10,7 +10,8 @@ preprocessing, dataset persistence, and a CLI benchmark harness.
 
 from .allocation import (binarize, mrt_beamformers, project_feasible,
                          project_feasible_with_vjp, uniform_contiguous)
-from .bcd import BcdOptions, BcdTrace, bcd_optimize, objective_value_and_gradients
+from .bcd import (BcdOptions, BcdTrace, bcd_optimize, bcd_optimize_many,
+                  objective_value_and_gradients)
 from .brute import BudgetExceededError, brute_force, enumeration_count
 from .channel import (ChannelSet, breakpoint_distance, pathloss_umi_los,
                       pathloss_umi_nlos, steering_vector_upa, synth_channels)

@@ -31,10 +31,24 @@ scored through it. A call returns H = G * conj(S) beside the value and
 gradient, and the other block's gradient, which seeds that block's first
 step, is formed once per block from the last accepted trial's H; a block
 that accepts nothing leaves it as it was.
+
+One core solves a stack of drops in lockstep. Each drop keeps its own
+point, gradients, place on each ladder, block maps and stop flag; the
+maps are stacked, one slice per drop. Each search round scores the trials
+of every drop still sweeping in one call, as a (trials, drops) stack
+padded to the longest first stack among them: a drop accepts its first
+trial in ladder order that does not lower its value, and a trial's bits
+do not depend on the stack it is scored in, so the padding changes no
+answer. A drop whose sweep ends leaves the round's stack, and a drop that
+meets the tolerance leaves the solve. ``bcd_optimize`` is the core on one
+drop. ``bcd_optimize_many`` runs it on many drops of one scenario, in
+chunks of as many as CHUNK_BYTES of stacked maps hold, and gives each drop
+the bits its one-drop solve gives.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -43,6 +57,11 @@ import numpy as np
 from .channel import ChannelSet
 from .config import AT_LEAST_ONE, NON_NEGATIVE, POSITIVE, check_fields
 from .metrics import Allocation, PhaseConfig, _bind, _evaluate, _evaluate_block, _single
+
+# Byte budget of one chunk's stacked block maps when many drops are solved
+# in lockstep (bcd_optimize_many): 4 MiB holds a desk split of 165 drops, or
+# 28 drops of the 20x20 full profile.
+CHUNK_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -66,7 +85,10 @@ class BcdOptions:
 class BcdTrace:
     """Objective after every outer iteration (index 0 = starting point),
     the wall-clock seconds each iteration took, why the solve stopped
-    ("tolerance" or "iteration cap") and how many objective calls it made."""
+    ("tolerance" or "iteration cap") and how many objective calls it made.
+    In a lockstep solve of many drops an iteration's seconds are the
+    chunk's wall time for it divided by the drops that ran it, and a call
+    counts once for every drop it scored."""
 
     objectives: list = field(default_factory=list)
     seconds: list = field(default_factory=list)
@@ -82,13 +104,14 @@ def objective_value_and_gradients(ch: ChannelSet, theta, xi, w, alpha: float,
     Scores one instance, or a stack of trials when theta is (Q, L2) or xi
     is (Q, K, L): the value is then a (Q,) array instead of a float, and
     the gradients gain the leading Q axis. ``bound`` is ch and w bound by
-    ``metrics._bind`` with grads=True; without it the call binds them
-    itself. With ``bound``, theta and xi must already be float arrays, as
-    the solver passes them. When ``bound`` carries a block map
-    (``with_shares`` or ``with_phases``), only the block that map leaves
-    free is scored: the call returns the value, that block's gradient and
-    H = G * conj(S), from which ``bound.fixed_gradient`` forms the other
-    block's gradient.
+    ``metrics._bind`` with grads=True, or a stack of P drops bound
+    together, whose trials are (Q, P, ...) stacks; without it the call
+    binds ch and w itself, and with it reads neither. With ``bound``,
+    theta and xi must already be float arrays, as the solver passes them.
+    When ``bound`` carries a block map (``with_shares`` or
+    ``with_phases``), only the block that map leaves free is scored: the
+    call returns the value, that block's gradient and H = G * conj(S),
+    from which ``bound.fixed_gradient`` forms the other block's gradient.
     """
     if bound is None:
         g_ris, h_rb, h_direct, w, theta, xi = _single(ch, w, theta, xi)
@@ -97,73 +120,225 @@ def objective_value_and_gradients(ch: ChannelSet, theta, xi, w, alpha: float,
         value, *grads = _evaluate(bound, theta, xi, noise_linear, alpha, grads=True)
     else:
         value, *grads = _evaluate_block(bound, theta, xi, noise_linear, alpha)
-    return (float(value) if np.ndim(value) == 0 else value), *grads
+    return (float(value) if value.ndim == 0 else value), *grads
 
 
-def _line_ascend(x, f_x, d, project, score, ladder, first):
-    """One projected step along the direction d, halving until the
-    objective does not decrease.
-
-    The trials x + ladder[j] * d are projected and scored as stacks: the
-    first ``first`` in one call, the rest of the ladder in a second when
-    none of those is accepted. Returns (point, value, the score's other
-    outputs there, trials used), or (x, f_x, None, len(ladder)) when every
-    trial decreases the objective.
-    """
-    for lo, hi in ((0, first), (first, len(ladder))):
-        if lo == hi:
-            continue
-        trials = project(x + np.multiply.outer(ladder[lo:hi], d))
-        values, *outputs = score(trials)
-        accepted = values >= f_x
-        i = int(accepted.argmax())  # the first accepted trial, if any
-        if accepted[i]:
-            return trials[i].copy(), float(values[i]), [o[i].copy() for o in outputs], lo + i + 1
-    return x, f_x, None, len(ladder)
-
-
-def _ascend_block(x, f_x, grad, direction, project, score, ladder, steps, used):
-    """Up to ``steps`` line searches on one block, each along
-    ``direction(point, gradient)``. Returns (point, value, gradient, H of
-    the last accepted trial or None when none was accepted, trials the last
-    search used).
-
-    Each search's first stack holds one trial more than the previous one
-    needed, so a search that needs one more trial than the last still
-    costs one kernel call. The sweep stops when the direction rule returns
-    None, and as soon as a search leaves its point and gradient unchanged:
-    every later search would score the same trials from the same point and
-    gradient.
-    """
-    H = None
-    for _ in range(steps):
-        d = direction(x, grad)
-        if d is None:
-            break
-        y, f_y, at_y, used = _line_ascend(x, f_x, d, project, score, ladder,
-                                          min(used + 1, len(ladder)))
-        if at_y is None:  # every trial decreases the objective
-            break
-        g_y, H = at_y
-        # the floats first: cheap
-        fixed_point = f_y == f_x and np.array_equal(y, x) and np.array_equal(g_y, grad)
-        x, f_x, grad = y, f_y, g_y
-        if fixed_point:
-            break
-    return x, f_x, grad, H, used
+def _gradient_direction(theta, grad):
+    """The phase block's direction: its gradient, for every drop."""
+    return grad, None
 
 
 def _vertex_direction(xi, grad):
-    """Frank-Wolfe direction s - xi over each column's solid simplex, or
-    None when s equals xi. The vertex s maximises the share gradient's
-    linear model: each column goes wholly to the user with the largest
-    positive gradient (the smallest index on a tie), or to nobody."""
-    cols = np.arange(xi.shape[1])
-    top = grad.argmax(axis=0)
-    on = grad[top, cols] > 0.0
-    s = np.zeros_like(xi)
-    s[top[on], cols[on]] = 1.0
-    return None if np.array_equal(s, xi) else s - xi
+    """The share block's Frank-Wolfe direction s - xi for each drop of a
+    stack (P, K, L), and which drops have one: s equals xi for the rest.
+    The vertex s maximises the share gradient's linear model: each column
+    goes wholly to the user with the largest positive gradient (the
+    smallest index on a tie), or to nobody."""
+    top = grad.argmax(axis=-2)[..., None, :]
+    s = np.arange(grad.shape[-2])[:, None] == top
+    s &= (grad.max(axis=-2) > 0.0)[..., None, :]
+    d = s - xi
+    return d, d.reshape(len(d), -1).any(axis=1)
+
+
+def _clip_phases(t):
+    """Project phase trials onto [0, pi], in place."""
+    return np.minimum(np.maximum(t, 0.0, out=t), np.pi, out=t)
+
+
+def _all(mask) -> bool:
+    """Whether every entry of a drop mask is set. One drop's entry is read
+    directly: a reduction costs several times more, on every round."""
+    return bool(mask[0]) if len(mask) == 1 else np.count_nonzero(mask) == len(mask)
+
+
+def _any(mask) -> bool:
+    """Whether any entry of a drop mask is set, as _all."""
+    return bool(mask[0]) if len(mask) == 1 else np.count_nonzero(mask) > 0
+
+
+def _largest(counts) -> int:
+    """The largest of a stack's per-drop counts, as _all."""
+    return int(counts[0]) if len(counts) == 1 else int(counts.max())
+
+
+def _any_equal(a, b) -> bool:
+    """Whether any drop's entries of a and b are equal, as _all."""
+    return a.item() == b.item() if len(a) == 1 else bool(np.count_nonzero(a == b))
+
+
+def _first_accepted(values, f_x, skipped):
+    """For each drop (a column of the (trials, drops) values), whether a
+    trial does not lower its value f_x, the trials it used to find the
+    first that does (counting ``skipped`` scored before these), the most
+    any drop used, and the index pair that picks that trial's row (the
+    first trial's, when none does) out of a (trials, drops, ...) stack.
+    For one drop the pair picks a view, through plain ints, as _all."""
+    accepted = values >= f_x
+    if accepted.shape[1] == 1:
+        i = int(accepted.argmax())
+        return accepted[i], np.array([skipped + i + 1]), skipped + i + 1, (i, slice(None))
+    pick = (accepted.argmax(axis=0), np.arange(accepted.shape[1]))
+    used = pick[0] + (skipped + 1)
+    return accepted[pick], used, int(used.max()), pick
+
+
+def _line_ascend(x, f_x, d, project, score, ladder, first):
+    """One projected step per drop of a stack along its direction d,
+    halving until the objective does not decrease.
+
+    x and d hold one row per drop and f_x its value. The trials
+    x + ladder[j] * d are projected (unless project is None) and scored as
+    (trials, drops) stacks: ladder[:first] for every drop in one call,
+    then the rest of the ladder in a second call for the drops that
+    accepted none of those. ``score(trials, rows)`` scores the trials of
+    the drops ``rows`` (None for all) and returns their values and two
+    further outputs. A drop accepts its first trial in ladder order that
+    does not lower its value.
+
+    Returns (whether every drop accepted a trial, which did, point, value,
+    the two outputs there, trials used, the most any drop used), one row
+    per drop. A drop that accepts nothing keeps its point and value, has
+    used the whole ladder, and its output rows are undefined.
+    """
+    n = len(ladder)
+    trials = x + np.multiply.outer(ladder[:first], d)
+    if project is not None:
+        trials = project(trials)
+    values, a, b = score(trials, None)
+    ok, used, longest, pick = _first_accepted(values, f_x, 0)
+    y, f_y, a_y, b_y = trials[pick], values[pick], a[pick], b[pick]
+    if _all(ok):
+        return True, ok, y, f_y, a_y, b_y, used, longest
+    if first < n:
+        rest = None if not _any(ok) else np.flatnonzero(~ok)  # None: every drop
+        trials = (x if rest is None else x[rest]) + np.multiply.outer(
+            ladder[first:], d if rest is None else d[rest])
+        if project is not None:
+            trials = project(trials)
+        values, a, b = score(trials, rest)
+        found, more, longest, pick = _first_accepted(
+            values, f_x if rest is None else f_x[rest], first)
+        if rest is None:
+            ok, used, y, f_y, a_y, b_y = found, more, trials[pick], values[pick], a[pick], b[pick]
+        else:
+            y[rest], f_y[rest], a_y[rest], b_y[rest] = trials[pick], values[pick], a[pick], b[pick]
+            used[rest], ok[rest] = more, found
+        if _all(ok):
+            return True, ok, y, f_y, a_y, b_y, used, _largest(used)
+    if not _any(ok):
+        return False, ok, x, f_x, a_y, b_y, np.full(len(ok), n), n
+    lost = ~ok
+    y[lost], f_y[lost], used[lost] = x[lost], f_x[lost], n
+    return False, ok, y, f_y, a_y, b_y, used, n
+
+
+def _sweep(x, f_x, grad, used, direction, project, bound, score, ladder, steps):
+    """Up to ``steps`` line searches on one block for every drop of a
+    stack, in lockstep: each round searches all drops still sweeping at
+    once, each along direction(point, gradient), through ``bound``, a
+    stack of the block's maps. ``score(trials, bound, rows)`` scores the
+    trials of the stack's drops ``rows`` (None for all) through their rows
+    of the maps.
+
+    A round's first stack holds one trial more than the longest that its
+    drops' previous searches needed, so a search that needs one more trial
+    than the last still costs one kernel call. That a stack is longer than
+    a drop's own search needed changes nothing for it: it accepts the
+    first trial in ladder order that does not lower its value, and a
+    trial's bits do not depend on the stack it is scored in. A drop leaves
+    the sweep when the direction rule gives it none, when its search
+    accepts nothing, and as soon as a search leaves its point and gradient
+    unchanged: every later search would score the same trials from the
+    same point and gradient.
+
+    Returns (point, value, gradient, H of the last accepted trial, whether
+    any trial was accepted, trials the last search used), one row per
+    drop; a drop that accepted nothing has a zero H row.
+    """
+    n = len(f_x)
+    rows, H = np.arange(n), np.zeros(bound.D.shape, bound.D.dtype)  # H of a drop's last acceptance
+    done = []  # (whether any trial was accepted, state) of drops that left the sweep
+    got = False  # whether the drops still sweeping have accepted a trial
+    longest = _largest(used)  # the most trials a sweeping drop's last search used
+
+    def score_rows(trials, r):  # r: rows of the drops still sweeping, None for all
+        if r is None:
+            return score(trials, bound, rows if done else None)
+        return score(trials, bound.take(r), rows[r])
+
+    for _ in range(steps):
+        d, go = direction(x, grad)
+        if go is not None and not _all(go):
+            kept = _part(go, got, (rows, x, f_x, grad, H, used), done)
+            if kept is None:
+                break
+            (rows, x, f_x, grad, H, used), bound, d = kept, bound.take(go), d[go]
+            longest = _largest(used)
+        every, ok, y, f_y, g_y, H_y, used, longest = _line_ascend(
+            x, f_x, d, project, score_rows, ladder, min(longest + 1, len(ladder)))
+        if not every:  # the other drops' trials all lower the objective
+            kept = _part(ok, got, (rows, x, f_x, grad, H, used), done)
+            if kept is None:
+                break
+            (rows, x, f_x, grad, H, used), bound = kept, bound.take(ok)
+            y, f_y, g_y, H_y = y[ok], f_y[ok], g_y[ok], H_y[ok]
+            longest = _largest(used)
+        fixed = None
+        if _any_equal(f_y, f_x):  # the floats first: cheap
+            axes = tuple(range(1, y.ndim))
+            fixed = (f_y == f_x) & (y == x).all(axis=axes) & (g_y == grad).all(axis=axes)
+        x, f_x, grad, H, got = y, f_y, g_y, H_y, True
+        if fixed is not None and fixed.any():
+            kept = _part(~fixed, got, (rows, x, f_x, grad, H, used), done)
+            if kept is None:
+                break
+            (rows, x, f_x, grad, H, used), bound = kept, bound.take(~fixed)
+            longest = _largest(used)
+    else:
+        done.append((got, (rows, x, f_x, grad, H, used)))
+    if len(done) == 1:
+        got, state = done[0]
+        return (*state[1:5], np.full(n, got), state[5])
+    order = np.argsort(np.concatenate([piece[0] for _, piece in done]))
+    state = [np.concatenate(field)[order] for field in zip(*(piece for _, piece in done))]
+    got = np.concatenate([np.full(len(piece[0]), g) for g, piece in done])[order]
+    return (*state[1:5], got, state[5])
+
+
+def _part(keep, got, state, done):
+    """Move the drops not in ``keep`` from a sweep's state to ``done``, with
+    whether they accepted a trial; returns the kept drops' state, or None
+    when none is kept."""
+    if not np.count_nonzero(keep):
+        done.append((got, state))
+        return None
+    done.append((got, tuple(a[~keep] for a in state)))
+    return tuple(a[keep] for a in state)
+
+
+def _map_bytes(ch: ChannelSet) -> int:
+    """Bytes of one drop's block maps: M and Mt, N and Nt, the phased
+    surface channel (complex) and the element mask (real)."""
+    K, L2, L = ch.num_users, ch.num_elements, ch.side
+    return 16 * (2 * L2 * K * K + 2 * K * L * K + K * L2) + 8 * K * L2
+
+
+def bcd_optimize_many(channels, ws, seeds, alpha: float, noise_linear: float,
+                      options: BcdOptions | None = None,
+                      fixed_alloc: Allocation | None = None):
+    """Solve drops of one scenario in lockstep, in chunks of as many as
+    CHUNK_BYTES of block maps hold: drop j as ``bcd_optimize(channels[j],
+    ws[j], ...)`` solves it with seed seeds[j] (``options.seed`` is not
+    read), bit for bit. Returns one (PhaseConfig, Allocation, BcdTrace) per
+    drop; BcdTrace says how a lockstep solve counts seconds and calls.
+    """
+    size = max(1, CHUNK_BYTES // _map_bytes(channels[0])) if len(channels) else 1
+    answers = []
+    for lo in range(0, len(channels), size):
+        answers += _solve(channels[lo:lo + size], ws[lo:lo + size], seeds[lo:lo + size],
+                          alpha, noise_linear, options or BcdOptions(), fixed_alloc)
+    return answers
 
 
 def bcd_optimize(ch: ChannelSet, w, alpha: float, noise_linear: float,
@@ -179,66 +354,110 @@ def bcd_optimize(ch: ChannelSet, w, alpha: float, noise_linear: float,
     baseline). Returns (PhaseConfig, Allocation, BcdTrace).
     """
     opts = options or BcdOptions()
-    K = ch.num_users
-    L2 = ch.num_elements
-    L = ch.side
+    return _solve([ch], [w], [opts.seed], alpha, noise_linear, opts, fixed_alloc)[0]
+
+
+def _solve(channels, ws, seeds, alpha, noise_linear, opts, fixed_alloc):
+    """The lockstep core: one stack of drops, solved together."""
+    P = len(channels)
+    K, L2, L = channels[0].num_users, channels[0].num_elements, channels[0].side
     if fixed_alloc is not None and fixed_alloc.xi.shape != (K, L):
         raise ValueError(f"fixed_alloc has shape {fixed_alloc.xi.shape}; this problem "
                          f"needs (K, L) = {(K, L)}")
-    rng = np.random.default_rng(opts.seed)
-
-    theta = rng.uniform(0.0, np.pi, size=L2)
+    theta = np.stack([np.random.default_rng(seed).uniform(0.0, np.pi, size=L2) for seed in seeds])
     if fixed_alloc is None:
-        xi = np.full((K, L), 1.0 / K)
+        xi = np.full((P, K, L), 1.0 / K)
     else:
         fixed_alloc.validate()
-        xi = np.array(fixed_alloc.xi, dtype=float)
+        xi = np.repeat(np.array(fixed_alloc.xi, dtype=float)[None], P, axis=0)
     halvings = [0.5] * 29  # the floats a halving loop gives
     phase_ladder = np.cumprod([opts.step_size] + halvings)
     share_ladder = np.cumprod([1.0] + halvings)
 
-    problem = _bind(ch.g_ris, ch.h_rb, ch.h_direct, w, grads=True)
-    trace = BcdTrace()
+    problem = _bind(*(np.stack([getattr(ch, f) for ch in channels])
+                      for f in ("g_ris", "h_rb", "h_direct")), np.stack(ws), grads=True)
+    traces = [BcdTrace() for _ in range(P)]
+    answers = [None] * P
+    ids = np.arange(P)  # the chunk position of each drop in the stack
+    # kernel calls: those of the whole stack, and each drop's others
+    calls, own_calls = 0, np.zeros(P, dtype=int)
 
-    def score(th, x, bound):
-        trace.kernel_calls += 1
-        return objective_value_and_gradients(ch, th, x, w, alpha, noise_linear, bound)
+    def score(th, x, bound, rows):
+        nonlocal calls
+        if rows is None:
+            calls += 1
+        else:
+            own_calls[rows] += 1
+        return objective_value_and_gradients(None, th, x, None, alpha, noise_linear, bound)
 
-    obj, dtheta, dxi = score(theta, xi, problem)
-    if not np.isfinite(obj):
+    obj, dtheta, dxi = score(theta, xi, problem, None)
+    values = obj.tolist()
+    if not all(map(math.isfinite, values)):
         raise RuntimeError("objective is not finite at the starting point")
-    trace.objectives.append(obj)
-    trace.seconds.append(0.0)
-    used = [1, 1]  # trials the last line search of each block needed
+    for trace, value in zip(traces, values):
+        trace.objectives.append(value)
+        trace.seconds.append(0.0)
+    used = np.ones((2, P), dtype=int)  # trials the last line search of each block needed
+    phase_map = None
 
     for outer in range(1, opts.max_outer_iters + 1):
         tic = time.perf_counter()
+        prev = values
 
-        if outer == 1 or fixed_alloc is None:  # pinned shares keep one map all solve
+        if phase_map is None or fixed_alloc is None:  # pinned shares keep one map all solve
             phase_map = problem.with_shares(xi)
-        theta, obj, dtheta, H, used[0] = _ascend_block(
-            theta, obj, dtheta, lambda t, g: g, lambda t: t.clip(0.0, np.pi, out=t),
-            lambda t: score(t, xi, phase_map),
-            phase_ladder, opts.inner_steps_per_block, used[0])
+        theta, obj, dtheta, H, got, used[0] = _sweep(
+            theta, obj, dtheta, used[0], _gradient_direction, _clip_phases, phase_map.scorer(),
+            lambda t, b, rows: score(t, None, b, rows), phase_ladder, opts.inner_steps_per_block)
 
         if fixed_alloc is None:
-            if H is not None:
-                dxi = phase_map.fixed_gradient(H, theta, xi)
+            if _any(got):
+                dxi = _where(got, phase_map.fixed_gradient(H, theta, xi), dxi)
             share_map = problem.with_phases(theta)
-            xi, obj, dxi, H, used[1] = _ascend_block(
-                xi, obj, dxi, _vertex_direction, lambda x: x,  # every trial is feasible
-                lambda x: score(theta, x, share_map),
-                share_ladder, opts.inner_steps_per_block, used[1])
-            if H is not None:
-                dtheta = share_map.fixed_gradient(H, theta, xi)
+            xi, obj, dxi, H, got, used[1] = _sweep(
+                xi, obj, dxi, used[1], _vertex_direction, None,  # every trial is feasible
+                share_map.scorer(), lambda x, b, rows: score(None, x, b, rows),
+                share_ladder, opts.inner_steps_per_block)
+            if _any(got):
+                dtheta = _where(got, share_map.fixed_gradient(H, theta, xi), dtheta)
 
-        trace.objectives.append(obj)
-        trace.seconds.append(time.perf_counter() - tic)
-        if not np.isfinite(obj):
+        seconds = (time.perf_counter() - tic) / len(ids)
+        values = obj.tolist()
+        for j, value in zip(ids.tolist(), values):
+            traces[j].objectives.append(value)
+            traces[j].seconds.append(seconds)
+        if not all(map(math.isfinite, values)):
             raise RuntimeError(f"objective became non-finite at outer iteration {outer}")
-        prev = trace.objectives[-2]
-        if abs(obj - prev) <= opts.tol * max(1.0, abs(prev)):
-            trace.stop_reason = "tolerance"
-            break
+        stop = [abs(v - p) <= opts.tol * max(1.0, abs(p)) for v, p in zip(values, prev)]
+        if any(stop):
+            stop = np.array(stop)
+            for j in ids[stop].tolist():
+                traces[j].stop_reason = "tolerance"
+            keep = ~stop
+            _finish(answers, traces, ids[stop], theta[stop], xi[stop], calls + own_calls[stop])
+            ids, theta, xi, obj, dtheta, dxi, own_calls = (
+                a[keep] for a in (ids, theta, xi, obj, dtheta, dxi, own_calls))
+            values = obj.tolist()
+            used = used[:, keep]
+            if not len(ids):
+                break
+            problem = problem.take(keep)
+            if fixed_alloc is not None:
+                phase_map = phase_map.take(keep)
 
-    return PhaseConfig(theta), Allocation(xi), trace
+    _finish(answers, traces, ids, theta, xi, calls + own_calls)
+    return answers
+
+
+def _where(rows, new, old):
+    """new in the drops ``rows`` of a stack, old elsewhere."""
+    if _all(rows):
+        return new
+    return np.where(rows.reshape(rows.shape + (1,) * (new.ndim - 1)), new, old)
+
+
+def _finish(answers, traces, ids, theta, xi, calls):
+    """File the answers of the drops ``ids`` (chunk positions)."""
+    for j, th, x, n in zip(ids.tolist(), theta, xi, calls.tolist()):
+        traces[j].kernel_calls = n
+        answers[j] = (PhaseConfig(th), Allocation(x), traces[j])

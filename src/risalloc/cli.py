@@ -21,14 +21,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .allocation import binarize, project_feasible, uniform_contiguous
-from .bcd import BcdOptions, bcd_optimize
+from .allocation import _simplex_columns, binarize, uniform_contiguous
+from .bcd import BcdOptions, bcd_optimize, bcd_optimize_many
 from .brute import DEFAULT_BUDGET, BudgetExceededError, brute_force
 from .config import (AT_LEAST_ONE, NON_NEGATIVE, ConfigError, ScenarioConfig,
                      check_value, desk_config, full_scale_config, parse_settings)
 from .dataio import DatasetError, generate_dataset, load_dataset, train_val_split
-from .features import flatten_features, pca_transform
-from .metrics import alpha_mean_throughput, alpha_utility, sum_utility, user_rates
+from .features import feature_matrix, flatten_features, pca_transform
+from .metrics import Allocation, alpha_mean_throughput, alpha_utility, sum_utility, user_rates
 from .mlp import CheckpointError, load_checkpoint, mlp_forward, parameter_count, save_checkpoint
 from .training import TrainOptions, train
 
@@ -253,22 +253,26 @@ def _load_model_for(schemes, model_path, ch):
     return model, pca
 
 
-def _solve_sample(scheme, sample, index, alpha, noise, opts, model, pca, nu, budget, fixed):
-    """Run one scheme on one drop, "uniform" pinned to ``fixed``; returns (theta, allocation)."""
-    ch, w = sample.channels, sample.w
+def _solve_split(scheme, split, alpha, noise, opts, model, pca, nu, budget, fixed):
+    """Run one scheme on every drop of the split, "uniform" pinned to
+    ``fixed``; returns one (theta, allocation) per drop. "uniform" and "bcd"
+    solve the split in lockstep (``bcd_optimize_many``), each drop from the
+    seed of its index; the other schemes take one drop at a time."""
     if scheme in ("uniform", "bcd"):
-        per = dataclasses.replace(opts, seed=_per_sample_seed(opts.seed, index))
-        theta, xi, _ = bcd_optimize(ch, w, alpha, noise, per,
-                                    fixed_alloc=fixed if scheme == "uniform" else None)
-        return theta, xi
+        seeds = [_per_sample_seed(opts.seed, i) for i in range(len(split))]
+        solved = bcd_optimize_many([s.channels for s in split], [s.w for s in split], seeds,
+                                   alpha, noise, opts,
+                                   fixed_alloc=fixed if scheme == "uniform" else None)
+        return [(theta, xi) for theta, xi, _ in solved]
     if scheme in _NN_SCHEMES:
-        z = flatten_features(ch)
+        # a stack of one-row forwards, with the bits of one forward per drop
+        z = feature_matrix([s.channels for s in split])[:, None, :]
         if pca is not None:
             z = pca_transform(pca, z)
         theta_b, xi_b, _ = mlp_forward(model, z, train_mode=False)
-        return theta_b[0], project_feasible(xi_b[0])
-    theta, alloc, _ = brute_force(ch, w, alpha, noise, nu=nu, budget=budget)  # "brute"
-    return theta, alloc
+        return [(theta, Allocation(xi)) for theta, xi in zip(theta_b, _simplex_columns(xi_b)[0])]
+    return [brute_force(s.channels, s.w, alpha, noise, nu=nu, budget=budget)[:2]  # "brute"
+            for s in split]
 
 
 def cmd_compare(args) -> int:
@@ -292,12 +296,12 @@ def cmd_compare(args) -> int:
     bandwidth = manifest.config.bandwidth
     rows, timing_rows = [], []
     for scheme in schemes:
-        utils, throughputs, sum_rates, seconds = [], [], [], []
-        for i, sample in enumerate(split):
-            tic = time.perf_counter()
-            theta, alloc = _solve_sample(scheme, sample, i, alpha, noise,
-                                         opts, model, pca, args.nu, args.budget, fixed)
-            seconds.append(time.perf_counter() - tic)
+        utils, throughputs, sum_rates = [], [], []
+        tic = time.perf_counter()
+        answers = _solve_split(scheme, split, alpha, noise, opts, model, pca,
+                               args.nu, args.budget, fixed)
+        seconds = (time.perf_counter() - tic) / len(split)
+        for sample, (theta, alloc) in zip(split, answers):
             rates = user_rates(sample.channels, theta, alloc, sample.w, noise)
             utils.append(float(np.sum(alpha_utility(rates, alpha))))
             throughputs.append(alpha_mean_throughput(rates, alpha, bandwidth))
@@ -305,7 +309,7 @@ def cmd_compare(args) -> int:
         n_params = parameter_count(model.arch) if scheme in _NN_SCHEMES else ""
         rows.append([scheme, len(split), _fmt(alpha), _fmt(np.mean(utils)),
                      _fmt(np.mean(throughputs)), _fmt(np.mean(sum_rates)), n_params])
-        timing_rows.append([scheme, _fmt(np.mean(seconds))])
+        timing_rows.append([scheme, _fmt(seconds)])
         print(f"{scheme}: mean utility {_fmt(np.mean(utils))}, "
               f"mean throughput {_fmt(np.mean(throughputs))} bps")
 

@@ -81,7 +81,9 @@ def pca_fit(features: np.ndarray) -> PcaModel:
 def pca_transform(model: PcaModel, features: np.ndarray) -> np.ndarray:
     """Project standardized features onto the retained axes.
 
-    Accepts a single (D,) vector or an (n, D) matrix.
+    Accepts a single (D,) vector, an (n, D) matrix, or an (n, 1, D) stack
+    of one-row matrices, whose every product is one row's, with that row's
+    bits alone.
     """
     x = np.asarray(features, dtype=float)
     if x.shape[-1] != model.input_dim:

@@ -109,24 +109,52 @@ class _Bound:
     def with_shares(self, xi) -> "_Bound":
         """Bind the phase map of fixed shares: S = D + e^{j theta} @ M."""
         mask = expand_columns(xi)
-        M = ((self.g_ris * mask).T[:, :, None] * self.B.T[:, None, :]).reshape(mask.shape[-1], -1)
-        return replace(self, mask=mask, M=M, Mt=-2.0 * M.T)
+        gm = (self.g_ris * mask).swapaxes(-1, -2)
+        M = (gm[..., :, :, None] * self.B.swapaxes(-1, -2)[..., None, :]).reshape(
+            gm.shape[:-1] + (-1,))
+        return _Bound(self.g_ris, self.h_rb, self.h_direct, self.w_t, self.own, self.B, self.D,
+                      mask=mask, M=M, Mt=-2.0 * M.swapaxes(-1, -2))
 
     def with_phases(self, theta) -> "_Bound":
         """Bind the share map of fixed phases: S_k = D_k + xi_k @ N_k."""
-        g_phase = self.g_ris * np.exp(1j * theta)
-        K, L2 = g_phase.shape
+        g_phase = self.g_ris * np.exp(1j * theta)[..., None, :]
+        K, L2 = g_phase.shape[-2:]
         L = math.isqrt(L2)
-        Nt = np.add.reduce((g_phase[:, None, :] * self.B).reshape(K, K, L, L), -1)
-        return replace(self, g_phase=g_phase, N=Nt.swapaxes(-1, -2).copy(), Nt=2.0 * Nt)
+        Nt = np.add.reduce((g_phase[..., :, None, :] * self.B[..., None, :, :]).reshape(
+            g_phase.shape[:-2] + (K, K, L, L)), -1)
+        return _Bound(self.g_ris, self.h_rb, self.h_direct, self.w_t, self.own, self.B, self.D,
+                      g_phase=g_phase, N=Nt.swapaxes(-1, -2).copy(), Nt=2.0 * Nt)
 
     def fixed_gradient(self, H, theta, xi):
         """The gradient wrt the block this binding holds fixed, at the point
         (theta, xi) whose H = G * conj(S) a block call returned."""
-        L = np.shape(xi)[-1]
         if self.M is not None:
-            return _gradients(self, H, self.g_ris * np.exp(1j * theta), self.mask, L)[1]
-        return _gradients(self, H, self.g_phase, expand_columns(xi), L)[0]
+            C = _cascade(self, H, self.g_ris * np.exp(1j * theta)[..., None, :])
+            return _share_gradient(C, np.shape(xi)[-1])
+        return _phase_gradient(_cascade(self, H, self.g_phase), expand_columns(xi))
+
+    def scorer(self) -> "_Bound":
+        """What _evaluate_block reads of this binding: own, D and the block
+        map, so that take copies nothing more."""
+        return _Bound(None, None, None, None, self.own, None, self.D,
+                      M=self.M, Mt=self.Mt, N=self.N, Nt=self.Nt)
+
+    def take(self, rows) -> "_Bound":
+        """The drops ``rows`` of a stack bound by _bind over stacked channels,
+        with their block maps. Each slice keeps its memory order, which
+        fixes the BLAS call, and so the bits, of every product through it."""
+        return replace(self, **{f: _take(getattr(self, f), rows) for f in _PER_DROP
+                                if getattr(self, f) is not None})
+
+
+_PER_DROP = ("g_ris", "h_rb", "h_direct", "w_t", "B", "D", "mask", "M", "Mt", "g_phase", "N", "Nt")
+
+
+def _take(a, rows):
+    """a[rows] along the stack axis, each (..., m, n) slice in a's order."""
+    if a.flags.c_contiguous:
+        return a[rows]
+    return a.swapaxes(-1, -2)[rows].swapaxes(-1, -2)
 
 
 def _bind(g_ris, h_rb, h_direct, w, grads: bool = False) -> _Bound:
@@ -170,7 +198,8 @@ def _evaluate(b: _Bound, theta, xi, noise_linear: float, alpha: float | None = N
     if not grads:
         return out
     values, H = out
-    return (values, *_gradients(b, H, b.g_ris * phase[..., None, :], mask, np.shape(xi)[-1]))
+    C = _cascade(b, H, b.g_ris * phase[..., None, :])
+    return values, _phase_gradient(C, mask), _share_gradient(C, np.shape(xi)[-1])
 
 
 def _evaluate_block(b: _Bound, theta, xi, noise_linear: float, alpha: float):
@@ -186,7 +215,8 @@ def _evaluate_block(b: _Bound, theta, xi, noise_linear: float, alpha: float):
     """
     K = b.D.shape[-1]
     if b.M is not None:
-        phase = np.exp(1j * theta)[..., None, :]
+        phase = 1j * theta
+        phase = np.exp(phase, out=phase)[..., None, :]
         S = (phase @ b.M).reshape(theta.shape[:-1] + (K, K))
     else:
         S = (xi[..., None, :] @ b.N).reshape(xi.shape[:-1] + (K,))
@@ -194,9 +224,9 @@ def _evaluate_block(b: _Bound, theta, xi, noise_linear: float, alpha: float):
     values, H = _tail(S, noise_linear, alpha, b.own)
     if b.M is not None:
         R = H.reshape(theta.shape[:-1] + (1, K * K)) @ b.Mt
-        grad = np.imag(np.multiply(phase, R, out=R)).reshape(theta.shape)
+        grad = np.multiply(phase, R, out=R).imag.reshape(theta.shape)
     else:
-        grad = np.real(H[..., None, :] @ b.Nt).reshape(xi.shape)
+        grad = (H[..., None, :] @ b.Nt).real.reshape(xi.shape)
     return values, grad, H
 
 
@@ -206,13 +236,17 @@ def _tail(S, noise_linear: float, alpha: float | None, own):
     user's own beam, also H = G * conj(S), G = dU/d|S|^2."""
     if noise_linear < 0 or (own is not None and noise_linear == 0):
         raise ValueError("noise power must be non-negative, and positive for gradients")
-    P = np.abs(S) ** 2
+    P = np.abs(S)
+    np.square(P, out=P)
     num = P.diagonal(axis1=-2, axis2=-1)
-    den = np.add.reduce(P, -1) - num + noise_linear
+    den = np.add.reduce(P, -1)
+    den -= num
+    den += noise_linear
     sig = num / den
     K = S.shape[-1]
     gain = 1.0 + sig
-    rates = np.log2(gain) / K
+    rates = np.log2(gain)
+    rates /= K
     if alpha is None:
         return rates
     floored = np.maximum(rates, RATE_FLOOR)
@@ -220,22 +254,31 @@ def _tail(S, noise_linear: float, alpha: float | None, own):
     if own is None:
         return values
 
-    du_drate = np.where(rates > RATE_FLOOR, floored ** (-alpha), 0.0)
-    drate_dsinr = 1.0 / (K * _LN2 * gain)
-    q = (du_drate * drate_dsinr / den)[..., :, None]
+    q = np.where(rates > RATE_FLOOR, floored ** (-alpha), 0.0)  # dU/drate
+    q *= np.divide(1.0, np.multiply(K * _LN2, gain, out=gain), out=gain)  # drate/dSINR
+    q /= den
+    q = q[..., :, None]
     # dU/d|S_ki|^2: q_k on the diagonal, -q_k * SINR_k off it
     G = np.where(own, q, -q * sig[..., :, None])
-    return values, G * np.conj(S)
+    H = np.conj(S)
+    return values, np.multiply(G, H, out=H)
 
 
-def _gradients(b: _Bound, H, g_phase, mask, L: int):
-    """Gradients wrt phases and column shares from H = G * conj(S), with
-    g_phase = g_ris e^{j theta} and the element mask of the point."""
+def _cascade(b: _Bound, H, g_phase):
+    """C = g_phase * (H @ B) (Q, K, L2), from H = G * conj(S) and
+    g_phase = g_ris e^{j theta}: both gradients are sums over it."""
     C = H @ b.B
-    np.multiply(g_phase, C, out=C)  # (Q, K, L2), in place as above
-    dtheta = -2.0 * np.imag(np.add.reduce(mask * C, -2))
-    dxi = 2.0 * np.add.reduce(np.real(C).reshape(C.shape[:-1] + (L, L)), -1)
-    return dtheta, dxi
+    return np.multiply(g_phase, C, out=C)  # in place, as in _evaluate
+
+
+def _phase_gradient(C, mask):
+    """The gradient wrt phases, from _cascade and the element mask."""
+    return -2.0 * np.imag(np.add.reduce(mask * C, -2))
+
+
+def _share_gradient(C, L: int):
+    """The gradient wrt column shares, from _cascade, L columns."""
+    return 2.0 * np.add.reduce(np.real(C).reshape(C.shape[:-1] + (L, L)), -1)
 
 
 def _single(ch: ChannelSet, w, theta, xi):

@@ -157,7 +157,10 @@ def _sigmoid(x):
 
 
 def mlp_forward(model: MlpModel, z_batch, train_mode: bool, dropout_seed=0):
-    """Run the network on an (Q, D) batch (a single row is promoted).
+    """Run the network on an (Q, D) batch (a single row is promoted), or,
+    outside training, on a (Q, 1, D) stack of one-row batches: each of its
+    products is then a one-row product, with the bits of a forward on that
+    row alone, where a Q-row product would round differently.
 
     Returns (theta, xi, cache): theta is (Q, L2) in [0, pi], xi is
     (Q, K, L) in [0, 1], both in the dtype of ``model.params``, to which
@@ -174,11 +177,12 @@ def mlp_forward(model: MlpModel, z_batch, train_mode: bool, dropout_seed=0):
     """
     arch = model.arch
     z = np.atleast_2d(np.asarray(z_batch, dtype=model.params.dtype))
-    if z.shape[1] != arch.input_dim:
-        raise ValueError(f"expected {arch.input_dim} inputs, got {z.shape[1]}")
+    if z.shape[-1] != arch.input_dim:
+        raise ValueError(f"expected {arch.input_dim} inputs, got {z.shape[-1]}")
     Q = z.shape[0]
-    if train_mode and Q < 2:
-        raise ValueError("training mode needs at least 2 rows for batch statistics")
+    if train_mode and (Q < 2 or z.ndim > 2):
+        raise ValueError("training mode needs a (Q, D) batch of at least 2 rows "
+                         "for batch statistics")
     rng = np.random.default_rng(dropout_seed) if (train_mode and arch.dropout_rate > 0) else None
     keep_scale = z.dtype.type(1.0 / (1.0 - arch.dropout_rate))
 
@@ -213,7 +217,7 @@ def mlp_forward(model: MlpModel, z_batch, train_mode: bool, dropout_seed=0):
     alloc_pre = a @ model.weights[-1] + model.biases[-1]
     phase_sig = _sigmoid(phase_pre)
     alloc_sig = _sigmoid(alloc_pre)
-    theta = np.pi * phase_sig
+    theta = (np.pi * phase_sig).reshape(Q, arch.phase_dim)
     xi = alloc_sig.reshape(Q, arch.alloc_users, arch.alloc_cols)
 
     cache = {"train_mode": train_mode, "layers": layers, "head_input": a,

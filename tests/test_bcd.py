@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import oracles
-from risalloc import (Allocation, BcdOptions, ScenarioConfig, bcd_optimize, binarize,
-                      brute_force, desk_config, load_dataset, make_sample, mrt_beamformers,
-                      objective_value_and_gradients, sample_seed, sum_utility,
+from risalloc import (Allocation, BcdOptions, ScenarioConfig, bcd_optimize, bcd_optimize_many,
+                      binarize, brute_force, desk_config, load_dataset, make_sample,
+                      mrt_beamformers, objective_value_and_gradients, sample_seed, sum_utility,
                       uniform_contiguous)
 from risalloc import allocation as allocation_module
 from risalloc import bcd as bcd_module
@@ -209,29 +209,34 @@ def test_stacked_line_search_matches_serial(block, sign, step0, first, trials):
     grads[moving] = sign * grads[moving]
     direction = grads[moving]
     if block == 2:
-        direction = bcd_module._vertex_direction(point[1], grads[1])
+        stacked, go = bcd_module._vertex_direction(point[1][None], grads[1][None])
+        direction = stacked[0]
         ref_direction = oracles.vertex_direction_serial(point[1], grads[1])
-        assert direction.tobytes() == ref_direction.tobytes()
+        assert go.tolist() == [True] and direction.tobytes() == ref_direction.tobytes()
     project = [lambda t: np.clip(t, 0.0, np.pi), lambda x: _simplex_columns(x)[0],
                lambda x: x][block]
 
     def at(z):
         return [z, point[1]] if moving == 0 else [point[0], z]
 
+    def score(trials, rows):  # a stack of one drop: trials (T, 1, ...)
+        return [out[:, None] for out in
+                objective_value_and_gradients(ch, *at(trials[:, 0]), w, 0.5, NOISE)]
+
     ladder = np.cumprod([step0] + [0.5] * 29)
-    got, f_got, g_got, n_got = _line_ascend(
-        point[moving], f_x, direction, project,
-        lambda z: objective_value_and_gradients(ch, *at(z), w, 0.5, NOISE), ladder, first)
+    _, ok, got, f_got, *g_got, n_got, longest = _line_ascend(
+        point[moving][None], np.array([f_x]), direction[None], project, score, ladder, first)
+    got, f_got, n_got = got[0], f_got[0], n_got[0]
+    assert longest == n_got
     ref, f_ref, n_ref = oracles.line_ascend_serial(
         point[moving], direction, project, lambda z: sum_utility(ch, *at(z), w, 0.5, NOISE),
         f_x, step0)
     assert n_got == n_ref == trials
     assert got.tobytes() == ref.tobytes() and f_got == f_ref
-    if trials == 30:  # nothing accepted: no outputs to hand on
-        assert g_got is None
-    else:
+    assert ok.tolist() == [trials < 30]  # with nothing accepted, no outputs to hand on
+    if trials < 30:
         g_ref = objective_value_and_gradients(ch, *at(ref), w, 0.5, NOISE)[1:]
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(g_got, g_ref, strict=True))
+        assert all(a[0].tobytes() == b.tobytes() for a, b in zip(g_got, g_ref, strict=True))
     if block == 1 and sign > 0:
         assert _simplex_columns(point[1] + ladder[trials - 1] * grads[1])[1].any()
     if block == 2:  # every Frank-Wolfe trial is feasible as it stands
@@ -425,3 +430,93 @@ def test_block_map_scoring_does_not_depend_on_the_stack():
             assert alone[0] == stack[0][q]
             rows = [out[q] for out in stack[1:]]
             assert all(a.tobytes() == b.tobytes() for a, b in zip(alone[1:], rows, strict=True))
+
+
+def _chunk_matches_one_drop_solves(chunk, one_drop):
+    """Each drop's theta, xi, objectives and stop reason from a lockstep
+    solve against its own one-drop solve, bit for bit."""
+    assert len(chunk) == len(one_drop)
+    for (theta, xi, trace), (ref_theta, ref_xi, ref_trace) in zip(chunk, one_drop):
+        assert theta.theta.tobytes() == ref_theta.theta.tobytes()
+        assert xi.xi.tobytes() == ref_xi.xi.tobytes()
+        assert trace.objectives == ref_trace.objectives
+        assert trace.stop_reason == ref_trace.stop_reason
+        assert len(trace.seconds) == len(trace.objectives)
+
+
+@pytest.mark.parametrize("pinned", [False, True])
+def test_lockstep_solve_matches_one_drop_solves_on_criterion_04_seeds(
+        criterion_04_solves, monkeypatch, pinned):
+    # all 20 toys in one chunk; their solves stop at different outer iterations
+    seeds = list(range(4000, 4020))
+    instances = [_criterion_04_instance(seed) for seed in seeds]
+    fixed = uniform_contiguous(2, 3) if pinned else None
+    first_stacks = {"rejected": 0, "ladders_rejected": 0}
+    first_accepted = bcd_module._first_accepted
+
+    def spy(values, f_x, skipped):  # count drops whose stack rejected every trial
+        accepted, *rest = first_accepted(values, f_x, skipped)
+        if skipped == 0 and values.shape[1] > 1:  # in a first stack with other drops
+            first_stacks["rejected"] += int(np.count_nonzero(~accepted))
+        elif skipped:  # in the rest of the ladder
+            first_stacks["ladders_rejected"] += int(np.count_nonzero(~accepted))
+        return accepted, *rest
+
+    monkeypatch.setattr(bcd_module, "_first_accepted", spy)
+    chunk = bcd_optimize_many([ch for ch, _ in instances], [w for _, w in instances],
+                              [0] * len(seeds), 0.5, NOISE, fixed_alloc=fixed)
+    one_drop = [criterion_04_solves[seed][int(pinned)][1] for seed in seeds]
+    _chunk_matches_one_drop_solves(chunk, one_drop)
+    assert len({len(trace.objectives) for _, _, trace in chunk}) > 1
+    assert first_stacks["rejected"] > 0  # the second call for some drops only
+    if not pinned:
+        assert {trace.stop_reason for _, _, trace in chunk} == {"tolerance", "iteration cap"}
+        assert first_stacks["ladders_rejected"] > 0  # drops that left a sweep on a failed search
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+def test_lockstep_solve_matches_one_drop_solves_on_desk_val_drops(monkeypatch, alpha):
+    drops = [_desk_val_drop(j) for j in range(10)]
+    noise = drops[0][1]
+    channels, ws = [s.channels for s, _, _ in drops], [s.w for s, _, _ in drops]
+    seeds = [opts.seed for _, _, opts in drops]
+    # chunks of 3, 3, 3 and 1 drops
+    monkeypatch.setattr(bcd_module, "CHUNK_BYTES", 3 * bcd_module._map_bytes(channels[0]) + 1)
+    for fixed in (None, uniform_contiguous(3, 8)):
+        chunk = bcd_optimize_many(channels, ws, seeds, alpha, noise, fixed_alloc=fixed)
+        one_drop = [bcd_optimize(s.channels, s.w, alpha, noise, opts, fixed_alloc=fixed)
+                    for s, _, opts in drops]
+        _chunk_matches_one_drop_solves(chunk, one_drop)
+
+
+def test_lockstep_kernel_calls_count_the_stacked_calls_a_drop_took_part_in(criterion_04_solves):
+    # a one-drop solve's calls are its own; a lockstep drop never takes part in
+    # more calls than its solve alone makes, since a longer first stack can only
+    # spare it a second call
+    seeds = list(range(4000, 4020))
+    instances = [_criterion_04_instance(seed) for seed in seeds]
+    chunk = bcd_optimize_many([ch for ch, _ in instances], [w for _, w in instances],
+                              [0] * len(seeds), 0.5, NOISE)
+    for seed, (_, _, trace) in zip(seeds, chunk):
+        _, solve, calls = criterion_04_solves[seed][0]
+        assert solve[2].kernel_calls == calls
+        assert 0 < trace.kernel_calls <= calls
+    assert sum(trace.kernel_calls for _, _, trace in chunk) < sum(
+        runs[0][2] for runs in criterion_04_solves.values())
+
+
+def test_lockstep_chunks_are_sized_by_the_map_budget(monkeypatch):
+    calls = []
+    solve = bcd_module._solve
+    monkeypatch.setattr(bcd_module, "_solve", lambda chs, *args: calls.append(len(chs)) or
+                        solve(chs, *args))
+    s, noise, _ = _desk_val_drop(0)
+    per_drop = bcd_module._map_bytes(s.channels)
+    assert bcd_module.CHUNK_BYTES // per_drop >= 50  # a desk val split is one chunk
+    full = ScenarioConfig()
+    assert bcd_module.CHUNK_BYTES // bcd_module._map_bytes(
+        make_sample(full, sample_seed(0, 0)).channels) < 50  # a full-profile one is not
+    monkeypatch.setattr(bcd_module, "CHUNK_BYTES", 2 * per_drop)
+    bcd_optimize_many([s.channels] * 5, [s.w] * 5, [1, 2, 3, 4, 5], 1.0, noise,
+                      BcdOptions(max_outer_iters=1))
+    assert calls == [2, 2, 1]

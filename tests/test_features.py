@@ -140,6 +140,16 @@ def test_pca_batch_and_single_row_agree():
     assert np.allclose(batch[4], single)
 
 
+def test_pca_stack_of_single_rows_has_their_bits():
+    # compare projects a split as an (n, 1, D) stack, one row's product each
+    X = np.random.default_rng(8).normal(size=(30, 120))
+    model = pca_fit(X)
+    stack = pca_transform(model, X[:, None, :])
+    assert stack.shape == (30, 1, model.axes.shape[1])
+    for i in range(30):
+        assert stack[i, 0].tobytes() == pca_transform(model, X[i]).tobytes()
+
+
 def _correlated(n, d, seed):
     """Rows driven by a few shared factors, so several components exceed 1."""
     rng = np.random.default_rng(seed)

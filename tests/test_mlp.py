@@ -96,6 +96,21 @@ def test_train_mode_needs_two_rows():
         mlp_forward(model, np.zeros((1, 3)), train_mode=True)
 
 
+def test_a_stack_of_one_row_batches_has_the_bits_of_one_row_forwards():
+    # compare scores a split this way; hidden layers wide enough that a 30-row
+    # product would round differently from 30 one-row ones
+    model = init_model(dataclasses.replace(WIDE, hidden=(500, 450, 400), dropout_rate=0.0),
+                       seed=5)
+    z = np.random.default_rng(6).normal(size=(30, WIDE.input_dim))
+    theta, xi, _ = mlp_forward(model, z[:, None, :], train_mode=False)
+    assert theta.shape == (30, WIDE.phase_dim)
+    for q in range(30):
+        t1, x1, _ = mlp_forward(model, z[q], train_mode=False)
+        assert theta[q].tobytes() == t1[0].tobytes() and xi[q].tobytes() == x1[0].tobytes()
+    with pytest.raises(ValueError):
+        mlp_forward(model, z[:, None, :], train_mode=True)
+
+
 def test_input_width_checked():
     model = tiny_model()
     with pytest.raises(ValueError):
