@@ -117,10 +117,10 @@ def objective_value_and_gradients(ch: ChannelSet, theta, xi, w, alpha: float,
         g_ris, h_rb, h_direct, w, theta, xi = _single(ch, w, theta, xi)
         bound = _bind(g_ris, h_rb, h_direct, w, grads=True)
     if bound.M is None and bound.N is None:
-        value, *grads = _evaluate(bound, theta, xi, noise_linear, alpha, grads=True)
+        out = _evaluate(bound, theta, xi, noise_linear, alpha, grads=True)
     else:
-        value, *grads = _evaluate_block(bound, theta, xi, noise_linear, alpha)
-    return (float(value) if value.ndim == 0 else value), *grads
+        out = _evaluate_block(bound, theta, xi, noise_linear, alpha)
+    return out if out[0].ndim else (float(out[0]), *out[1:])
 
 
 def _gradient_direction(theta, grad):
@@ -134,11 +134,10 @@ def _vertex_direction(xi, grad):
     The vertex s maximises the share gradient's linear model: each column
     goes wholly to the user with the largest positive gradient (the
     smallest index on a tie), or to nobody."""
-    top = grad.argmax(axis=-2)[..., None, :]
-    s = np.arange(grad.shape[-2])[:, None] == top
-    s &= (grad.max(axis=-2) > 0.0)[..., None, :]
+    s = np.arange(grad.shape[-2])[:, None] == grad.argmax(axis=-2)[..., None, :]
+    s &= grad > 0.0  # true at the top entry exactly when the largest is positive
     d = s - xi
-    return d, d.reshape(len(d), -1).any(axis=1)
+    return d, np.logical_or.reduce(d.reshape(len(d), -1), 1)
 
 
 def _clip_phases(t):
@@ -379,18 +378,20 @@ def _solve(channels, ws, seeds, alpha, noise_linear, opts, fixed_alloc):
     traces = [BcdTrace() for _ in range(P)]
     answers = [None] * P
     ids = np.arange(P)  # the chunk position of each drop in the stack
-    # kernel calls: those of the whole stack, and each drop's others
-    calls, own_calls = 0, np.zeros(P, dtype=int)
+    # kernel calls: those of the whole stack (the starting one first), and each drop's others
+    calls, own_calls = 1, np.zeros(P, dtype=int)
 
-    def score(th, x, bound, rows):
+    def score(trials, bound, rows):  # trials of the block that bound's map leaves free
         nonlocal calls
         if rows is None:
             calls += 1
         else:
             own_calls[rows] += 1
+        th, x = (trials, None) if bound.M is not None else (None, trials)
         return objective_value_and_gradients(None, th, x, None, alpha, noise_linear, bound)
 
-    obj, dtheta, dxi = score(theta, xi, problem, None)
+    obj, dtheta, dxi = objective_value_and_gradients(None, theta, xi, None, alpha, noise_linear,
+                                                     problem)
     values = obj.tolist()
     if not all(map(math.isfinite, values)):
         raise RuntimeError("objective is not finite at the starting point")
@@ -408,7 +409,7 @@ def _solve(channels, ws, seeds, alpha, noise_linear, opts, fixed_alloc):
             phase_map = problem.with_shares(xi)
         theta, obj, dtheta, H, got, used[0] = _sweep(
             theta, obj, dtheta, used[0], _gradient_direction, _clip_phases, phase_map.scorer(),
-            lambda t, b, rows: score(t, None, b, rows), phase_ladder, opts.inner_steps_per_block)
+            score, phase_ladder, opts.inner_steps_per_block)
 
         if fixed_alloc is None:
             if _any(got):
@@ -416,7 +417,7 @@ def _solve(channels, ws, seeds, alpha, noise_linear, opts, fixed_alloc):
             share_map = problem.with_phases(theta)
             xi, obj, dxi, H, got, used[1] = _sweep(
                 xi, obj, dxi, used[1], _vertex_direction, None,  # every trial is feasible
-                share_map.scorer(), lambda x, b, rows: score(None, x, b, rows),
+                share_map.scorer(), score,
                 share_ladder, opts.inner_steps_per_block)
             if _any(got):
                 dtheta = _where(got, share_map.fixed_gradient(H, theta, xi), dtheta)

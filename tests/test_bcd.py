@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -444,49 +448,62 @@ def _chunk_matches_one_drop_solves(chunk, one_drop):
         assert len(trace.seconds) == len(trace.objectives)
 
 
-@pytest.mark.parametrize("pinned", [False, True])
-def test_lockstep_solve_matches_one_drop_solves_on_criterion_04_seeds(
-        criterion_04_solves, monkeypatch, pinned):
-    # all 20 toys in one chunk; their solves stop at different outer iterations
-    seeds = list(range(4000, 4020))
-    instances = [_criterion_04_instance(seed) for seed in seeds]
-    fixed = uniform_contiguous(2, 3) if pinned else None
-    first_stacks = {"rejected": 0, "ladders_rejected": 0}
-    first_accepted = bcd_module._first_accepted
+def _lockstep_gate(family):
+    """Lockstep solves against one-drop solves, both in this process; run at
+    one BLAS thread by the test below. "criterion_04": all 20 toys in one
+    chunk, free and pinned, alpha 0.5; their solves stop at different outer
+    iterations. "desk": desk val drops 0-9 in chunks of 3, 3, 3 and 1, free
+    and pinned, at alpha 0.5, 1 and 2."""
+    with pytest.MonkeyPatch.context() as patch:
+        if family == "criterion_04":
+            instances = [_criterion_04_instance(seed) for seed in range(4000, 4020)]
+            for fixed in (None, uniform_contiguous(2, 3)):
+                counts = {"first": 0, "rest": 0}  # drops that rejected a whole stack
+                first_accepted = bcd_module._first_accepted
 
-    def spy(values, f_x, skipped):  # count drops whose stack rejected every trial
-        accepted, *rest = first_accepted(values, f_x, skipped)
-        if skipped == 0 and values.shape[1] > 1:  # in a first stack with other drops
-            first_stacks["rejected"] += int(np.count_nonzero(~accepted))
-        elif skipped:  # in the rest of the ladder
-            first_stacks["ladders_rejected"] += int(np.count_nonzero(~accepted))
-        return accepted, *rest
+                def spy(values, f_x, skipped):
+                    accepted, *rest = first_accepted(values, f_x, skipped)
+                    if skipped == 0 and values.shape[1] > 1:  # a first stack with other drops
+                        counts["first"] += int(np.count_nonzero(~accepted))
+                    elif skipped:  # the rest of the ladder
+                        counts["rest"] += int(np.count_nonzero(~accepted))
+                    return accepted, *rest
 
-    monkeypatch.setattr(bcd_module, "_first_accepted", spy)
-    chunk = bcd_optimize_many([ch for ch, _ in instances], [w for _, w in instances],
-                              [0] * len(seeds), 0.5, NOISE, fixed_alloc=fixed)
-    one_drop = [criterion_04_solves[seed][int(pinned)][1] for seed in seeds]
-    _chunk_matches_one_drop_solves(chunk, one_drop)
-    assert len({len(trace.objectives) for _, _, trace in chunk}) > 1
-    assert first_stacks["rejected"] > 0  # the second call for some drops only
-    if not pinned:
-        assert {trace.stop_reason for _, _, trace in chunk} == {"tolerance", "iteration cap"}
-        assert first_stacks["ladders_rejected"] > 0  # drops that left a sweep on a failed search
+                patch.setattr(bcd_module, "_first_accepted", spy)
+                chunk = bcd_optimize_many([ch for ch, _ in instances], [w for _, w in instances],
+                                          [0] * len(instances), 0.5, NOISE, fixed_alloc=fixed)
+                patch.undo()
+                _chunk_matches_one_drop_solves(chunk, [
+                    bcd_optimize(ch, w, 0.5, NOISE, fixed_alloc=fixed) for ch, w in instances])
+                assert len({len(trace.objectives) for _, _, trace in chunk}) > 1
+                assert counts["first"] > 0  # the second call for some drops only
+                if fixed is None:
+                    stops = {trace.stop_reason for _, _, trace in chunk}
+                    assert stops == {"tolerance", "iteration cap"}
+                    assert counts["rest"] > 0  # drops that left a sweep on a failed search
+            return
+        drops = [_desk_val_drop(j) for j in range(10)]
+        noise = drops[0][1]
+        channels, ws = [s.channels for s, _, _ in drops], [s.w for s, _, _ in drops]
+        seeds = [opts.seed for _, _, opts in drops]
+        patch.setattr(bcd_module, "CHUNK_BYTES", 3 * bcd_module._map_bytes(channels[0]) + 1)
+        for alpha in (0.5, 1.0, 2.0):
+            for fixed in (None, uniform_contiguous(3, 8)):
+                chunk = bcd_optimize_many(channels, ws, seeds, alpha, noise, fixed_alloc=fixed)
+                _chunk_matches_one_drop_solves(chunk, [
+                    bcd_optimize(s.channels, s.w, alpha, noise, opts, fixed_alloc=fixed)
+                    for s, _, opts in drops])
 
 
-@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
-def test_lockstep_solve_matches_one_drop_solves_on_desk_val_drops(monkeypatch, alpha):
-    drops = [_desk_val_drop(j) for j in range(10)]
-    noise = drops[0][1]
-    channels, ws = [s.channels for s, _, _ in drops], [s.w for s, _, _ in drops]
-    seeds = [opts.seed for _, _, opts in drops]
-    # chunks of 3, 3, 3 and 1 drops
-    monkeypatch.setattr(bcd_module, "CHUNK_BYTES", 3 * bcd_module._map_bytes(channels[0]) + 1)
-    for fixed in (None, uniform_contiguous(3, 8)):
-        chunk = bcd_optimize_many(channels, ws, seeds, alpha, noise, fixed_alloc=fixed)
-        one_drop = [bcd_optimize(s.channels, s.w, alpha, noise, opts, fixed_alloc=fixed)
-                    for s, _, opts in drops]
-        _chunk_matches_one_drop_solves(chunk, one_drop)
+@pytest.mark.parametrize("family", ["criterion_04", "desk"])
+def test_lockstep_solves_match_one_drop_solves_at_one_blas_thread(family):
+    one = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    paths = [str(Path(__file__).parent), str(Path(bcd_module.__file__).resolve().parents[1])]
+    env = {**os.environ, **one,
+           "PYTHONPATH": os.pathsep.join(filter(None, [*paths, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", f"import test_bcd; test_bcd._lockstep_gate({family!r})"],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_lockstep_kernel_calls_count_the_stacked_calls_a_drop_took_part_in(criterion_04_solves):
