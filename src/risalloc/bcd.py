@@ -332,11 +332,12 @@ def bcd_optimize_many(channels, ws, seeds, alpha: float, noise_linear: float,
     read), bit for bit. Returns one (PhaseConfig, Allocation, BcdTrace) per
     drop; BcdTrace says how a lockstep solve counts seconds and calls.
     """
+    opts = options or BcdOptions()
     size = max(1, CHUNK_BYTES // _map_bytes(channels[0])) if len(channels) else 1
     answers = []
     for lo in range(0, len(channels), size):
         answers += _solve(channels[lo:lo + size], ws[lo:lo + size], seeds[lo:lo + size],
-                          alpha, noise_linear, options or BcdOptions(), fixed_alloc)
+                          alpha, noise_linear, opts, fixed_alloc)
     return answers
 
 

@@ -257,7 +257,8 @@ def _solve_split(scheme, split, alpha, noise, opts, model, pca, nu, budget, fixe
     """Run one scheme on every drop of the split, "uniform" pinned to
     ``fixed``; returns one (theta, allocation) per drop. "uniform" and "bcd"
     solve the split in lockstep (``bcd_optimize_many``), each drop from the
-    seed of its index; the other schemes take one drop at a time."""
+    seed of its index; "nn" and "nn+pca" score the split as one stack of
+    one-row forwards, and "brute" takes one drop at a time."""
     if scheme in ("uniform", "bcd"):
         seeds = [_per_sample_seed(opts.seed, i) for i in range(len(split))]
         solved = bcd_optimize_many([s.channels for s in split], [s.w for s in split], seeds,
