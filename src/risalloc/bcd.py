@@ -34,16 +34,18 @@ that accepts nothing leaves it as it was.
 
 One core solves a stack of drops in lockstep. Each drop keeps its own
 point, gradients, place on each ladder, block maps and stop flag; the
-maps are stacked, one slice per drop. Each search round scores the trials
-of every drop still sweeping in one call, as a (trials, drops) stack
-padded to the longest first stack among them: a drop accepts its first
-trial in ladder order that does not lower its value, and a trial's bits
-do not depend on the stack it is scored in, so the padding changes no
-answer. A drop whose sweep ends leaves the round's stack, and a drop that
-meets the tolerance leaves the solve. ``bcd_optimize`` is the core on one
-drop. ``bcd_optimize_many`` runs it on many drops of one scenario, in
-chunks of as many as CHUNK_BYTES of stacked maps hold, and gives each drop
-the bits its one-drop solve gives.
+maps are stacked, one slice per drop, and ``metrics`` binds, slices and
+sizes the stack (``_bind_drops``, ``_Bound.take``, ``_map_bytes``). Each
+search round scores the trials of every drop still sweeping in one call,
+as a (trials, drops) stack padded to the longest first stack among them:
+a drop accepts its first trial in ladder order that does not lower its
+value, and a trial's bits do not depend on the stack it is scored in, so
+the padding changes no answer. A drop whose sweep ends leaves the round's
+stack, all by one path whatever the reason, and a drop that meets the
+tolerance leaves the solve. ``bcd_optimize`` is the core on one drop.
+``bcd_optimize_many`` runs it on many drops of one scenario, in chunks of
+as many as CHUNK_BYTES of stacked maps hold, and gives each drop the bits
+its one-drop solve gives.
 """
 
 from __future__ import annotations
@@ -56,11 +58,12 @@ import numpy as np
 
 from .channel import ChannelSet
 from .config import AT_LEAST_ONE, NON_NEGATIVE, POSITIVE, check_fields
-from .metrics import Allocation, PhaseConfig, _bind, _evaluate, _evaluate_block, _single
+from .metrics import (Allocation, PhaseConfig, _bind, _bind_drops, _evaluate, _evaluate_block,
+                      _map_bytes, _single)
 
-# Byte budget of one chunk's stacked block maps when many drops are solved
-# in lockstep (bcd_optimize_many): 4 MiB holds a desk split of 165 drops, or
-# 28 drops of the 20x20 full profile.
+# Byte budget of one chunk's stacked block maps (metrics._map_bytes a drop)
+# when many drops are solved in lockstep (bcd_optimize_many): 4 MiB holds a
+# desk split of 202 drops, or 34 drops of the 20x20 full profile.
 CHUNK_BYTES = 4 << 20
 
 
@@ -246,10 +249,10 @@ def _sweep(x, f_x, grad, used, direction, project, bound, score, ladder, steps):
     a drop's own search needed changes nothing for it: it accepts the
     first trial in ladder order that does not lower its value, and a
     trial's bits do not depend on the stack it is scored in. A drop leaves
-    the sweep when the direction rule gives it none, when its search
-    accepts nothing, and as soon as a search leaves its point and gradient
-    unchanged: every later search would score the same trials from the
-    same point and gradient.
+    the sweep, before the next round's search, when the direction rule
+    gives it none, when its search accepts nothing, and as soon as a
+    search leaves its point and gradient unchanged: every later search
+    would score the same trials from the same point and gradient.
 
     Returns (point, value, gradient, H of the last accepted trial, whether
     any trial was accepted, trials the last search used), one row per
@@ -257,8 +260,9 @@ def _sweep(x, f_x, grad, used, direction, project, bound, score, ladder, steps):
     """
     n = len(f_x)
     rows, H = np.arange(n), np.zeros(bound.D.shape, bound.D.dtype)  # H of a drop's last acceptance
-    done = []  # (whether any trial was accepted, state) of drops that left the sweep
-    got = False  # whether the drops still sweeping have accepted a trial
+    got = np.zeros(n, dtype=bool)  # whether a drop has accepted a trial
+    done = []  # the state of drops that left the sweep
+    keep = None  # the drops that stay after the last search; None: all
     longest = _largest(used)  # the most trials a sweeping drop's last search used
 
     def score_rows(trials, r):  # r: rows of the drops still sweeping, None for all
@@ -267,60 +271,33 @@ def _sweep(x, f_x, grad, used, direction, project, bound, score, ladder, steps):
         return score(trials, bound.take(r), rows[r])
 
     for _ in range(steps):
-        d, go = direction(x, grad)
-        if go is not None and not _all(go):
-            kept = _part(go, got, (rows, x, f_x, grad, H, used), done)
-            if kept is None:
+        if keep is None or _any(keep):  # only a drop that stays needs a direction
+            d, go = direction(x, grad)
+            if go is not None:
+                keep = go if keep is None else keep & go
+        if keep is not None and not _all(keep):  # the drops not kept leave the sweep
+            state = (rows, x, f_x, grad, H, got, used)
+            if not _any(keep):
+                done.append(state)
                 break
-            (rows, x, f_x, grad, H, used), bound, d = kept, bound.take(go), d[go]
-            longest = _largest(used)
+            done.append(tuple(a[~keep] for a in state))
+            rows, x, f_x, grad, H, got, used, d = (a[keep] for a in (*state, d))
+            bound, longest = bound.take(keep), _largest(used)
         every, ok, y, f_y, g_y, H_y, used, longest = _line_ascend(
             x, f_x, d, project, score_rows, ladder, min(longest + 1, len(ladder)))
-        if not every:  # the other drops' trials all lower the objective
-            kept = _part(ok, got, (rows, x, f_x, grad, H, used), done)
-            if kept is None:
-                break
-            (rows, x, f_x, grad, H, used), bound = kept, bound.take(ok)
-            y, f_y, g_y, H_y = y[ok], f_y[ok], g_y[ok], H_y[ok]
-            longest = _largest(used)
-        fixed = None
+        keep = None
+        if not every:  # a drop that accepted nothing keeps its point, gradient and H
+            g_y, H_y, keep = _where(ok, g_y, grad), _where(ok, H_y, H), ok
         if _any_equal(f_y, f_x):  # the floats first: cheap
             axes = tuple(range(1, y.ndim))
-            fixed = (f_y == f_x) & (y == x).all(axis=axes) & (g_y == grad).all(axis=axes)
-        x, f_x, grad, H, got = y, f_y, g_y, H_y, True
-        if fixed is not None and fixed.any():
-            kept = _part(~fixed, got, (rows, x, f_x, grad, H, used), done)
-            if kept is None:
-                break
-            (rows, x, f_x, grad, H, used), bound = kept, bound.take(~fixed)
-            longest = _largest(used)
+            keep = ok & ~((f_y == f_x) & (y == x).all(axis=axes) & (g_y == grad).all(axis=axes))
+        x, f_x, grad, H, got = y, f_y, g_y, H_y, got | ok
     else:
-        done.append((got, (rows, x, f_x, grad, H, used)))
+        done.append((rows, x, f_x, grad, H, got, used))
     if len(done) == 1:
-        got, state = done[0]
-        return (*state[1:5], np.full(n, got), state[5])
-    order = np.argsort(np.concatenate([piece[0] for _, piece in done]))
-    state = [np.concatenate(field)[order] for field in zip(*(piece for _, piece in done))]
-    got = np.concatenate([np.full(len(piece[0]), g) for g, piece in done])[order]
-    return (*state[1:5], got, state[5])
-
-
-def _part(keep, got, state, done):
-    """Move the drops not in ``keep`` from a sweep's state to ``done``, with
-    whether they accepted a trial; returns the kept drops' state, or None
-    when none is kept."""
-    if not np.count_nonzero(keep):
-        done.append((got, state))
-        return None
-    done.append((got, tuple(a[~keep] for a in state)))
-    return tuple(a[keep] for a in state)
-
-
-def _map_bytes(ch: ChannelSet) -> int:
-    """Bytes of one drop's block maps: M and Mt, N and Nt, the phased
-    surface channel (complex) and the element mask (real)."""
-    K, L2, L = ch.num_users, ch.num_elements, ch.side
-    return 16 * (2 * L2 * K * K + 2 * K * L * K + K * L2) + 8 * K * L2
+        return done[0][1:]
+    order = np.argsort(np.concatenate([state[0] for state in done]))
+    return tuple(np.concatenate(field)[order] for field in zip(*done))[1:]
 
 
 def bcd_optimize_many(channels, ws, seeds, alpha: float, noise_linear: float,
@@ -374,8 +351,7 @@ def _solve(channels, ws, seeds, alpha, noise_linear, opts, fixed_alloc):
     phase_ladder = np.cumprod([opts.step_size] + halvings)
     share_ladder = np.cumprod([1.0] + halvings)
 
-    problem = _bind(*(np.stack([getattr(ch, f) for ch in channels])
-                      for f in ("g_ris", "h_rb", "h_direct")), np.stack(ws), grads=True)
+    problem = _bind_drops(channels, ws, grads=True)
     traces = [BcdTrace() for _ in range(P)]
     answers = [None] * P
     ids = np.arange(P)  # the chunk position of each drop in the stack

@@ -76,11 +76,18 @@ def load_config_file(path):
             for name, cls in _SECTIONS.items()}
 
 
-def _options(args, cls, flags: dict):
+def _config_sections(args) -> dict:
+    """The --config file's settings keyed by type, read once per command;
+    empty without --config."""
+    return load_config_file(args.config) if args.config else {}
+
+
+def _options(args, sections: dict, cls, flags: dict):
     """The settings of type ``cls`` a command runs with: the type's defaults,
-    then the config file's section, then the flags given. ``flags`` maps each
-    flag to its field, which is also the flag's parser dest (None if absent)."""
-    options = load_config_file(args.config)[cls] if args.config else cls()
+    then the config file's section (``sections``, from _config_sections),
+    then the flags given. ``flags`` maps each flag to its field, which is
+    also the flag's parser dest (None if absent)."""
+    options = sections[cls] if sections else cls()
     for flag, name in flags.items():
         value = getattr(args, name)
         if value is not None:
@@ -126,7 +133,8 @@ def _per_sample_seed(seed: int, index: int) -> int:
 # ---------------------------------------------------------------- generate
 
 def cmd_generate(args) -> int:
-    config = _options(args, ScenarioConfig, {}) if args.config else _PROFILES[args.profile]()
+    config = (load_config_file(args.config)[ScenarioConfig] if args.config
+              else _PROFILES[args.profile]())
     if args.n_train < 0 or args.n_val < 0 or args.n_train + args.n_val < 1:
         raise ConfigError("need --n-train/--n-val with at least one sample in total")
     # each record header holds its sample's seed, master seed + i, in 64 bits
@@ -156,7 +164,7 @@ def cmd_train(args) -> int:
         raise DatasetError(f"training needs at least 2 training samples and 1 validation sample, "
                            f"got {len(train_s)} and {len(val_s)}")
 
-    opts = _options(args, TrainOptions, {
+    opts = _options(args, _config_sections(args), TrainOptions, {
         "--alpha": "alpha", "--lr": "learning_rate", "--batch-size": "batch_size",
         "--seed": "seed", "--max-epochs": "max_epochs", "--no-pca": "use_pca"})
     result = train(train_s, val_s, manifest.config.noise_watts, opts)
@@ -185,7 +193,8 @@ def cmd_train(args) -> int:
 # --------------------------------------------------------------------- bcd
 
 def cmd_bcd(args) -> int:
-    alpha = _options(args, TrainOptions, {"--alpha": "alpha"}).alpha
+    sections = _config_sections(args)
+    alpha = _options(args, sections, TrainOptions, {"--alpha": "alpha"}).alpha
     out = _out_dir(args.out)
     samples, manifest = load_dataset(args.data)
     if not 0 <= args.index < len(samples):
@@ -193,8 +202,8 @@ def cmd_bcd(args) -> int:
             f"sample index {args.index} out of range for {len(samples)} records")
     s = samples[args.index]
     noise = manifest.config.noise_watts
-    opts = _options(args, BcdOptions, {"--tol": "tol", "--seed": "seed",
-                                       "--max-outer-iters": "max_outer_iters"})
+    opts = _options(args, sections, BcdOptions, {"--tol": "tol", "--seed": "seed",
+                                                 "--max-outer-iters": "max_outer_iters"})
 
     theta, xi, trace = bcd_optimize(s.channels, s.w, alpha, noise, opts)
     hard = binarize(xi.xi)
@@ -277,7 +286,8 @@ def _solve_split(scheme, split, alpha, noise, opts, model, pca, nu, budget, fixe
 
 
 def cmd_compare(args) -> int:
-    alpha = _options(args, TrainOptions, {"--alpha": "alpha"}).alpha
+    sections = _config_sections(args)
+    alpha = _options(args, sections, TrainOptions, {"--alpha": "alpha"}).alpha
     check_value("--nu", args.nu, "int", AT_LEAST_ONE)
     check_value("--budget", args.budget, "int", NON_NEGATIVE)
     _check_out_file(args.out, ".timing.csv")
@@ -291,7 +301,7 @@ def cmd_compare(args) -> int:
     ch = split[0].channels
     fixed = uniform_contiguous(ch.num_users, ch.side) if "uniform" in schemes else None
     model, pca = _load_model_for(schemes, args.model, ch)
-    opts = _options(args, BcdOptions, {"--seed": "seed"})
+    opts = _options(args, sections, BcdOptions, {"--seed": "seed"})
 
     noise = manifest.config.noise_watts
     bandwidth = manifest.config.bandwidth

@@ -10,6 +10,11 @@ Each of its blocks then binds a block map (``_Bound.with_shares`` or
 ``with_phases``) and scores its trials through it (``_evaluate_block``).
 Both paths end in one shared tail (``_tail``) from S to the utilities and
 H = G * conj(S), G = dU/d|S|^2.
+
+A stack of drops is this module's too: ``_bind_drops`` stacks and binds a
+list of drops, for training's batches and the solver's lockstep chunks,
+``_Bound.take`` slices a bound stack, and ``_map_bytes`` gives the bytes
+one drop's block maps take in it.
 """
 
 from __future__ import annotations
@@ -98,22 +103,19 @@ class _Bound:
     own: np.ndarray | None             # (K, K) selector of each user's own beam
     B: np.ndarray | None               # B[i, l] = (h_rb w_i)_l
     D: np.ndarray | None               # D[k, i] = h_d,k . w_i, the direct part of S
-    mask: np.ndarray | None = None     # expand_columns(xi) for fixed shares
     M: np.ndarray | None = None        # (L2, K*K) phase map, M[l, (k, i)] = g_kl mask_kl B_il
     Mt: np.ndarray | None = None       # -2 M^T: the phase gradient is Im(e^{j theta} (H @ Mt))
-    g_phase: np.ndarray | None = None  # g_ris e^{j theta} for fixed phases
-    N: np.ndarray | None = None        # (K, L, K) share map: N[k, c, i] sums g_phase_kl B_il
-                                       # over the elements l of column c
+    N: np.ndarray | None = None        # (K, L, K) share map: N[k, c, i] sums
+                                       # g_kl e^{j theta_l} B_il over the elements l of column c
     Nt: np.ndarray | None = None       # 2 N^T per user: the share gradient is Re(H_k @ Nt_k)
 
     def with_shares(self, xi) -> "_Bound":
         """Bind the phase map of fixed shares: S = D + e^{j theta} @ M."""
-        mask = expand_columns(xi)
-        gm = (self.g_ris * mask).swapaxes(-1, -2)
+        gm = (self.g_ris * expand_columns(xi)).swapaxes(-1, -2)
         M = (gm[..., :, :, None] * self.B.swapaxes(-1, -2)[..., None, :]).reshape(
             gm.shape[:-1] + (-1,))
         return _Bound(self.g_ris, self.h_rb, self.h_direct, self.w_t, self.own, self.B, self.D,
-                      mask=mask, M=M, Mt=-2.0 * M.swapaxes(-1, -2))
+                      M=M, Mt=-2.0 * M.swapaxes(-1, -2))
 
     def with_phases(self, theta) -> "_Bound":
         """Bind the share map of fixed phases: S_k = D_k + xi_k @ N_k."""
@@ -123,15 +125,15 @@ class _Bound:
         Nt = np.add.reduce((g_phase[..., :, None, :] * self.B[..., None, :, :]).reshape(
             g_phase.shape[:-2] + (K, K, L, L)), -1)
         return _Bound(self.g_ris, self.h_rb, self.h_direct, self.w_t, self.own, self.B, self.D,
-                      g_phase=g_phase, N=Nt.swapaxes(-1, -2).copy(), Nt=2.0 * Nt)
+                      N=Nt.swapaxes(-1, -2).copy(), Nt=2.0 * Nt)
 
     def fixed_gradient(self, H, theta, xi):
         """The gradient wrt the block this binding holds fixed, at the point
         (theta, xi) whose H = G * conj(S) a block call returned."""
+        C = _cascade(self, H, self.g_ris * np.exp(1j * theta)[..., None, :])
         if self.M is not None:
-            C = _cascade(self, H, self.g_ris * np.exp(1j * theta)[..., None, :])
             return _share_gradient(C, np.shape(xi)[-1])
-        return _phase_gradient(_cascade(self, H, self.g_phase), expand_columns(xi))
+        return _phase_gradient(C, expand_columns(xi))
 
     def scorer(self) -> "_Bound":
         """What _evaluate_block reads of this binding: own, D and the block
@@ -147,7 +149,15 @@ class _Bound:
                                 if getattr(self, f) is not None})
 
 
-_PER_DROP = ("g_ris", "h_rb", "h_direct", "w_t", "B", "D", "mask", "M", "Mt", "g_phase", "N", "Nt")
+_PER_DROP = ("g_ris", "h_rb", "h_direct", "w_t", "B", "D", "M", "Mt", "N", "Nt")
+
+
+def _map_bytes(ch: ChannelSet) -> int:
+    """Bytes of the block maps one drop of ch's shape holds in a bound stack:
+    M and Mt (L2 x K*K) from with_shares, N and Nt (K x L x K) from
+    with_phases, all complex."""
+    K, L2, L = ch.num_users, ch.num_elements, ch.side
+    return 16 * 2 * K * K * (L2 + L)
 
 
 def _take(a, rows):
@@ -166,6 +176,15 @@ def _bind(g_ris, h_rb, h_direct, w, grads: bool = False) -> _Bound:
     B = w @ h_rb.swapaxes(-1, -2) if grads else None
     D = h_direct @ w_t if grads else None
     return _Bound(g_ris, h_rb, h_direct, w_t, own, B, D)
+
+
+def _bind_drops(channels, ws, grads: bool = False) -> _Bound:
+    """A list of drops (ChannelSets and their (K, N) beam matrices) stacked
+    and bound once by _bind."""
+    if len(channels) != len(ws):
+        raise ValueError("batch sizes disagree")
+    return _bind(*(np.stack([getattr(ch, f) for ch in channels])
+                   for f in ("g_ris", "h_rb", "h_direct")), np.stack(ws), grads)
 
 
 def _objective(g_ris, h_rb, h_direct, w, theta, xi, noise_linear: float,

@@ -16,24 +16,9 @@ import numpy as np
 from .allocation import _simplex_columns, project_feasible_with_vjp
 from .config import AT_LEAST_ONE, NON_NEGATIVE, POSITIVE, ConfigError, check_fields
 from .features import PcaModel, feature_matrix, pca_fit, pca_transform
-from .metrics import _bind, _Bound, _evaluate
+from .metrics import _bind_drops, _Bound, _evaluate
 from .mlp import (LAYER_RULES, MlpArch, MlpModel, adam_step, backward_pieces, init_adam,
                   init_model, mlp_forward)
-
-
-def _bind_drops(ch_batch, w_batch, grads: bool) -> _Bound:
-    """The kernel inputs of a list of drops, stacked and bound once; with
-    grads, the binding also holds B = w h_rb^T and the direct part D."""
-    if len(ch_batch) != len(w_batch):
-        raise ValueError("batch sizes disagree")
-    return _bind(np.stack([c.g_ris for c in ch_batch]), np.stack([c.h_rb for c in ch_batch]),
-                 np.stack([c.h_direct for c in ch_batch]), np.stack(w_batch), grads)
-
-
-def _rows(bound: _Bound, idx) -> _Bound:
-    """The drops ``idx`` of a bound stack, gathered from every bound input."""
-    return _Bound(bound.g_ris[idx], bound.h_rb[idx], bound.h_direct[idx], bound.w_t[idx],
-                  bound.own, bound.B[idx], bound.D[idx])
 
 
 def _mean_loss(values) -> float:
@@ -245,7 +230,7 @@ def train(train_samples, val_samples, noise_linear: float,
             drop_seed = np.random.SeedSequence([opts.seed, epoch, b])
             theta_b, xi_b, cache = mlp_forward(model, z_train[idx], train_mode=True,
                                                dropout_seed=drop_seed)
-            loss, d_theta, d_xi = _score(_rows(bound_train, idx), theta_b, xi_b, opts.alpha,
+            loss, d_theta, d_xi = _score(bound_train.take(idx), theta_b, xi_b, opts.alpha,
                                          noise_linear, grads=True)
             # Adam updates each tensor as soon as its gradient is final, so no
             # parameter-sized gradient is ever held

@@ -17,7 +17,7 @@ from risalloc import bcd as bcd_module
 from risalloc.allocation import _simplex_columns
 from risalloc.bcd import _line_ascend
 from risalloc.cli import _per_sample_seed, main
-from risalloc.metrics import _bind
+from risalloc.metrics import _bind, _map_bytes
 
 NOISE = 0.05
 
@@ -452,11 +452,15 @@ def _lockstep_gate(family):
     """Lockstep solves against one-drop solves, both in this process; run at
     one BLAS thread by the test below. "criterion_04": all 20 toys in one
     chunk, free and pinned, alpha 0.5; their solves stop at different outer
-    iterations. "desk": desk val drops 0-9 in chunks of 3, 3, 3 and 1, free
-    and pinned, at alpha 0.5, 1 and 2."""
+    iterations. A 21st toy with a severed surface stops at a bitwise fixed
+    point while the others keep sweeping. "desk": desk val drops 0-9 in
+    chunks of 3, 3, 3 and 1, free and pinned, at alpha 0.5, 1 and 2."""
     with pytest.MonkeyPatch.context() as patch:
         if family == "criterion_04":
             instances = [_criterion_04_instance(seed) for seed in range(4000, 4020)]
+            severed, w = _criterion_04_instance(4003)
+            severed.g_ris[:] = 0
+            instances.append((severed, w))
             for fixed in (None, uniform_contiguous(2, 3)):
                 counts = {"first": 0, "rest": 0}  # drops that rejected a whole stack
                 first_accepted = bcd_module._first_accepted
@@ -486,7 +490,7 @@ def _lockstep_gate(family):
         noise = drops[0][1]
         channels, ws = [s.channels for s, _, _ in drops], [s.w for s, _, _ in drops]
         seeds = [opts.seed for _, _, opts in drops]
-        patch.setattr(bcd_module, "CHUNK_BYTES", 3 * bcd_module._map_bytes(channels[0]) + 1)
+        patch.setattr(bcd_module, "CHUNK_BYTES", 3 * _map_bytes(channels[0]) + 1)
         for alpha in (0.5, 1.0, 2.0):
             for fixed in (None, uniform_contiguous(3, 8)):
                 chunk = bcd_optimize_many(channels, ws, seeds, alpha, noise, fixed_alloc=fixed)
@@ -528,10 +532,10 @@ def test_lockstep_chunks_are_sized_by_the_map_budget(monkeypatch):
     monkeypatch.setattr(bcd_module, "_solve", lambda chs, *args: calls.append(len(chs)) or
                         solve(chs, *args))
     s, noise, _ = _desk_val_drop(0)
-    per_drop = bcd_module._map_bytes(s.channels)
+    per_drop = _map_bytes(s.channels)
     assert bcd_module.CHUNK_BYTES // per_drop >= 50  # a desk val split is one chunk
     full = ScenarioConfig()
-    assert bcd_module.CHUNK_BYTES // bcd_module._map_bytes(
+    assert bcd_module.CHUNK_BYTES // _map_bytes(
         make_sample(full, sample_seed(0, 0)).channels) < 50  # a full-profile one is not
     monkeypatch.setattr(bcd_module, "CHUNK_BYTES", 2 * per_drop)
     bcd_optimize_many([s.channels] * 5, [s.w] * 5, [1, 2, 3, 4, 5], 1.0, noise,

@@ -355,6 +355,24 @@ def test_compare_default_schemes(tmp_path, dataset, cfg_path):
     assert float(rows[1]["mean_utility"]) >= float(rows[0]["mean_utility"]) - 1e-9
 
 
+@pytest.mark.parametrize("command,args", [
+    ("generate", ["--n-train", "1", "--n-val", "1", "--out", "ds2"]),
+    ("train", ["--max-epochs", "1", "--out", "model.ckpt"]),
+    ("bcd", ["--out", "solve"]),
+    ("compare", ["--out", "cmp.csv"]),
+])
+def test_each_command_reads_its_config_once(tmp_path, dataset, cfg_path, monkeypatch, command,
+                                            args):
+    reads = []
+    load = risalloc.cli.load_config_file
+    monkeypatch.setattr(risalloc.cli, "load_config_file", lambda path: reads.append(path) or
+                        load(path))
+    data = [] if command == "generate" else ["--data", str(dataset)]
+    *flags, out = args
+    assert main([command, *data, "--config", cfg_path, *flags, str(tmp_path / out)]) == 0
+    assert reads == [cfg_path]
+
+
 def test_compare_deterministic_table(tmp_path, dataset, cfg_path):
     outs = []
     for name in ("c1.csv", "c2.csv"):

@@ -3,9 +3,9 @@ import pytest
 
 import oracles
 from risalloc import (Allocation, RATE_FLOOR, alpha_mean_throughput, alpha_utility,
-                      expand_columns, mrt_beamformers, objective_value_and_gradients,
-                      sum_utility, user_rates)
-from risalloc.metrics import _objective
+                      desk_config, expand_columns, make_sample, mrt_beamformers,
+                      objective_value_and_gradients, sample_seed, sum_utility, user_rates)
+from risalloc.metrics import _bind_drops, _map_bytes, _objective
 
 
 def test_expand_columns_replication():
@@ -153,3 +153,21 @@ def test_value_only_path_matches_gradient_path(alpha):
     for q in range(4):
         value, _, _ = objective_value_and_gradients(chs[q], theta[q], xi[q], ws[q], alpha, 0.05)
         assert sum_utility(chs[q], theta[q], xi[q], ws[q], alpha, 0.05) == value == values[q]
+
+
+def test_map_bytes_are_the_block_maps_one_drop_binds():
+    # the byte count that sizes bcd's lockstep chunks
+    s = make_sample(desk_config(), sample_seed(0, 0))
+    ch = s.channels
+    problem = _bind_drops([ch], [s.w], grads=True)
+    phase_map = problem.with_shares(np.full((1, ch.num_users, ch.side), 1.0 / ch.num_users))
+    share_map = problem.with_phases(np.zeros((1, ch.num_elements)))
+    assert _map_bytes(ch) == sum(m.nbytes for m in (phase_map.M, phase_map.Mt,
+                                                    share_map.N, share_map.Nt))
+
+
+def test_bind_drops_refuses_lists_of_different_lengths():
+    ch = oracles.toy_channels(seed=1)
+    w = mrt_beamformers(ch, 1.0).w
+    with pytest.raises(ValueError, match="batch sizes disagree"):
+        _bind_drops([ch, ch], [w])

@@ -8,6 +8,7 @@ from risalloc import (Deployment, PhaseConfig, PlateauScheduler, Sample,
                       TrainOptions, mrt_beamformers, nn_loss, nn_loss_and_grads,
                       objective_value_and_gradients, project_feasible,
                       project_feasible_with_vjp, sum_utility, train, training)
+from risalloc.metrics import _Bound
 
 NOISE = 0.05
 
@@ -174,14 +175,14 @@ def test_train_skips_a_trailing_batch_of_one(monkeypatch):
 
 def test_train_scores_batches_by_the_public_losses_bit_for_bit(monkeypatch):
     # 8 samples in batches of 3: two full batches and a trailing one of 2.
-    # Each batch's rows are gathered from the split bound once per run; its
+    # Each batch's rows are taken from the split bound once per run; its
     # loss and gradients must be those of the public losses on its drops
     train_set = [toy_sample(200 + i) for i in range(8)]
     val_set = [toy_sample(300 + i) for i in range(3)]
     batches, scored = [], []
-    rows, score = training._rows, training._score
-    monkeypatch.setattr(training, "_rows",
-                        lambda bound, idx: batches.append(idx.copy()) or rows(bound, idx))
+    take, score = _Bound.take, training._score
+    monkeypatch.setattr(_Bound, "take", lambda bound, idx: batches.append(idx.copy()) or
+                        take(bound, idx))
     monkeypatch.setattr(training, "_score", lambda bound, theta, xi, *args, **kw: scored.append(
         (theta, xi, kw["grads"], score(bound, theta, xi, *args, **kw))) or scored[-1][-1])
     train(train_set, val_set, NOISE, TrainOptions(alpha=2.0, batch_size=3, max_epochs=2,
