@@ -113,11 +113,16 @@ def uniform_contiguous(num_users: int, num_columns: int) -> Allocation:
 
 
 def mrt_beamformers(ch: ChannelSet, tx_power_watts: float) -> Beamformers:
-    """Matched beams: w_k = sqrt(P_t/K) conj(h_k)/||h_k||, fixed thereafter."""
+    """Matched beams: w_k = sqrt(P_t/K) conj(h_k)/||h_k||, fixed thereafter.
+
+    A ChannelSet whose h_direct stacks drops along leading axes gets the
+    stack of each drop's beams.
+    """
     if tx_power_watts <= 0:
         raise ValueError("transmit power must be positive")
-    norms = np.linalg.norm(ch.h_direct, axis=1)
+    h = ch.h_direct
+    norms = np.linalg.norm(h, axis=-1)
     if np.any(norms == 0):
         raise ValueError("a user has a zero direct channel; matched beams are undefined")
-    scale = np.sqrt(tx_power_watts / ch.num_users)
-    return Beamformers(scale * np.conj(ch.h_direct) / norms[:, None])
+    scale = np.sqrt(tx_power_watts / h.shape[-2])
+    return Beamformers(scale * np.conj(h) / norms[..., None])

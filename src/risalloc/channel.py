@@ -6,6 +6,14 @@ value and a steeper urban term, with one shadow-fading draw added per link
 outside the max. Amplitudes are 10^(-PL/20). The transmitter panel lies in
 the xz-plane, the reflecting surface in the xy-plane; steering phases use
 half-wavelength element spacing.
+
+The link helpers take a scalar link or arrays of links, elementwise, so each
+formula has one copy. ``synth_channels`` runs the stacked core
+``_synth_stack`` on one drop: the core draws each drop's shadowing from that
+drop's own generator, computes the transmitter-to-surface hop and both panel
+responses once, and takes each link kind (direct, surface-to-user) for all
+users of all drops in one array pass, with the same bits as one link at a
+time.
 """
 
 from __future__ import annotations
@@ -59,7 +67,7 @@ class ChannelSet:
         return L
 
 
-def breakpoint_distance(h_tx: float, h_rx: float, fc_hz: float) -> float:
+def breakpoint_distance(h_tx, h_rx, fc_hz: float):
     """Distance where the two-slope LOS law changes regime.
 
     4 * (h_tx - 1)(h_rx - 1) * fc / c, with heights in meters above the 1 m
@@ -67,59 +75,60 @@ def breakpoint_distance(h_tx: float, h_rx: float, fc_hz: float) -> float:
     """
     if fc_hz <= 0:
         raise ValueError("carrier frequency must be positive")
-    if h_tx <= ENV_HEIGHT or h_rx <= ENV_HEIGHT:
+    if np.any(np.asarray(h_tx) <= ENV_HEIGHT) or np.any(np.asarray(h_rx) <= ENV_HEIGHT):
         raise ValueError("antenna heights must exceed the 1 m environment height")
     return 4.0 * (h_tx - ENV_HEIGHT) * (h_rx - ENV_HEIGHT) * fc_hz / SPEED_OF_LIGHT
 
 
-def _check_distances(d2d: float, d3d: float):
-    if not MIN_DIST_2D <= d2d <= MAX_DIST_2D:
-        raise ValueError(f"2-D distance {d2d:.3f} m outside the model range [10, 5000] m")
-    if d3d < d2d:
+def _check_distances(d2d, d3d):
+    d2d = np.asarray(d2d)
+    outside = ~((MIN_DIST_2D <= d2d) & (d2d <= MAX_DIST_2D))
+    if outside.any():
+        raise ValueError(f"2-D distance {d2d[outside].flat[0]:.3f} m outside the model range "
+                         "[10, 5000] m")
+    if np.any(d3d < d2d):
         raise ValueError("3-D distance cannot be smaller than the 2-D distance")
 
 
-def pathloss_umi_los(d2d: float, d3d: float, fc_ghz: float,
-                     h_bs: float, h_ue: float, shadow_db: float = 0.0) -> float:
+def pathloss_umi_los(d2d, d3d, fc_ghz: float, h_bs, h_ue, shadow_db=0.0):
     """Line-of-sight pathloss in dB, two-slope in the 2-D distance."""
     _check_distances(d2d, d3d)
     bp = breakpoint_distance(h_bs, h_ue, fc_ghz * 1e9)
-    if d2d <= bp:
-        pl = 32.4 + 21.0 * np.log10(d3d) + 20.0 * np.log10(fc_ghz)
-    else:
-        pl = (32.4 + 40.0 * np.log10(d3d) + 20.0 * np.log10(fc_ghz)
-              - 9.5 * np.log10(bp ** 2 + (h_bs - h_ue) ** 2))
-    return float(pl + shadow_db)
+    near = 32.4 + 21.0 * np.log10(d3d) + 20.0 * np.log10(fc_ghz)
+    far = (32.4 + 40.0 * np.log10(d3d) + 20.0 * np.log10(fc_ghz)
+           - 9.5 * np.log10(bp ** 2 + (h_bs - h_ue) ** 2))
+    return np.where(d2d <= bp, near, far) + shadow_db
 
 
-def pathloss_umi_nlos(d2d: float, d3d: float, fc_ghz: float,
-                      h_bs: float, h_ue: float, shadow_db: float = 0.0) -> float:
+def pathloss_umi_nlos(d2d, d3d, fc_ghz: float, h_bs, h_ue, shadow_db=0.0):
     """Non-line-of-sight pathloss in dB.
 
     max(LOS value, urban NLOS term), with the shadow draw added once,
     outside the max.
     """
-    _check_distances(d2d, d3d)
-    los = pathloss_umi_los(d2d, d3d, fc_ghz, h_bs, h_ue, 0.0)
+    los = pathloss_umi_los(d2d, d3d, fc_ghz, h_bs, h_ue)
     nlos = 35.3 * np.log10(d3d) + 22.4 + 21.3 * np.log10(fc_ghz) - 0.3 * (h_ue - 1.5)
-    return float(max(los, nlos) + shadow_db)
+    return np.maximum(los, nlos) + shadow_db
 
 
-def steering_vector_upa(rows: int, cols: int, elevation: float, azimuth: float) -> np.ndarray:
+def steering_vector_upa(rows: int, cols: int, elevation, azimuth) -> np.ndarray:
     """Unit-modulus planar-array response, flattened row-major over (p, q).
 
     Entry (p, q) is exp(j 2 pi d (p sin(el) cos(az) + q sin(el) sin(az))),
     with d = ELEMENT_SPACING and elevation measured from the array boresight;
-    elevation 0 gives the all-ones broadside vector.
+    elevation 0 gives the all-ones broadside vector. Arrays of angles give
+    one response per angle pair, along a new last axis.
     """
     if rows < 1 or cols < 1:
         raise ValueError("array dimensions must be >= 1")
-    u = np.sin(elevation) * np.cos(azimuth)
-    w = np.sin(elevation) * np.sin(azimuth)
+    el = np.asarray(elevation, dtype=float)[..., None, None]
+    az = np.asarray(azimuth, dtype=float)[..., None, None]
+    u = np.sin(el) * np.cos(az)
+    w = np.sin(el) * np.sin(az)
     p = np.arange(rows)[:, None]
     q = np.arange(cols)[None, :]
     phase = 2.0 * np.pi * ELEMENT_SPACING * (p * u + q * w)
-    return np.exp(1j * phase).reshape(-1)
+    return np.exp(1j * phase).reshape(*el.shape[:-2], rows * cols)
 
 
 # panel frames: (in-plane axis 1, in-plane axis 2, boresight normal)
@@ -131,16 +140,18 @@ def direction_angles(src, dst, frame) -> tuple:
     """(elevation, azimuth) of the unit vector src->dst in the panel frame.
 
     Elevation in [0, pi] from the boresight; azimuth in [-pi, pi] between
-    the two in-plane axes.
+    the two in-plane axes. src and dst may be stacks of points along
+    leading axes.
     """
-    u1, u2, normal = frame
     d = np.asarray(dst, dtype=float) - np.asarray(src, dtype=float)
-    norm = np.linalg.norm(d)
-    if norm == 0:
+    # the length as a stack of one-row products, which round like the
+    # one-vector norm (norm(..., axis=-1) does not)
+    norm = np.sqrt(d[..., None, :] @ d[..., :, None])[..., 0]
+    if np.any(norm == 0):
         raise ValueError("coincident endpoints have no direction")
-    d = d / norm
-    elevation = float(np.arccos(np.clip(d @ normal, -1.0, 1.0)))
-    azimuth = float(np.arctan2(d @ u2, d @ u1))
+    along = (d / norm) @ np.column_stack(frame)   # components on (u1, u2, normal)
+    elevation = np.arccos(np.clip(along[..., 2], -1.0, 1.0))
+    azimuth = np.arctan2(along[..., 1], along[..., 0])
     return elevation, azimuth
 
 
@@ -155,26 +166,31 @@ def bs_panel_shape(n_antennas: int) -> tuple:
 
 
 def _link_geometry(a, b):
-    """(d2d, d3d, clamped): distances with the 10 m validity floor applied."""
+    """(d2d, d3d, clamped): distances with the 10 m validity floor applied,
+    for one link or a stack of them along leading axes."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    d2d = float(np.hypot(b[0] - a[0], b[1] - a[1]))
-    dz = b[2] - a[2]
-    if d2d < MIN_DIST_2D:
-        return MIN_DIST_2D, float(np.hypot(MIN_DIST_2D, dz)), True
-    return d2d, float(np.hypot(d2d, dz)), False
+    d2d = np.hypot(b[..., 0] - a[..., 0], b[..., 1] - a[..., 1])
+    clamped = d2d < MIN_DIST_2D
+    d2d = np.where(clamped, MIN_DIST_2D, d2d)
+    return d2d, np.hypot(d2d, b[..., 2] - a[..., 2]), clamped
 
 
-def _user_link(src, h_src: float, frame, shape, ue, shadow_db: float, fc: float, blockages):
-    """One user leg from the panel at src: (LOS flag, clamped flag, amplitude,
-    panel response toward the user). The leg is LOS unless a blockage
-    crosses it; NLOS legs take the NLOS law."""
-    los = not is_blocked(src, ue, blockages)
-    d2d, d3d, clamped = _link_geometry(src, ue)
-    law = pathloss_umi_los if los else pathloss_umi_nlos
-    pl = law(d2d, d3d, fc, h_src, ue[2], shadow_db)
-    response = steering_vector_upa(*shape, *direction_angles(src, ue, frame))
-    return los, clamped, 10.0 ** (-pl / 20.0), response
+def _amplitudes(pl):
+    """10^(-PL/20) link by link, through Python's pow: numpy's power rounds
+    differently on a few percent of inputs."""
+    pl = np.asarray(pl)
+    return np.array([10.0 ** (-v / 20.0) for v in pl.ravel().tolist()]).reshape(pl.shape)
+
+
+def _blocked(src, ue, deployments) -> np.ndarray:
+    """(drops, users) flags: the leg from src to each user crosses one of its
+    drop's blockages. Drops without blockages need no test."""
+    out = np.zeros(ue.shape[:2], dtype=bool)
+    for i, dep in enumerate(deployments):
+        if np.size(dep.blockages):
+            out[i] = [is_blocked(src, p, dep.blockages) for p in ue[i]]
+    return out
 
 
 def synth_channels(config: ScenarioConfig, deployment: Deployment, seed: int) -> ChannelSet:
@@ -183,46 +199,60 @@ def synth_channels(config: ScenarioConfig, deployment: Deployment, seed: int) ->
     The transmitter-to-surface hop is always LOS; user links are classified
     by blockage crossing. One shadow draw per link, in a fixed order
     (surface hop, then per-user direct, then per-user surface legs) so the
-    output is a pure function of (config, deployment, seed).
+    output is a pure function of (config, deployment, seed). This is the
+    stacked core on a stack of one drop.
     """
-    rng = np.random.default_rng(seed)
-    K = deployment.num_ues
+    return _unstack(_synth_stack(config, [deployment], [seed]))[0]
+
+
+def _synth_stack(config: ScenarioConfig, deployments, seeds) -> ChannelSet:
+    """synth_channels for a stack of drops with the same user count, as one
+    ChannelSet whose arrays carry a leading drop axis (bs_ris_clamped, a
+    function of the config, stays one flag). Drop i holds the bits of
+    synth_channels(config, deployments[i], seeds[i])."""
+    ue = np.array([d.ue_positions for d in deployments], dtype=float)  # (drops, K, 3)
+    K = ue.shape[1]
     if K < 1:
         raise ValueError("deployment has no users")
     N = config.n_bs_antennas
     L = config.ris_side
-    L2 = config.total_elements
     fc = config.carrier_freq
     bs = np.asarray(config.bs_position, dtype=float)
     ris = np.asarray(config.ris_position, dtype=float)
-    ue = deployment.ue_positions
 
-    shadow_hop = float(rng.normal(0.0, config.shadow_sigma))
-    shadow_direct = rng.normal(0.0, config.shadow_sigma, size=K)
-    shadow_ris = rng.normal(0.0, config.shadow_sigma, size=K)
+    # one generator per drop, whose one draw of 2K + 1 values holds the hop's,
+    # then the K direct legs', then the K surface legs', as three draws would
+    shadow = np.array([np.random.default_rng(s).normal(0.0, config.shadow_sigma, size=2 * K + 1)
+                       for s in seeds])
 
     rows, cols = bs_panel_shape(N)
 
-    # fixed transmitter-to-surface hop, always LOS
+    # fixed transmitter-to-surface hop, always LOS; only its shadowing varies by drop
     d2d, d3d, hop_clamped = _link_geometry(bs, ris)
-    pl_hop = pathloss_umi_los(d2d, d3d, fc, config.bs_height, ris[2], shadow_hop)
-    amp_hop = 10.0 ** (-pl_hop / 20.0)
+    pl_hop = pathloss_umi_los(d2d, d3d, fc, config.bs_height, ris[2], shadow[:, 0])
     a_surface = steering_vector_upa(L, L, *direction_angles(ris, bs, _RIS_FRAME))
     a_panel = steering_vector_upa(rows, cols, *direction_angles(bs, ris, _BS_FRAME))
-    h_rb = amp_hop * np.outer(a_surface, np.conj(a_panel))
+    h_rb = _amplitudes(pl_hop)[:, None, None] * np.outer(a_surface, np.conj(a_panel))
 
-    h_direct = np.zeros((K, N), dtype=complex)
-    g_ris = np.zeros((K, L2), dtype=complex)
-    los_flags = np.zeros((K, 2), dtype=bool)
-    clamped = np.zeros((K, 2), dtype=bool)
+    legs = []  # (LOS flags, clamped flags, amplitudes, responses), each (drops, K, ...)
+    for src, h_src, frame, shape, leg_shadow in (
+            (bs, config.bs_height, _BS_FRAME, (rows, cols), shadow[:, 1:K + 1]),
+            (ris, ris[2], _RIS_FRAME, (L, L), shadow[:, K + 1:])):
+        los = ~_blocked(src, ue, deployments)
+        d2d, d3d, clamped = _link_geometry(src, ue)
+        pl = np.where(los, pathloss_umi_los(d2d, d3d, fc, h_src, ue[..., 2], leg_shadow),
+                      pathloss_umi_nlos(d2d, d3d, fc, h_src, ue[..., 2], leg_shadow))
+        response = steering_vector_upa(*shape, *direction_angles(src, ue, frame))
+        legs.append((los, clamped, _amplitudes(pl)[..., None], response))
+    (los_d, clamped_d, amp_d, direct), (los_r, clamped_r, amp_r, surface) = legs
 
-    for k in range(K):
-        los_flags[k, 0], clamped[k, 0], amp, response = _user_link(
-            bs, config.bs_height, _BS_FRAME, (rows, cols), ue[k], shadow_direct[k], fc,
-            deployment.blockages)
-        h_direct[k] = amp * response
-        los_flags[k, 1], clamped[k, 1], amp, response = _user_link(
-            ris, ris[2], _RIS_FRAME, (L, L), ue[k], shadow_ris[k], fc, deployment.blockages)
-        g_ris[k] = amp * np.conj(response)
+    return ChannelSet(amp_d * direct, amp_r * np.conj(surface), h_rb,
+                      np.stack([los_d, los_r], axis=-1), np.stack([clamped_d, clamped_r], axis=-1),
+                      bool(hop_clamped))
 
-    return ChannelSet(h_direct, g_ris, h_rb, los_flags, clamped, hop_clamped)
+
+def _unstack(stack: ChannelSet) -> list:
+    """The drops of a stacked ChannelSet, as views into its arrays."""
+    return [ChannelSet(*arrays, stack.bs_ris_clamped)
+            for arrays in zip(stack.h_direct, stack.g_ris, stack.h_rb, stack.los_flags,
+                              stack.clamped)]

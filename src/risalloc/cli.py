@@ -105,13 +105,17 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def _out_dir(path) -> Path:
-    """An --out directory, checked before any work: the path and its
-    nearest existing ancestor must be directories."""
+def _out_dir(path, *files) -> Path:
+    """An --out directory and the files the command writes in it, checked
+    before any work: the path and its nearest existing ancestor must be
+    directories, and none of the files may be one."""
     out = Path(path)
     first = next(p for p in (out, *out.parents) if p.exists())
     if not first.is_dir():
         raise ConfigError(f"--out: {first} exists and is not a directory")
+    for name in files:
+        if (out / name).is_dir():
+            raise ConfigError(f"--out: {out / name} is a directory")
     return out
 
 
@@ -141,11 +145,13 @@ def cmd_generate(args) -> int:
     top = 2**64 - (args.n_train + args.n_val)
     check_value("--seed", args.seed, "int",
                 (lambda v: 0 <= v <= top, f"in [0, {top}], so every record's seed fits in 64 bits"))
-    out = _out_dir(args.out)
+    out = _out_dir(args.out, "records.bin", "manifest.json")
     manifest = generate_dataset(config, args.n_train, args.n_val, args.seed, out)
     digest = hashlib.sha256()
-    digest.update((out / "manifest.json").read_bytes())
-    digest.update((out / "records.bin").read_bytes())
+    for name in ("manifest.json", "records.bin"):
+        with open(out / name, "rb") as f:  # in blocks, so memory stays flat in the record count
+            for block in iter(lambda: f.read(1 << 20), b""):
+                digest.update(block)
     print(f"dataset: {out}")
     print(f"samples: {manifest.n_train} train + {manifest.n_val} validation, master seed {manifest.master_seed}")
     print(f"scenario: {config.num_ues} users, {config.n_bs_antennas} antennas, "
@@ -195,7 +201,7 @@ def cmd_train(args) -> int:
 def cmd_bcd(args) -> int:
     sections = _config_sections(args)
     alpha = _options(args, sections, TrainOptions, {"--alpha": "alpha"}).alpha
-    out = _out_dir(args.out)
+    out = _out_dir(args.out, "trace.csv", "result.json")
     samples, manifest = load_dataset(args.data)
     if not 0 <= args.index < len(samples):
         raise DatasetError(

@@ -6,6 +6,12 @@ and a version word; each record is u64 payload length, u64 sample seed,
 u32 CRC-32 of the payload, then the payload encoded with the shared
 named-array codec. Sample i uses seed master_seed + i; loading checks it,
 since the seed is outside the CRC.
+
+Generation synthesizes drops in chunks of ``CHUNK_DROPS``: each drop keeps
+its own seed and generators, and the chunk's channels and matched beams come
+from one stacked pass (``channel._synth_stack``), so the records hold the
+same bytes as drops built one at a time, and memory stays flat however many
+drops are written. ``make_sample`` is the same core on a chunk of one drop.
 """
 
 from __future__ import annotations
@@ -19,12 +25,13 @@ from pathlib import Path
 import numpy as np
 
 from .allocation import mrt_beamformers
-from .channel import ChannelSet, synth_channels
+from .channel import ChannelSet, _synth_stack, _unstack
 from .config import ConfigError, ScenarioConfig, is_int, parse_settings
-from .geometry import Deployment, deploy
+from .geometry import Deployment, _deploy
 from .serial import decode_named_arrays, encode_named_arrays, misfits
 
 FORMAT_VERSION = 1
+CHUNK_DROPS = 32  # drops synthesized per stacked pass; bounds generation's memory
 _MAGIC = b"RISD"
 _HEADER = struct.Struct("<QQI")
 
@@ -104,11 +111,18 @@ def make_sample(config: ScenarioConfig, seed: int) -> Sample:
     shadowing takes the third word, so the sample is a pure function of
     (config, seed).
     """
-    dep = deploy(config, seed)
-    channel_seed = np.random.SeedSequence(seed).generate_state(3, dtype=np.uint64)[2]
-    ch = synth_channels(config, dep, int(channel_seed))
-    w = mrt_beamformers(ch, config.tx_power_watts).w
-    return Sample(seed, dep, ch, w)
+    return _make_samples(config, [seed])[0]
+
+
+def _make_samples(config: ScenarioConfig, seeds) -> list:
+    """make_sample for each seed, bit for bit, with the channels and beams
+    of all the drops from one stacked pass."""
+    words = [np.random.SeedSequence(s).generate_state(3, dtype=np.uint64).tolist() for s in seeds]
+    deps = [_deploy(config, ue_seed, blk_seed) for ue_seed, blk_seed, _ in words]
+    stack = _synth_stack(config, deps, [channel_seed for *_, channel_seed in words])
+    ws = mrt_beamformers(stack, config.tx_power_watts).w
+    return [Sample(seed, dep, ch, w)
+            for seed, dep, ch, w in zip(seeds, deps, _unstack(stack), ws)]
 
 
 def _sample_arrays(s: Sample) -> dict:
@@ -164,11 +178,12 @@ def generate_dataset(config: ScenarioConfig, n_train: int, n_val: int,
     path.mkdir(parents=True, exist_ok=True)
     with open(path / "records.bin", "wb") as f:
         f.write(_MAGIC + struct.pack("<I", FORMAT_VERSION))
-        for i in range(total):
-            seed = sample_seed(master_seed, i)
-            payload = encode_named_arrays(_sample_arrays(make_sample(config, seed)))
-            f.write(_HEADER.pack(len(payload), seed, zlib.crc32(payload)))
-            f.write(payload)
+        for start in range(0, total, CHUNK_DROPS):
+            seeds = [sample_seed(master_seed, i) for i in range(start, min(start + CHUNK_DROPS, total))]
+            for sample in _make_samples(config, seeds):
+                payload = encode_named_arrays(_sample_arrays(sample))
+                f.write(_HEADER.pack(len(payload), sample.seed, zlib.crc32(payload)))
+                f.write(payload)
     manifest = DatasetManifest(config, n_train, n_val, master_seed, total)
     (path / "manifest.json").write_text(manifest.to_json())
     return manifest

@@ -5,6 +5,12 @@ which keeps feature dimensions constant downstream. Blockages are
 rectangles with exponentially distributed side lengths and uniform
 orientation, and a link counts as blocked when its ground-plane segment
 crosses any rectangle.
+
+A drop's users and blockages come from the first two words of
+SeedSequence(seed), each through its own generator. Dataset synthesis
+derives the sequence once per drop, builds the deployment from those words
+through ``_deploy``, and gives the third word to the channel's shadowing. It
+runs ``is_blocked`` leg by leg, and only on drops that hold a rectangle.
 """
 
 from __future__ import annotations
@@ -37,9 +43,10 @@ def deploy_ues(config: ScenarioConfig, seed: int) -> np.ndarray:
     ue_height."""
     rng = np.random.default_rng(seed)
     n = config.num_ues
-    xy = rng.uniform(0.0, config.area_side, size=(n, 2))
-    z = np.full((n, 1), config.ue_height)
-    return np.hstack([xy, z])
+    pos = np.empty((n, 3))
+    pos[:, :2] = rng.uniform(0.0, config.area_side, size=(n, 2))
+    pos[:, 2] = config.ue_height
+    return pos
 
 
 def deploy_blockages(config: ScenarioConfig, seed: int) -> np.ndarray:
@@ -57,8 +64,13 @@ def deploy_blockages(config: ScenarioConfig, seed: int) -> np.ndarray:
 
 
 def deploy(config: ScenarioConfig, seed: int) -> Deployment:
-    """UE and blockage drops from one seed, via independent child streams."""
-    ue_seed, blk_seed = (int(s) for s in np.random.SeedSequence(seed).generate_state(2, dtype=np.uint64))
+    """UE and blockage drops from one seed, via independent child streams:
+    the first two words of SeedSequence(seed)."""
+    return _deploy(config, *np.random.SeedSequence(seed).generate_state(2, dtype=np.uint64).tolist())
+
+
+def _deploy(config: ScenarioConfig, ue_seed: int, blk_seed: int) -> Deployment:
+    """The drop that deploy gives the seed whose first two words are these."""
     return Deployment(deploy_ues(config, ue_seed), deploy_blockages(config, blk_seed))
 
 

@@ -12,14 +12,19 @@ in cache-sized blocks, with the same operations in the same order; the
 textbook Adam reference shares its moments and rounds the parameter update
 the textbook way. The forward-pass reference builds the batch statistics,
 the dropout mask and the sigmoid from the library methods and boolean
-gathers that the network's own forward pass spells out, bit for bit.
+gathers that the network's own forward pass spells out, bit for bit. The
+serial drop synthesis is the link-by-link channel and sample builder that
+the library's stacked synthesis replaced, kept with its arithmetic so the
+two are compared bit for bit.
 """
 
 import itertools
 
 import numpy as np
 
-from risalloc import BcdOptions, ChannelSet, objective_value_and_gradients, sum_utility
+from risalloc import (BcdOptions, ChannelSet, Deployment, Sample, is_blocked,
+                      objective_value_and_gradients, sum_utility)
+from risalloc.channel import MIN_DIST_2D, bs_panel_shape
 from risalloc.features import KAISER_TIE_GUARD
 from risalloc.metrics import _bind
 from risalloc.mlp import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, BN_EPS, BN_MOMENTUM
@@ -352,3 +357,133 @@ def bcd_serial(ch, w, alpha, noise, options=None, fixed_alloc=None):
         if abs(obj - objectives[-2]) <= opts.tol * max(1.0, abs(objectives[-2])):
             break
     return theta, xi, objectives
+
+
+# ---- serial drop synthesis: one link at a time, on Python and numpy scalars
+
+def _breakpoint_serial(h_tx, h_rx, fc_hz):
+    return 4.0 * (h_tx - 1.0) * (h_rx - 1.0) * fc_hz / 3.0e8
+
+
+def _pathloss_los_serial(d2d, d3d, fc_ghz, h_bs, h_ue, shadow_db=0.0):
+    bp = _breakpoint_serial(h_bs, h_ue, fc_ghz * 1e9)
+    if d2d <= bp:
+        pl = 32.4 + 21.0 * np.log10(d3d) + 20.0 * np.log10(fc_ghz)
+    else:
+        pl = (32.4 + 40.0 * np.log10(d3d) + 20.0 * np.log10(fc_ghz)
+              - 9.5 * np.log10(bp ** 2 + (h_bs - h_ue) ** 2))
+    return float(pl + shadow_db)
+
+
+def _pathloss_nlos_serial(d2d, d3d, fc_ghz, h_bs, h_ue, shadow_db=0.0):
+    los = _pathloss_los_serial(d2d, d3d, fc_ghz, h_bs, h_ue, 0.0)
+    nlos = 35.3 * np.log10(d3d) + 22.4 + 21.3 * np.log10(fc_ghz) - 0.3 * (h_ue - 1.5)
+    return float(max(los, nlos) + shadow_db)
+
+
+def _steering_serial(rows, cols, elevation, azimuth):
+    u = np.sin(elevation) * np.cos(azimuth)
+    w = np.sin(elevation) * np.sin(azimuth)
+    p = np.arange(rows)[:, None]
+    q = np.arange(cols)[None, :]
+    phase = 2.0 * np.pi * 0.5 * (p * u + q * w)
+    return np.exp(1j * phase).reshape(-1)
+
+
+_BS_FRAME = (np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0]), np.array([0.0, 1.0, 0.0]))
+_RIS_FRAME = (np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0]))
+
+
+def _angles_serial(src, dst, frame):
+    u1, u2, normal = frame
+    d = np.asarray(dst, dtype=float) - np.asarray(src, dtype=float)
+    d = d / np.linalg.norm(d)
+    return (float(np.arccos(np.clip(d @ normal, -1.0, 1.0))),
+            float(np.arctan2(d @ u2, d @ u1)))
+
+
+def _link_geometry_serial(a, b):
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    d2d = float(np.hypot(b[0] - a[0], b[1] - a[1]))
+    dz = b[2] - a[2]
+    if d2d < MIN_DIST_2D:
+        return MIN_DIST_2D, float(np.hypot(MIN_DIST_2D, dz)), True
+    return d2d, float(np.hypot(d2d, dz)), False
+
+
+def _user_link_serial(src, h_src, frame, shape, ue, shadow_db, fc, blockages):
+    los = not is_blocked(src, ue, blockages)
+    d2d, d3d, clamped = _link_geometry_serial(src, ue)
+    law = _pathloss_los_serial if los else _pathloss_nlos_serial
+    pl = law(d2d, d3d, fc, h_src, ue[2], shadow_db)
+    response = _steering_serial(*shape, *_angles_serial(src, ue, frame))
+    return los, clamped, 10.0 ** (-pl / 20.0), response
+
+
+def synth_channels_serial(config, deployment, seed):
+    """The three channel blocks of one drop, link by link: the surface hop,
+    then each user's direct and surface legs, with one shadow draw per
+    link in that order."""
+    rng = np.random.default_rng(seed)
+    K = deployment.num_ues
+    N, L, fc = config.n_bs_antennas, config.ris_side, config.carrier_freq
+    bs = np.asarray(config.bs_position, dtype=float)
+    ris = np.asarray(config.ris_position, dtype=float)
+    ue = deployment.ue_positions
+    shadow_hop = float(rng.normal(0.0, config.shadow_sigma))
+    shadow_direct = rng.normal(0.0, config.shadow_sigma, size=K)
+    shadow_ris = rng.normal(0.0, config.shadow_sigma, size=K)
+    rows, cols = bs_panel_shape(N)
+
+    d2d, d3d, hop_clamped = _link_geometry_serial(bs, ris)
+    pl_hop = _pathloss_los_serial(d2d, d3d, fc, config.bs_height, ris[2], shadow_hop)
+    a_surface = _steering_serial(L, L, *_angles_serial(ris, bs, _RIS_FRAME))
+    a_panel = _steering_serial(rows, cols, *_angles_serial(bs, ris, _BS_FRAME))
+    h_rb = 10.0 ** (-pl_hop / 20.0) * np.outer(a_surface, np.conj(a_panel))
+
+    h_direct = np.zeros((K, N), dtype=complex)
+    g_ris = np.zeros((K, L * L), dtype=complex)
+    los_flags = np.zeros((K, 2), dtype=bool)
+    clamped = np.zeros((K, 2), dtype=bool)
+    for k in range(K):
+        los_flags[k, 0], clamped[k, 0], amp, response = _user_link_serial(
+            bs, config.bs_height, _BS_FRAME, (rows, cols), ue[k], shadow_direct[k], fc,
+            deployment.blockages)
+        h_direct[k] = amp * response
+        los_flags[k, 1], clamped[k, 1], amp, response = _user_link_serial(
+            ris, ris[2], _RIS_FRAME, (L, L), ue[k], shadow_ris[k], fc, deployment.blockages)
+        g_ris[k] = amp * np.conj(response)
+    return ChannelSet(h_direct, g_ris, h_rb, los_flags, clamped, hop_clamped)
+
+
+def _deploy_ues_serial(config, seed):
+    rng = np.random.default_rng(seed)
+    n = config.num_ues
+    xy = rng.uniform(0.0, config.area_side, size=(n, 2))
+    return np.hstack([xy, np.full((n, 1), config.ue_height)])
+
+
+def _deploy_blockages_serial(config, seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.poisson(config.blockage_density * config.area_km2))
+    if n == 0:
+        return np.zeros((0, 5))
+    centers = rng.uniform(0.0, config.area_side, size=(n, 2))
+    lengths = rng.exponential(config.blockage_mean_length, size=n)
+    widths = rng.exponential(config.blockage_mean_width, size=n)
+    orients = rng.uniform(0.0, np.pi, size=n)
+    return np.column_stack([centers, lengths, widths, orients])
+
+
+def make_sample_serial(config, seed):
+    """One drop from one seed: users and blockages from the first two words
+    of SeedSequence(seed), shadowing from the third, then matched beams."""
+    ue_seed, blk_seed = (int(s) for s in
+                         np.random.SeedSequence(seed).generate_state(2, dtype=np.uint64))
+    dep = Deployment(_deploy_ues_serial(config, ue_seed), _deploy_blockages_serial(config, blk_seed))
+    channel_seed = np.random.SeedSequence(seed).generate_state(3, dtype=np.uint64)[2]
+    ch = synth_channels_serial(config, dep, int(channel_seed))
+    norms = np.linalg.norm(ch.h_direct, axis=1)
+    w = np.sqrt(config.tx_power_watts / ch.num_users) * np.conj(ch.h_direct) / norms[:, None]
+    return Sample(seed, dep, ch, w)

@@ -544,6 +544,23 @@ def test_out_of_the_wrong_kind_is_a_config_error(tmp_path, dataset, capsys, comm
     assert not (tmp_path / "t.csv").exists()
 
 
+@pytest.mark.parametrize("command,blocked", [
+    ("generate", "records.bin"), ("generate", "manifest.json"),
+    ("bcd", "trace.csv"), ("bcd", "result.json"),
+])
+def test_out_file_taken_by_a_directory_is_a_config_error(tmp_path, dataset, capsys, command,
+                                                         blocked):
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    source = (["--n-train", "1", "--n-val", "1"] if command == "generate"
+              else ["--data", str(dataset)])
+    rc = main([command, *source, "--out", str(out)])
+    assert rc == 2
+    assert f"--out: {out / blocked} is a directory" in capsys.readouterr().err
+    # refused before any work: nothing was written beside the directory
+    assert [p.name for p in out.iterdir()] == [blocked]
+
+
 @pytest.mark.parametrize("corrupt", [
     lambda blob: blob[:8],                                  # cut inside the header
     lambda blob: blob[:12] + b"X" + blob[13:],              # metadata no longer JSON

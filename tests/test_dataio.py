@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import struct
@@ -6,10 +7,12 @@ import zlib
 import numpy as np
 import pytest
 
+import oracles
 from risalloc import (DatasetChecksumError, DatasetError, DatasetManifest,
                       DatasetTruncationError, DatasetVersionError,
-                      ScenarioConfig, deploy, desk_config, generate_dataset,
+                      ScenarioConfig, deploy, desk_config, full_scale_config, generate_dataset,
                       load_dataset, make_sample, sample_seed, train_val_split)
+from risalloc.dataio import CHUNK_DROPS
 from risalloc.serial import (decode_named_arrays, encode_named_arrays, read_named_arrays,
                              write_named_arrays)
 
@@ -65,6 +68,54 @@ def test_round_trip_bit_exact(tmp_path):
         assert np.array_equal(s.channels.clamped, ref.channels.clamped)
         assert s.channels.bs_ris_clamped == ref.channels.bs_ris_clamped
         assert np.array_equal(s.w, ref.w)
+
+
+def _drop_fields(s):
+    ch = s.channels
+    return {"ue_positions": s.deployment.ue_positions, "blockages": s.deployment.blockages,
+            "h_direct": ch.h_direct, "g_ris": ch.g_ris, "h_rb": ch.h_rb,
+            "los_flags": ch.los_flags, "clamped": ch.clamped,
+            "bs_ris_clamped": np.array(ch.bs_ris_clamped), "w": np.asarray(s.w)}
+
+
+def _assert_same_drop(got, want):
+    assert got.seed == want.seed
+    for (name, a), b in zip(_drop_fields(got).items(), _drop_fields(want).values(), strict=True):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), (got.seed, name)
+
+
+# name: (config, drop count); every count leaves a part-filled last chunk
+SYNTHESIS_SCENARIOS = {
+    "desk": (desk_config(), 2 * CHUNK_DROPS + 22),
+    "full": (full_scale_config(), CHUNK_DROPS + 6),
+    "dense-blockage": (dataclasses.replace(desk_config(), blockage_density=2000.0), 150),
+    "small-area": (dataclasses.replace(desk_config(), area_side=12.0), 150),
+    "one-user": (dataclasses.replace(desk_config(), num_ues=1), CHUNK_DROPS + 1),
+}
+
+
+@pytest.mark.parametrize("name", SYNTHESIS_SCENARIOS)
+def test_chunked_synthesis_matches_the_serial_reference(tmp_path, name):
+    """Every field of every generated drop, and make_sample for its seed,
+    has the bits of the link-by-link reference."""
+    cfg, n = SYNTHESIS_SCENARIOS[name]
+    assert n % CHUNK_DROPS
+    generate_dataset(cfg, n - 10, 10, 17, tmp_path)
+    samples, _ = load_dataset(tmp_path)
+    assert [s.seed for s in samples] == list(range(17, 17 + n))
+    for s in samples:
+        want = oracles.make_sample_serial(cfg, s.seed)
+        _assert_same_drop(s, want)
+        _assert_same_drop(make_sample(cfg, s.seed), want)
+    legs = np.concatenate([s.channels.los_flags for s in samples])
+    clamped = np.concatenate([s.channels.clamped for s in samples])
+    # each scenario exercises what it is named for
+    if name == "dense-blockage":
+        assert (~legs).mean() > 0.5
+    if name == "small-area":
+        assert clamped.sum() > 100
+    if name == "one-user":
+        assert legs.shape == (n, 2)
 
 
 def test_generate_writes_identical_bytes(tmp_path):
