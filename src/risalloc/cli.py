@@ -419,6 +419,10 @@ def main(argv=None) -> int:
         print(f"config error: {flags} takes the arithmetic out of the float range "
               f"on this data ({exc})", file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"config error: the run's sizes or sample counts need more memory than this "
+              f"machine gives ({exc})", file=sys.stderr)
+        return EXIT_CONFIG
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -3,9 +3,15 @@
 A dataset directory holds manifest.json (config snapshot, split sizes,
 master seed) and records.bin. The record file starts with the magic "RISD"
 and a version word; each record is u64 payload length, u64 sample seed,
-u32 CRC-32 of the payload, then the payload encoded with the shared
+u32 CRC-32 of the payload, then the payload as one block of the shared
 named-array codec. Sample i uses seed master_seed + i; loading checks it,
 since the seed is outside the CRC.
+
+Records take the codec's one streaming route, as checkpoints do: each block
+is written straight into records.bin, its header filled in from the CRC and
+length the write returns, and read back one record at a time, so its CRC is
+computed once on write and once on read, and a load holds one record beyond
+the samples it returns.
 
 Generation synthesizes drops in chunks of ``CHUNK_DROPS``: each drop keeps
 its own seed and generators, and the chunk's channels and matched beams come
@@ -17,8 +23,8 @@ drops are written. ``make_sample`` is the same core on a chunk of one drop.
 from __future__ import annotations
 
 import json
+import os
 import struct
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,7 +34,7 @@ from .allocation import mrt_beamformers
 from .channel import ChannelSet, _synth_stack, _unstack
 from .config import ConfigError, ScenarioConfig, is_int, parse_settings
 from .geometry import Deployment, _deploy
-from .serial import decode_named_arrays, encode_named_arrays, misfits
+from .serial import misfits, read_named_arrays, write_named_arrays
 
 FORMAT_VERSION = 1
 CHUNK_DROPS = 32  # drops synthesized per stacked pass; bounds generation's memory
@@ -181,9 +187,12 @@ def generate_dataset(config: ScenarioConfig, n_train: int, n_val: int,
         for start in range(0, total, CHUNK_DROPS):
             seeds = [sample_seed(master_seed, i) for i in range(start, min(start + CHUNK_DROPS, total))]
             for sample in _make_samples(config, seeds):
-                payload = encode_named_arrays(_sample_arrays(sample))
-                f.write(_HEADER.pack(len(payload), sample.seed, zlib.crc32(payload)))
-                f.write(payload)
+                header = f.tell()
+                f.write(bytes(_HEADER.size))
+                crc, size = write_named_arrays(f, _sample_arrays(sample))
+                f.seek(header)
+                f.write(_HEADER.pack(size, sample.seed, crc))
+                f.seek(0, os.SEEK_END)
     manifest = DatasetManifest(config, n_train, n_val, master_seed, total)
     (path / "manifest.json").write_text(manifest.to_json())
     return manifest
@@ -191,6 +200,10 @@ def generate_dataset(config: ScenarioConfig, n_train: int, n_val: int,
 
 def load_dataset(path):
     """Read a dataset directory back; returns (samples, manifest).
+
+    Records are streamed, so the load holds one record beyond its samples;
+    each one's length is checked against the file before its arrays are
+    read, and its CRC before any verdict on its values.
 
     Raises DatasetVersionError / DatasetTruncationError /
     DatasetChecksumError for the three distinct failure modes, and
@@ -202,47 +215,44 @@ def load_dataset(path):
     path = Path(path)
     try:
         manifest_bytes = (path / "manifest.json").read_bytes()
-        blob = (path / "records.bin").read_bytes()
+        f = open(path / "records.bin", "rb")
     except OSError as exc:
         raise DatasetError(f"cannot read dataset {path}: {exc}") from exc
-    manifest = DatasetManifest.from_json(manifest_bytes)
-    layout = _record_layout(manifest.config)
+    with f:
+        manifest = DatasetManifest.from_json(manifest_bytes)
+        layout = _record_layout(manifest.config)
+        file_size = os.fstat(f.fileno()).st_size
+        head = f.read(8)
+        if head[:4] != _MAGIC:
+            raise DatasetVersionError("records.bin does not start with the dataset magic")
+        if len(head) < 8:
+            raise DatasetTruncationError("records.bin ends inside the file header")
+        (version,) = struct.unpack("<I", head[4:])
+        if version != FORMAT_VERSION:
+            raise DatasetVersionError(
+                f"records.bin is format version {version}; this library reads {FORMAT_VERSION}")
 
-    if blob[:4] != _MAGIC:
-        raise DatasetVersionError("records.bin does not start with the dataset magic")
-    if len(blob) < 8:
-        raise DatasetTruncationError("records.bin ends inside the file header")
-    (version,) = struct.unpack("<I", blob[4:8])
-    if version != FORMAT_VERSION:
-        raise DatasetVersionError(
-            f"records.bin is format version {version}; this library reads {FORMAT_VERSION}")
-
-    samples = []
-    pos = 8
-    while pos < len(blob):
-        if pos + _HEADER.size > len(blob):
-            raise DatasetTruncationError("record header cut short")
-        payload_len, seed, crc = _HEADER.unpack_from(blob, pos)
-        pos += _HEADER.size
-        payload = blob[pos:pos + payload_len]
-        if len(payload) != payload_len:
-            raise DatasetTruncationError(
-                f"record {len(samples)} declares {payload_len} bytes but the file ends early")
-        pos += payload_len
-        if zlib.crc32(payload) != crc:
-            raise DatasetChecksumError(f"record {len(samples)} failed its CRC check")
-        expected = sample_seed(manifest.master_seed, len(samples))
-        if seed != expected:
-            raise DatasetError(f"record {len(samples)} has seed {seed}, expected {expected}")
-        try:
-            arrays = decode_named_arrays(payload)
-        except ValueError as exc:
-            raise DatasetError(f"record {len(samples)}: {exc}") from exc
-        bad = misfits(arrays, layout)
-        if bad:
-            raise DatasetError(f"record {len(samples)}: arrays {bad} are missing, extra, "
-                               "misshaped or of the wrong kind for the manifest's scenario")
-        samples.append(_sample_from_arrays(int(seed), arrays))
+        samples = []
+        while (left := file_size - f.tell()) > 0:
+            if left < _HEADER.size:
+                raise DatasetTruncationError("record header cut short")
+            payload_len, seed, crc = _HEADER.unpack(f.read(_HEADER.size))
+            if payload_len > left - _HEADER.size:
+                raise DatasetTruncationError(
+                    f"record {len(samples)} declares {payload_len} bytes but the file ends early")
+            arrays, payload_crc, error = read_named_arrays(f, payload_len)
+            if payload_crc != crc:
+                raise DatasetChecksumError(f"record {len(samples)} failed its CRC check")
+            expected = sample_seed(manifest.master_seed, len(samples))
+            if seed != expected:
+                raise DatasetError(f"record {len(samples)} has seed {seed}, expected {expected}")
+            if error is not None:
+                raise DatasetError(f"record {len(samples)}: {error}") from error
+            bad = misfits(arrays, layout)
+            if bad:
+                raise DatasetError(f"record {len(samples)}: arrays {bad} are missing, extra, "
+                                   "misshaped or of the wrong kind for the manifest's scenario")
+            samples.append(_sample_from_arrays(int(seed), arrays))
 
     if len(samples) != manifest.sample_count:
         raise DatasetTruncationError(

@@ -5,18 +5,16 @@ u8 kind (0 real / 1 complex), u8 ndim, u64 dims, then the raw values as
 little-endian 64-bit floats on any host, complex entries interleaved (real,
 imag). Round-trips are bit-exact.
 
-``write_named_arrays`` and ``read_named_arrays`` stream a block to or from a
-binary file one array at a time, keeping a running CRC-32 of the bytes they
-pass, so a checkpoint is written and read without ever holding more than one
-tensor's bytes beyond the model. ``encode_named_arrays`` and
-``decode_named_arrays`` run the same code over an in-memory buffer, for a
-dataset record's small payload. Reading rejects an array holding NaN or
+``write_named_arrays`` and ``read_named_arrays`` are the one route, for
+checkpoints and dataset records alike: they stream a block through a binary
+file one array at a time with a running CRC-32, so a block's CRC is computed
+once on write and once on read, and no more than one array's bytes are held
+beyond what the caller keeps. Reading rejects an array holding NaN or
 infinity, which a CRC written over the bad values would not catch.
 """
 
 from __future__ import annotations
 
-import io
 import math
 import struct
 import zlib
@@ -114,19 +112,6 @@ def read_named_arrays(f, size: int, dest=None) -> tuple:
         crc = zlib.crc32(chunk, crc)
         left -= len(chunk)
     return arrays, crc, error
-
-
-def encode_named_arrays(arrays: dict) -> bytes:
-    buf = io.BytesIO()
-    write_named_arrays(buf, arrays)
-    return buf.getvalue()
-
-
-def decode_named_arrays(payload: bytes) -> dict:
-    arrays, _, error = read_named_arrays(io.BytesIO(payload), len(payload))
-    if error is not None:
-        raise error
-    return arrays
 
 
 def misfits(arrays: dict, layout: dict) -> list:

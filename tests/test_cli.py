@@ -1,11 +1,11 @@
 import csv
 import dataclasses
+import io
 import json
 import os
 import struct
 import subprocess
 import sys
-import zlib
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +17,7 @@ from risalloc import (BcdOptions, DatasetError, MlpArch, ScenarioConfig, TrainOp
                       save_checkpoint)
 from risalloc.brute import DEFAULT_BUDGET
 from risalloc.cli import build_parser, main
-from risalloc.serial import decode_named_arrays, encode_named_arrays
+from risalloc.serial import read_named_arrays, write_named_arrays
 
 
 def tiny_scenario():
@@ -623,6 +623,24 @@ def test_float32_training_alpha_range_on_the_readme_desk_set(tmp_path):
     assert not ckpt.exists() and not Path(str(ckpt) + ".history.csv").exists()
 
 
+def test_a_scenario_numpy_cannot_allocate_is_a_config_error(tmp_path):
+    # a 10^6 x 10^6 surface asks numpy for 7.28 TiB at once; the child caps its
+    # address space first, so the refusal does not depend on the host's
+    # overcommit policy and nothing large is ever touched
+    huge = dataclasses.replace(tiny_scenario(), ris_side=10**6)
+    cfg = write_config(tmp_path / "huge.json", scenario=huge)
+    child = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30)); "
+             "from risalloc.cli import main; sys.exit(main(sys.argv[1:]))")
+    src = str(Path(risalloc.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", child, "generate", "--config", cfg,
+                           "--out", str(tmp_path / "ds")], env=env, capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("config error: ") and "more memory" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("field,edited", [("alloc_users", 3), ("phase_dim", 5)])
 def test_checkpoint_metadata_must_match_its_arrays(tmp_path, dataset, cfg_path, capsys,
                                                    field, edited):
@@ -674,11 +692,13 @@ def _rewrite_record(dataset, index, edit):
     for _ in range(index):
         pos += 20 + struct.unpack_from("<Q", blob, pos)[0]
     length, seed, _ = struct.unpack_from("<QQI", blob, pos)
-    arrays = decode_named_arrays(blob[pos + 20:pos + 20 + length])
+    arrays, _, error = read_named_arrays(io.BytesIO(blob[pos + 20:pos + 20 + length]), length)
+    assert error is None
     edit(arrays)
-    payload = encode_named_arrays(arrays)
-    rec.write_bytes(blob[:pos] + struct.pack("<QQI", len(payload), seed, zlib.crc32(payload))
-                    + payload + blob[pos + 20 + length:])
+    payload = io.BytesIO()
+    crc, size = write_named_arrays(payload, arrays)
+    rec.write_bytes(blob[:pos] + struct.pack("<QQI", size, seed, crc)
+                    + payload.getvalue() + blob[pos + 20 + length:])
 
 
 @pytest.mark.parametrize("command", ["train", "compare"])

@@ -2,6 +2,7 @@ import dataclasses
 import io
 import json
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -13,8 +14,7 @@ from risalloc import (DatasetChecksumError, DatasetError, DatasetManifest,
                       ScenarioConfig, deploy, desk_config, full_scale_config, generate_dataset,
                       load_dataset, make_sample, sample_seed, train_val_split)
 from risalloc.dataio import CHUNK_DROPS
-from risalloc.serial import (decode_named_arrays, encode_named_arrays, read_named_arrays,
-                             write_named_arrays)
+from risalloc.serial import read_named_arrays, write_named_arrays
 
 
 def small_config():
@@ -68,6 +68,20 @@ def test_round_trip_bit_exact(tmp_path):
         assert np.array_equal(s.channels.clamped, ref.channels.clamped)
         assert s.channels.bs_ris_clamped == ref.channels.bs_ris_clamped
         assert np.array_equal(s.w, ref.w)
+
+
+def test_load_holds_one_record_beyond_its_samples(tmp_path):
+    # 40 full-profile drops make a 1.83 MB records.bin; reading it whole, as
+    # well as the samples, would double the peak
+    generate_dataset(full_scale_config(), 35, 5, 3, tmp_path)
+    tracemalloc.start()
+    try:
+        samples, _ = load_dataset(tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(a.nbytes for s in samples for a in _drop_fields(s).values())
+    assert peak <= held + 256 * 1024, f"load peaked at {peak} bytes for {held} held"
 
 
 def _drop_fields(s):
@@ -266,10 +280,14 @@ def test_manifest_malformed():
     (lambda blob: blob + b"\x00", "trailing bytes"),
 ], ids=["cut", "kind", "trailing"])
 def test_codec_rejects_malformed_blocks(corrupt, needle):
-    blob = encode_named_arrays({"a": np.arange(3.0)})
-    assert decode_named_arrays(blob)["a"].tolist() == [0.0, 1.0, 2.0]
-    with pytest.raises(ValueError, match=needle):
-        decode_named_arrays(corrupt(blob))
+    f = io.BytesIO()
+    write_named_arrays(f, {"a": np.arange(3.0)})
+    blob = f.getvalue()
+    arrays, _, error = read_named_arrays(io.BytesIO(blob), len(blob))
+    assert error is None and arrays["a"].tolist() == [0.0, 1.0, 2.0]
+    bad = corrupt(blob)
+    _, _, error = read_named_arrays(io.BytesIO(bad), len(bad))
+    assert isinstance(error, ValueError) and needle in str(error)
 
 
 def test_codec_streams_into_caller_arrays_with_a_running_crc():
@@ -277,7 +295,7 @@ def test_codec_streams_into_caller_arrays_with_a_running_crc():
     f = io.BytesIO()
     crc, size = write_named_arrays(f, arrays)
     blob = f.getvalue()
-    assert blob == encode_named_arrays(arrays) and (crc, size) == (zlib.crc32(blob), len(blob))
+    assert (crc, size) == (zlib.crc32(blob), len(blob))
     assert blob.endswith(struct.pack("<d", 4.0))  # little-endian on any host
     into = np.zeros((2, 3))
     got, got_crc, error = read_named_arrays(io.BytesIO(blob), size,

@@ -1,9 +1,9 @@
 import copy
 import dataclasses
+import io
 import json
 import struct
 import tracemalloc
-import zlib
 
 import numpy as np
 import pytest
@@ -15,7 +15,7 @@ from risalloc import (CheckpointError, MlpArch, MlpModel, PcaModel, adam_step, b
                       save_checkpoint)
 from risalloc import mlp
 from risalloc.mlp import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, BN_MOMENTUM, _ADAM_BLOCK, _sigmoid
-from risalloc.serial import encode_named_arrays
+from risalloc.serial import write_named_arrays
 
 # entries per Adam block of a float64 model; the block is sized in bytes
 BLOCK = _ADAM_BLOCK // 8
@@ -553,11 +553,12 @@ def test_checkpoint_corruption(tmp_path, corrupt, match):
 
 
 def _checkpoint_bytes(meta, arrays):
-    """Magic, version, metadata, CRC, length and the in-memory codec's payload."""
+    """Magic, version, metadata, CRC, length and the codec's payload."""
     meta = json.dumps(meta, sort_keys=True).encode()
-    payload = encode_named_arrays(arrays)
+    payload = io.BytesIO()
+    crc, size = write_named_arrays(payload, arrays)
     return (b"RISM" + struct.pack("<II", 1, len(meta)) + meta
-            + struct.pack("<IQ", zlib.crc32(payload), len(payload)) + payload)
+            + struct.pack("<IQ", crc, size) + payload.getvalue())
 
 
 def _write_raw_checkpoint(path, arch, arrays):
