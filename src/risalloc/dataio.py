@@ -8,10 +8,11 @@ named-array codec. Sample i uses seed master_seed + i; loading checks it,
 since the seed is outside the CRC.
 
 Records take the codec's one streaming route, as checkpoints do: each block
-is written straight into records.bin, its header filled in from the CRC and
-length the write returns, and read back one record at a time, so its CRC is
-computed once on write and once on read, and a load holds one record beyond
-the samples it returns.
+is written straight into the record file, its header filled in from the CRC
+and length the write returns, and read back one record at a time, so its CRC
+is computed once on write and once on read, and a load holds one record
+beyond the samples it returns. Both files are written beside their names
+and renamed into place once the dataset is complete, as checkpoints are.
 
 Generation synthesizes drops in chunks of ``CHUNK_DROPS``: each drop keeps
 its own seed and generators, and the chunk's channels and matched beams come
@@ -34,7 +35,7 @@ from .allocation import mrt_beamformers
 from .channel import ChannelSet, _synth_stack, _unstack
 from .config import ConfigError, ScenarioConfig, is_int, parse_settings
 from .geometry import Deployment, _deploy
-from .serial import misfits, read_named_arrays, write_named_arrays
+from .serial import misfits, read_named_arrays, replacing, write_named_arrays
 
 FORMAT_VERSION = 1
 CHUNK_DROPS = 32  # drops synthesized per stacked pass; bounds generation's memory
@@ -172,6 +173,11 @@ def generate_dataset(config: ScenarioConfig, n_train: int, n_val: int,
     validation split. Record i stores its seed, master_seed + i, in 64
     bits, so master_seed must be an integer in [0, 2^64 - (n_train +
     n_val)]; both checks raise ValueError before anything is created.
+
+    Both files are written whole to new files beside them (serial.replacing)
+    and renamed into place only once the dataset is complete, so a run that
+    fails leaves no part of a dataset behind, and a dataset already at
+    ``path`` as it was.
     """
     if n_train < 0 or n_val < 0 or n_train + n_val < 1:
         raise ValueError("need at least one sample")
@@ -182,7 +188,9 @@ def generate_dataset(config: ScenarioConfig, n_train: int, n_val: int,
                          "so a record's seed would not fit in 64 bits")
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    with open(path / "records.bin", "wb") as f:
+    manifest = DatasetManifest(config, n_train, n_val, master_seed, total)
+    # records.bin is renamed into place first, then manifest.json
+    with replacing(path / "manifest.json") as m, replacing(path / "records.bin") as f:
         f.write(_MAGIC + struct.pack("<I", FORMAT_VERSION))
         for start in range(0, total, CHUNK_DROPS):
             seeds = [sample_seed(master_seed, i) for i in range(start, min(start + CHUNK_DROPS, total))]
@@ -193,8 +201,7 @@ def generate_dataset(config: ScenarioConfig, n_train: int, n_val: int,
                 f.seek(header)
                 f.write(_HEADER.pack(size, sample.seed, crc))
                 f.seek(0, os.SEEK_END)
-    manifest = DatasetManifest(config, n_train, n_val, master_seed, total)
-    (path / "manifest.json").write_text(manifest.to_json())
+        m.write(manifest.to_json().encode("utf-8"))
     return manifest
 
 

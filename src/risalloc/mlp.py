@@ -13,12 +13,10 @@ finite differences in the test suite.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import json
 import math
 import os
-import secrets
 import struct
 from dataclasses import asdict, dataclass, fields
 
@@ -26,7 +24,7 @@ import numpy as np
 
 from .config import AT_LEAST_ONE, check_fields, is_int, parse_settings
 from .features import PcaModel
-from .serial import misfits, read_named_arrays, write_named_arrays
+from .serial import misfits, read_named_arrays, replacing, write_named_arrays
 
 BN_EPS = 1e-8
 ADAM_BETA1 = 0.9    # first-moment decay
@@ -433,25 +431,15 @@ def save_checkpoint(path, model: MlpModel, pca: PcaModel | None = None,
             "has_pca": pca is not None,
             "metadata": dict(metadata or {})}
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
-    # exclusive creation under a random name, so no other file is overwritten,
-    # with the permissions the umask gives a new file
-    tmp = f"{os.fspath(path)}.{secrets.token_hex(8)}.tmp"
-    f = open(tmp, "xb")
-    try:
-        with f:
-            f.write(CHECKPOINT_MAGIC)
-            f.write(struct.pack("<II", CHECKPOINT_VERSION, len(meta_bytes)))
-            f.write(meta_bytes)
-            field = f.tell()
-            f.write(bytes(_CRC_FIELD.size))
-            crc, size = write_named_arrays(f, arrays)
-            f.seek(field)
-            f.write(_CRC_FIELD.pack(crc, size))
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        raise
+    with replacing(path) as f:
+        f.write(CHECKPOINT_MAGIC)
+        f.write(struct.pack("<II", CHECKPOINT_VERSION, len(meta_bytes)))
+        f.write(meta_bytes)
+        field = f.tell()
+        f.write(bytes(_CRC_FIELD.size))
+        crc, size = write_named_arrays(f, arrays)
+        f.seek(field)
+        f.write(_CRC_FIELD.pack(crc, size))
 
 
 def load_checkpoint(path):

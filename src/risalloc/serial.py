@@ -11,11 +11,18 @@ file one array at a time with a running CRC-32, so a block's CRC is computed
 once on write and once on read, and no more than one array's bytes are held
 beyond what the caller keeps. Reading rejects an array holding NaN or
 infinity, which a CRC written over the bad values would not catch.
+
+``replacing`` is how both kinds of file reach the disk: written whole
+beside their target and only then renamed over it, so a write that fails
+leaves no part of a file behind and whatever was there as it was.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import secrets
 import struct
 import zlib
 
@@ -112,6 +119,24 @@ def read_named_arrays(f, size: int, dest=None) -> tuple:
         crc = zlib.crc32(chunk, crc)
         left -= len(chunk)
     return arrays, crc, error
+
+
+@contextlib.contextmanager
+def replacing(path):
+    """A new binary file beside ``path``, to be written in its place: it is
+    renamed over ``path`` when the block ends and removed if the block
+    raises. Its random name is created exclusively, so no other file is
+    overwritten, with the permissions the umask gives a new file."""
+    tmp = f"{os.fspath(path)}.{secrets.token_hex(8)}.tmp"
+    f = open(tmp, "xb")
+    try:
+        with f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def misfits(arrays: dict, layout: dict) -> list:

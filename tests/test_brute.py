@@ -112,21 +112,26 @@ def test_nu_must_be_positive():
         brute_force(ch, w, 1.0, NOISE, nu=0)
 
 
-# The ids keep their earlier four-field form, whose third field chose whether
-# the search could leave a column off; every row now searches "off" too.
+# The ids of the first seven rows keep their earlier four-field form, whose
+# third field chose whether the search could leave a column off; every row
+# now searches "off" too.
 @pytest.mark.parametrize("chunk", [4096, 5])
-@pytest.mark.parametrize("side,nu,degenerate", [
-    pytest.param(3, 3, False, id="3-3-True-False"),
-    pytest.param(3, 1, False, id="3-1-True-False"),
-    pytest.param(3, 2, False, id="3-2-False-False"),
-    pytest.param(2, 3, False, id="2-3-True-False"),
-    pytest.param(2, 1, False, id="2-1-False-False"),
-    pytest.param(2, 2, True, id="2-2-False-True"),
-    pytest.param(2, 3, True, id="2-3-True-True"),
+@pytest.mark.parametrize("users,side,nu,seed,degenerate", [
+    pytest.param(2, 3, 3, 33, False, id="3-3-True-False"),
+    pytest.param(2, 3, 1, 31, False, id="3-1-True-False"),
+    pytest.param(2, 3, 2, 32, False, id="3-2-False-False"),
+    pytest.param(2, 2, 3, 23, False, id="2-3-True-False"),
+    pytest.param(2, 2, 1, 21, False, id="2-1-False-False"),
+    pytest.param(2, 2, 2, 22, True, id="2-2-False-True"),
+    pytest.param(2, 2, 3, 23, True, id="2-3-True-True"),
+    pytest.param(3, 3, 3, 333, False, id="three-users-3-3"),
+    pytest.param(1, 2, 4, 124, False, id="one-user-2-4"),
+    pytest.param(2, 3, 8, 4000, False, id="benchmark-grid-3-8"),  # toy_oracle's grid, criterion 04's seed
 ])
-def test_batched_search_matches_per_configuration_loop(monkeypatch, chunk, side, nu, degenerate):
+def test_batched_search_matches_per_configuration_loop(monkeypatch, chunk, users, side, nu, seed,
+                                                        degenerate):
     monkeypatch.setattr(brute, "_CHUNK", chunk)
-    ch = oracles.toy_channels(num_users=2, side=side, seed=10 * side + nu)
+    ch = oracles.toy_channels(num_users=users, side=side, seed=seed)
     if degenerate:                               # every phase configuration ties
         ch.g_ris[:] = 0.0
     w = mrt_beamformers(ch, 1.0).w

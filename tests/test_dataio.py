@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import oracles
+from risalloc import dataio
 from risalloc import (DatasetChecksumError, DatasetError, DatasetManifest,
                       DatasetTruncationError, DatasetVersionError,
                       ScenarioConfig, deploy, desk_config, full_scale_config, generate_dataset,
@@ -157,6 +158,28 @@ def test_generate_takes_the_largest_seed_whose_records_fit(tmp_path):
     generate_dataset(small_config(), 1, 1, 2**64 - 2, tmp_path)
     samples, manifest = load_dataset(tmp_path)
     assert [s.seed for s in samples] == [2**64 - 2, 2**64 - 1]
+
+
+@pytest.mark.parametrize("earlier", [False, True], ids=["empty-out", "dataset-in-out"])
+def test_generate_that_fails_leaves_no_partial_dataset(tmp_path, monkeypatch, earlier):
+    out = tmp_path / "ds"
+    if earlier:
+        generate_dataset(small_config(), 2, 1, 5, out)
+    before = {p.name: p.read_bytes() for p in out.iterdir()} if earlier else {}
+    make, chunks = dataio._make_samples, []
+
+    def second_chunk_fails(config, seeds):
+        chunks.append(seeds)
+        if len(chunks) == 2:
+            raise MemoryError("synthesis refused")
+        return make(config, seeds)
+
+    monkeypatch.setattr(dataio, "_make_samples", second_chunk_fails)
+    with pytest.raises(MemoryError):
+        generate_dataset(small_config(), CHUNK_DROPS, 1, 0, out)
+    assert len(chunks) == 2
+    # no records.bin, manifest.json or temporary file, and an earlier dataset byte for byte
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_split(tmp_path):
