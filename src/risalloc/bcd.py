@@ -12,15 +12,15 @@ on the ladder gamma = 1, 1/2, ..., 2^-29 is feasible. A step that accepts
 gamma = 1 lands on the vertex exactly, so a solve can end on a hard
 allocation. The share sweep ends when s equals xi.
 
-Every evaluation is one call of ``objective_value_and_gradients``: once at
-the starting point, by the objective kernel in ``metrics``, then about once
-per step, each call scoring a stack of line-search trials with the moving
-block's gradient. The first stack holds one trial more than the block's
-previous search needed; the rest of the ladder is scored only when none of
-those is accepted. The accepted trial's gradient drives the next step. A
-block's sweep also ends early at a fixed point: once a search leaves its
-point and gradient unchanged to the bit, every later step would repeat the
-same call on the same inputs.
+Every evaluation is one call of the objective kernel in ``metrics``: once
+at the starting point (``_evaluate``, with both blocks' gradients), then
+about once per step (``_evaluate_block``), each call scoring a stack of
+line-search trials with the moving block's gradient. The first stack holds
+one trial more than the block's previous search needed; the rest of the
+ladder is scored only when none of those is accepted. The accepted trial's
+gradient drives the next step. A block's sweep also ends early at a fixed
+point: once a search leaves its point and gradient unchanged to the bit,
+every later step would repeat the same call on the same inputs.
 
 With one block fixed, S (S[k, i] = e_k . w_i) is affine in the other:
 S = D + e^{j theta} @ M while the phases move, S_k = D_k + xi_k @ N_k while
@@ -58,8 +58,8 @@ import numpy as np
 
 from .channel import ChannelSet
 from .config import AT_LEAST_ONE, NON_NEGATIVE, POSITIVE, check_fields
-from .metrics import (Allocation, PhaseConfig, _bind, _bind_drops, _evaluate, _evaluate_block,
-                      _map_bytes, _single)
+from .metrics import (Allocation, PhaseConfig, _bind_drops, _evaluate, _evaluate_block,
+                      _map_bytes, _objective, _single)
 
 # Byte budget of one chunk's stacked block maps (metrics._map_bytes a drop)
 # when many drops are solved in lockstep (bcd_optimize_many): 4 MiB holds a
@@ -100,29 +100,15 @@ class BcdTrace:
 
 
 def objective_value_and_gradients(ch: ChannelSet, theta, xi, w, alpha: float,
-                                  noise_linear: float, bound=None):
+                                  noise_linear: float):
     """Objective plus exact gradients wrt phases and column shares; users
     pinned at the rate floor contribute zero gradient.
 
     Scores one instance, or a stack of trials when theta is (Q, L2) or xi
     is (Q, K, L): the value is then a (Q,) array instead of a float, and
-    the gradients gain the leading Q axis. ``bound`` is ch and w bound by
-    ``metrics._bind`` with grads=True, or a stack of P drops bound
-    together, whose trials are (Q, P, ...) stacks; without it the call
-    binds ch and w itself, and with it reads neither. With ``bound``,
-    theta and xi must already be float arrays, as the solver passes them.
-    When ``bound`` carries a block map (``with_shares`` or
-    ``with_phases``), only the block that map leaves free is scored: the
-    call returns the value, that block's gradient and H = G * conj(S),
-    from which ``bound.fixed_gradient`` forms the other block's gradient.
+    the gradients gain the leading Q axis.
     """
-    if bound is None:
-        g_ris, h_rb, h_direct, w, theta, xi = _single(ch, w, theta, xi)
-        bound = _bind(g_ris, h_rb, h_direct, w, grads=True)
-    if bound.M is None and bound.N is None:
-        out = _evaluate(bound, theta, xi, noise_linear, alpha, grads=True)
-    else:
-        out = _evaluate_block(bound, theta, xi, noise_linear, alpha)
+    out = _objective(*_single(ch, w, theta, xi), noise_linear, alpha, grads=True)
     return out if out[0].ndim else (float(out[0]), *out[1:])
 
 
@@ -364,11 +350,9 @@ def _solve(channels, ws, seeds, alpha, noise_linear, opts, fixed_alloc):
             calls += 1
         else:
             own_calls[rows] += 1
-        th, x = (trials, None) if bound.M is not None else (None, trials)
-        return objective_value_and_gradients(None, th, x, None, alpha, noise_linear, bound)
+        return _evaluate_block(bound, trials, noise_linear, alpha)
 
-    obj, dtheta, dxi = objective_value_and_gradients(None, theta, xi, None, alpha, noise_linear,
-                                                     problem)
+    obj, dtheta, dxi = _evaluate(problem, theta, xi, noise_linear, alpha, grads=True)
     values = obj.tolist()
     if not all(map(math.isfinite, values)):
         raise RuntimeError("objective is not finite at the starting point")

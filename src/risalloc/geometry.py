@@ -33,10 +33,6 @@ class Deployment:
     ue_positions: np.ndarray
     blockages: np.ndarray
 
-    @property
-    def num_ues(self) -> int:
-        return int(self.ue_positions.shape[0])
-
 
 def deploy_ues(config: ScenarioConfig, seed: int) -> np.ndarray:
     """Drop exactly ``num_ues`` users uniformly over the service square at

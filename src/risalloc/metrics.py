@@ -5,9 +5,10 @@ instances, with a value-only and a gradient path. Its one-channel callers
 are ``user_rates`` and ``sum_utility`` here and
 ``bcd.objective_value_and_gradients``, which also scores stacks of trials.
 ``_objective`` binds its problem (``_bind``) and evaluates it
-(``_evaluate``); the solver binds once per solve and reuses the binding.
-Each of its blocks then binds a block map (``_Bound.with_shares`` or
-``with_phases``) and scores its trials through it (``_evaluate_block``).
+(``_evaluate``). The solver calls the two steps itself: it binds once per
+solve and scores its starting point with ``_evaluate``. Each of its blocks
+then binds a block map (``_Bound.with_shares`` or ``with_phases``) and
+scores its trials through it (``_evaluate_block``).
 Both paths end in one shared tail (``_tail``) from S to the utilities and
 H = G * conj(S), G = dU/d|S|^2.
 
@@ -221,12 +222,12 @@ def _evaluate(b: _Bound, theta, xi, noise_linear: float, alpha: float | None = N
     return values, _phase_gradient(C, mask), _share_gradient(C, np.shape(xi)[-1])
 
 
-def _evaluate_block(b: _Bound, theta, xi, noise_linear: float, alpha: float):
-    """Score trials of the block that b's map leaves free: phases theta
-    (Q, L2) under a phase map (with_shares), shares xi (Q, K, L) under a
-    share map (with_phases); the fixed block's argument is not read. Returns
-    the utilities (Q,), the moving block's gradient and H = G * conj(S)
-    (Q, K, K), from which b.fixed_gradient forms the other block's.
+def _evaluate_block(b: _Bound, x, noise_linear: float, alpha: float):
+    """Score trials x of the block that b's map leaves free: phases (Q, L2)
+    under a phase map (with_shares), shares (Q, K, L) under a share map
+    (with_phases). Returns the utilities (Q,), the moving block's gradient
+    and H = G * conj(S) (Q, K, K), from which b.fixed_gradient forms the
+    other block's.
 
     The complex products write into explicit outputs, as in _evaluate, and
     every matrix product is one small product per trial, so a trial's bits
@@ -234,18 +235,18 @@ def _evaluate_block(b: _Bound, theta, xi, noise_linear: float, alpha: float):
     """
     K = b.D.shape[-1]
     if b.M is not None:
-        phase = 1j * theta
+        phase = 1j * x
         phase = np.exp(phase, out=phase)[..., None, :]
-        S = (phase @ b.M).reshape(theta.shape[:-1] + (K, K))
+        S = (phase @ b.M).reshape(x.shape[:-1] + (K, K))
     else:
-        S = (xi[..., None, :] @ b.N).reshape(xi.shape[:-1] + (K,))
+        S = (x[..., None, :] @ b.N).reshape(x.shape[:-1] + (K,))
     S += b.D
     values, H = _tail(S, noise_linear, alpha, b.own)
     if b.M is not None:
-        R = H.reshape(theta.shape[:-1] + (1, K * K)) @ b.Mt
-        grad = np.multiply(phase, R, out=R).imag.reshape(theta.shape)
+        R = H.reshape(x.shape[:-1] + (1, K * K)) @ b.Mt
+        grad = np.multiply(phase, R, out=R).imag.reshape(x.shape)
     else:
-        grad = (H[..., None, :] @ b.Nt).real.reshape(xi.shape)
+        grad = (H[..., None, :] @ b.Nt).real.reshape(x.shape)
     return values, grad, H
 
 

@@ -26,7 +26,7 @@ from risalloc import (BcdOptions, ChannelSet, Deployment, Sample, is_blocked,
                       objective_value_and_gradients, sum_utility)
 from risalloc.channel import MIN_DIST_2D, bs_panel_shape
 from risalloc.features import KAISER_TIE_GUARD
-from risalloc.metrics import _bind
+from risalloc.metrics import _bind, _evaluate_block
 from risalloc.mlp import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, BN_EPS, BN_MOMENTUM
 
 
@@ -334,23 +334,24 @@ def bcd_serial(ch, w, alpha, noise, options=None, fixed_alloc=None):
     xi = np.full((K, L), 1.0 / K) if fixed_alloc is None else np.array(fixed_alloc.xi, dtype=float)
     problem = _bind(ch.g_ris, ch.h_rb, ch.h_direct, w, grads=True)
 
-    def score(th, x, bound):
-        return objective_value_and_gradients(ch, th, x, w, alpha, noise, bound)
+    def score(trial, block_map):
+        value, grad, H = _evaluate_block(block_map, trial, noise, alpha)
+        return float(value), grad, H
 
-    obj, dtheta, dxi = score(theta, xi, problem)
+    obj, dtheta, dxi = objective_value_and_gradients(ch, theta, xi, w, alpha, noise)
     objectives = [obj]
     for _ in range(opts.max_outer_iters):
         phase_map = problem.with_shares(xi)
         theta, obj, dtheta, H = _sweep_serial(
             theta, obj, dtheta, lambda t, g: g, lambda t: np.clip(t, 0.0, np.pi),
-            lambda t: score(t, xi, phase_map), opts.step_size, opts.inner_steps_per_block)
+            lambda t: score(t, phase_map), opts.step_size, opts.inner_steps_per_block)
         if fixed_alloc is None:
             if H is not None:
                 dxi = phase_map.fixed_gradient(H, theta, xi)
             share_map = problem.with_phases(theta)
             xi, obj, dxi, H = _sweep_serial(
                 xi, obj, dxi, vertex_direction_serial, lambda x: x,
-                lambda x: score(theta, x, share_map), 1.0, opts.inner_steps_per_block)
+                lambda x: score(x, share_map), 1.0, opts.inner_steps_per_block)
             if H is not None:
                 dtheta = share_map.fixed_gradient(H, theta, xi)
         objectives.append(obj)
@@ -426,7 +427,7 @@ def synth_channels_serial(config, deployment, seed):
     then each user's direct and surface legs, with one shadow draw per
     link in that order."""
     rng = np.random.default_rng(seed)
-    K = deployment.num_ues
+    K = len(deployment.ue_positions)
     N, L, fc = config.n_bs_antennas, config.ris_side, config.carrier_freq
     bs = np.asarray(config.bs_position, dtype=float)
     ris = np.asarray(config.ris_position, dtype=float)

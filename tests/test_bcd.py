@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -17,7 +18,7 @@ from risalloc import bcd as bcd_module
 from risalloc.allocation import _simplex_columns
 from risalloc.bcd import _line_ascend
 from risalloc.cli import _per_sample_seed, main
-from risalloc.metrics import _bind, _map_bytes
+from risalloc.metrics import _bind, _evaluate_block, _map_bytes
 
 NOISE = 0.05
 
@@ -262,13 +263,15 @@ def _criterion_04_instance(seed):
 def criterion_04_solves():
     """Criterion 04's 40 solves at default options, run once for the tests
     below: seed -> (fixed allocation, solve, kernel calls it made) for the
-    free and then the pinned allocation."""
+    free and then the pinned allocation. The calls are counted at the
+    solver's two kernel entries, apart from its own count."""
     calls = []
-    kernel = bcd_module.objective_value_and_gradients
     solves = {}
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(bcd_module, "objective_value_and_gradients",
-                      lambda *args: calls.append(None) or kernel(*args))
+        for name in ("_evaluate", "_evaluate_block"):
+            kernel = getattr(bcd_module, name)
+            patch.setattr(bcd_module, name, lambda *args, kernel=kernel, **kwargs:
+                          calls.append(None) or kernel(*args, **kwargs))
         for seed in range(4000, 4020):
             ch, w = _criterion_04_instance(seed)
             solves[seed] = []
@@ -358,6 +361,29 @@ def test_bcd_binarized_answer_beats_the_surface_off_on_desk(desk_val_solves):
         assert hard > off
 
 
+@pytest.mark.parametrize("fixed", [None, uniform_contiguous(3, 8)], ids=["free", "pinned"])
+def test_bcd_answers_do_not_depend_on_physical_units(fixed):
+    # every channel scaled by c and the noise by c^2 leave each SINR, and so
+    # the solve, unchanged up to rounding: desk validation drops 0-9, seed j
+    config = desk_config()
+    samples = [make_sample(config, sample_seed(0, 200 + j)) for j in range(10)]
+
+    def solve(c):
+        channels = [dataclasses.replace(s.channels, h_direct=c * s.channels.h_direct,
+                                        g_ris=c * s.channels.g_ris) for s in samples]
+        return bcd_optimize_many(channels, [s.w for s in samples], range(10), 1.0,
+                                 c * c * config.noise_watts, fixed_alloc=fixed)
+
+    ref = solve(1.0)
+    for c in (1e-6, 1e-3, 1e3):
+        for (_, xi, trace), (_, ref_xi, ref_trace) in zip(solve(c), ref, strict=True):
+            assert len(trace.objectives) == len(ref_trace.objectives)
+            assert trace.stop_reason == ref_trace.stop_reason
+            assert binarize(xi.xi).xi.tobytes() == binarize(ref_xi.xi).xi.tobytes()
+            for got, want in zip(trace.objectives, ref_trace.objectives):
+                assert abs(got - want) <= 1e-9 * abs(want)
+
+
 def test_bcd_never_projects_the_shares(monkeypatch):
     def refuse(*args):
         raise AssertionError("the simplex projection ran")
@@ -372,8 +398,8 @@ def test_bcd_never_projects_the_shares(monkeypatch):
 @pytest.mark.parametrize("shape", [(2, 2), (3, 3), (2, 4), (1, 3)])
 def test_bcd_refuses_a_fixed_allocation_of_the_wrong_shape(monkeypatch, shape):
     ch, w = _criterion_04_instance(4000)  # K = 2 users, L = 3 columns
-    monkeypatch.setattr(bcd_module, "objective_value_and_gradients",
-                        lambda *args: pytest.fail("the solve started"))
+    monkeypatch.setattr(bcd_module, "_evaluate",
+                        lambda *args, **kwargs: pytest.fail("the solve started"))
     with pytest.raises(ValueError) as err:
         bcd_optimize(ch, w, 0.5, NOISE, fixed_alloc=Allocation(np.full(shape, 0.25)))
     assert str(shape) in str(err.value) and "(2, 3)" in str(err.value)
@@ -407,7 +433,7 @@ def test_block_map_scoring_agrees_with_the_general_kernel(alpha, Q):
         # the phases move: shares xi[0] fixed; then the shares move: phases theta[0] fixed
         for bound, th, x, moving in ((problem.with_shares(xi[0]), theta, xi[0], 0),
                                      (problem.with_phases(theta[0]), theta[0], xi, 1)):
-            values, grad, H = objective_value_and_gradients(ch, th, x, w, alpha, noise, bound)
+            values, grad, H = _evaluate_block(bound, (th, x)[moving], noise, alpha)
             for q in range(Q):
                 at = (th[q], x) if moving == 0 else (th, x[q])
                 want = objective_value_and_gradients(ch, *at, w, alpha, noise)
@@ -425,12 +451,10 @@ def test_block_map_scoring_does_not_depend_on_the_stack():
     ch, w = s.channels, s.w
     problem = _bind(ch.g_ris, ch.h_rb, ch.h_direct, w, grads=True)
     theta, xi = _random_point(ch, np.random.default_rng(7), 2048)
-    for bound, th, x, moving in ((problem.with_shares(xi[0]), theta, xi[0], 0),
-                                 (problem.with_phases(theta[0]), theta[0], xi, 1)):
-        stack = objective_value_and_gradients(ch, th, x, w, 1.0, config.noise_watts, bound)
+    for bound, trials in ((problem.with_shares(xi[0]), theta), (problem.with_phases(theta[0]), xi)):
+        stack = _evaluate_block(bound, trials, config.noise_watts, 1.0)
         for q in (0, 1023, 2047):
-            at = (th[q], x) if moving == 0 else (th, x[q])
-            alone = objective_value_and_gradients(ch, *at, w, 1.0, config.noise_watts, bound)
+            alone = _evaluate_block(bound, trials[q], config.noise_watts, 1.0)
             assert alone[0] == stack[0][q]
             rows = [out[q] for out in stack[1:]]
             assert all(a.tobytes() == b.tobytes() for a, b in zip(alone[1:], rows, strict=True))
